@@ -1,0 +1,9 @@
+"""Import path for the benchmark's own tests: ``python -m pytest bench``."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -1,21 +1,25 @@
-"""Run execution backends: serial, local thread pool, pilot job.
+"""Run execution: every executor drives one in-process pilot manager.
 
-All three consume the same contract: encode anything NEW, execute every
-ENCODED run (ENCODED -> SUBMITTED -> COMPLETED/FAILED), optionally
-collate, and loop on failures up to the retry limit. Every status change
-is one store commit, so an interrupted execution resumes exactly where
-it stopped.
+The executor names only size the manager's virtual allocation: `serial`
+runs one run at a time, `local-pool` runs `workers` at a time, and
+`pilotjob` packs runs into `--allocation-cores` (default: the detected
+cores). Each round encodes anything NEW, executes every ENCODED run
+(ENCODED -> SUBMITTED -> COMPLETED/FAILED), optionally collates, and
+loops on failures up to the retry limit. Every status change is one
+store commit, so an interrupted execution resumes where it stopped; on
+any error the manager's runs are canceled and drained before the error
+propagates.
 """
 
 from __future__ import annotations
 
-import subprocess
-from concurrent.futures import ThreadPoolExecutor
+import queue
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
 from uqpilot.errors import DecodeError, ExecutorError
+from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, Allocation, JobSpec, detected_cores
+from uqpilot.pilotjob.scheduler import PilotManager
 
 EXECUTORS = ("serial", "local-pool", "pilotjob")
 
@@ -65,21 +69,11 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     while True:
         for row in campaign.store.runs(stage_id=plan.stage_id, status="NEW"):
             campaign.encode(row["run_id"])
-        targets = [
-            r["run_id"]
-            for r in campaign.store.runs(stage_id=plan.stage_id, status="ENCODED")
-        ]
+        targets = campaign.store.runs(stage_id=plan.stage_id, status="ENCODED")
         if not targets:
             break
         summary.executed += len(targets)
-        if plan.executor == "pilotjob":
-            _run_pilotjob(campaign, plan, targets)
-        elif plan.executor == "local-pool":
-            with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                list(pool.map(lambda rid: _run_one(campaign, rid), targets))
-        else:
-            for rid in targets:
-                _run_one(campaign, rid)
+        _execute(campaign, plan, targets)
 
         failed = campaign.store.runs(stage_id=plan.stage_id, status="FAILED")
         if failed and rounds < plan.retries:
@@ -103,62 +97,37 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     return summary
 
 
-def _run_one(campaign: Campaign, run_id: int):
-    """Execute one run's command in its run directory."""
-    store = campaign.store
-    row = store.run(run_id)
-    app = store.app_spec()
-    run_dir = Path(row["run_dir"])
-    store.set_status(run_id, "SUBMITTED")
-    out = run_dir / "run.stdout"
-    err = run_dir / "run.stderr"
-    try:
-        with open(out, "wb") as fo, open(err, "wb") as fe:
-            code = subprocess.call(list(app.command), cwd=run_dir, stdout=fo, stderr=fe)
-    except OSError:
-        code = 127
-    store.set_status(run_id, "COMPLETED" if code == 0 else "FAILED")
+def _execute(campaign: Campaign, plan: RunPlan, rows: list):
+    """One job per run, submitted to a manager on a virtual allocation.
 
-
-def _run_pilotjob(campaign: Campaign, plan: RunPlan, run_ids: list[int]):
-    """One JobSpec per run, submitted over the manager socket."""
-    from uqpilot.pilotjob.jobs import Allocation, detected_cores
-    from uqpilot.pilotjob.protocol import ManagerServer, PjClient
-    from uqpilot.pilotjob.scheduler import PilotManager
-
-    store = campaign.store
-    app = store.app_spec()
-    if plan.allocation_cores:
-        allocation = Allocation.virtual(plan.allocation_cores)
+    A run is marked SUBMITTED as the manager starts it and COMPLETED or
+    FAILED as it ends; the manager reports both events through a queue, so
+    every commit happens in this thread.
+    """
+    if plan.executor == "pilotjob":
+        cores = plan.allocation_cores or detected_cores()
     else:
-        allocation = Allocation.local(detected_cores())
-    manager = PilotManager(allocation, workdir=campaign.workdir, clock="wall")
-    server = ManagerServer(manager).start()
+        cores = (1 if plan.executor == "serial" else plan.workers) * plan.cores_per_run
+    if plan.cores_per_run > cores:
+        raise ExecutorError(
+            f"cores-per-run {plan.cores_per_run} exceeds the {cores}-core allocation"
+        )
+    store = campaign.store
+    command = tuple(store.app_spec().command)
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    manager = PilotManager(Allocation.virtual(cores), workdir=campaign.workdir, clock="wall",
+                           on_task_event=lambda task: events.put((task.job, task.status)))
     try:
-        with PjClient(*server.address) as client:
-            names = {}
-            for rid in run_ids:
-                run_dir = str(Path(store.run(rid)["run_dir"]))
-                name = f"run_{rid:06d}"
-                client.call(
-                    "submit",
-                    {
-                        "name": name,
-                        "command": list(app.command),
-                        "cores": plan.cores_per_run,
-                        "workdir": run_dir,
-                        "stdout": "run.stdout",
-                        "stderr": "run.stderr",
-                    },
-                )
-                names[name] = rid
-                store.set_status(rid, "SUBMITTED")
-            client.call("finish")
-    finally:
-        server.stop()
-    report = server.report or manager.report()
-    by_name = {j["name"]: j for j in report["jobs"]}
-    for name, rid in names.items():
-        job = by_name.get(name)
-        status = "COMPLETED" if job and job["status"] == "SUCCEEDED" else "FAILED"
-        store.set_status(rid, status)
+        for row in rows:
+            manager.submit(JobSpec(name=str(row["run_id"]), command=command,
+                                   cores=plan.cores_per_run, workdir=row["run_dir"],
+                                   stdout="run.stdout", stderr="run.stderr"))
+        for _ in range(2 * len(rows)):   # one start and one end per run
+            name, status = events.get()
+            store.set_status(int(name), "SUBMITTED" if status == EXECUTING
+                             else "COMPLETED" if status == SUCCEEDED else "FAILED")
+        manager.drain()
+    except BaseException:
+        manager.cancel_all()
+        manager.drain()
+        raise

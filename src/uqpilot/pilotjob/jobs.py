@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from uqpilot.errors import ParseError, ValidationError
 
@@ -45,7 +46,7 @@ class Allocation:
                     f"{LOCAL_CORE_MULTIPLE}x the {detected_cores()} detected cores"
                 )
 
-    @property
+    @cached_property
     def total_cores(self) -> int:
         return sum(c for _, c in self.nodes)
 
@@ -146,6 +147,7 @@ class Task:
     job: str
     iteration: int
     cores: int
+    seq: int = 0                            # submission order across the manager
     status: str = QUEUED
     submit: float = 0.0
     start: float | None = None
@@ -163,6 +165,8 @@ class Task:
 class Job:
     spec: JobSpec
     tasks: list[Task] = field(default_factory=list)
+    succeeded: int = 0                      # tasks SUCCEEDED so far
+    unmet: int = 0                          # dependencies not yet SUCCEEDED
 
     @property
     def status(self) -> str:
@@ -182,3 +186,7 @@ class Job:
     @property
     def terminal(self) -> bool:
         return all(t.terminal for t in self.tasks)
+
+    @property
+    def all_succeeded(self) -> bool:
+        return self.succeeded == len(self.tasks)

@@ -2,9 +2,12 @@
 
 One lock serializes every state mutation; task execution runs in worker
 threads (wall clock) or through an event heap (simulated clock, declared
-durations). The scheduler scans the queue in submission order: eligible
-tasks that fit start immediately, and when the head does not fit, later
-eligible tasks that do fit are backfilled.
+durations). A task whose dependencies and previous sequential iteration
+have succeeded waits in a min-heap per core count, keyed by submission
+number. Dispatch starts the lowest-numbered head among the heaps that fit
+the free cores, so the oldest eligible task starts first and later ones
+backfill while it does not fit. Dependency counters and a reverse map keep
+each state change at O(log n) instead of a scan of the queue.
 """
 
 from __future__ import annotations
@@ -12,16 +15,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-import signal
 import subprocess
 import threading
 import time
-from collections import deque
+import traceback
 from pathlib import Path
+from typing import Callable
 
 from uqpilot.errors import AlreadyTerminal, JobNotFound, ValidationError
 from uqpilot.pilotjob.jobs import (
-    BROKEN,
     CANCELED,
     EXECUTING,
     FAILED,
@@ -38,26 +40,33 @@ CANCEL_GRACE_SECONDS = 5.0
 
 
 class PilotManager:
-    """Schedules and executes sub-jobs inside one allocation."""
+    """Schedules and executes sub-jobs inside one allocation.
+
+    `on_task_event(task)` is called, lock held, as each task starts and
+    again as it ends.
+    """
 
     def __init__(self, allocation: Allocation, workdir: str | Path = ".",
-                 clock: str = "wall"):
+                 clock: str = "wall", on_task_event: Callable[[Task], None] | None = None):
         if clock not in ("wall", "simulated"):
             raise ValidationError(f"clock must be wall or simulated, got {clock!r}")
         self.allocation = allocation
         self.workdir = Path(workdir)
         self.clock = clock
+        self.on_task_event = on_task_event
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
-        self._order: dict[str, int] = {}
-        self._queue: deque[Task] = deque()
+        self._ready: dict[int, list[tuple[int, Task]]] = {}  # cores -> heap of (seq, task)
+        self._dependents: dict[str, list[str]] = {}  # job -> jobs listing it in `after`
+        self._pending = 0                           # tasks not yet terminal
+        self._task_seq = itertools.count()
         self._free: dict[str, int] = {name: cores for name, cores in allocation.nodes}
         self._busy_cores = 0
         self._accepting = True
         self._epoch = time.monotonic()
         self._sim_now = 0.0
         self._events: list[tuple[float, int, Task]] = []   # (end, seq, task)
-        self._seq = itertools.count()
+        self._event_seq = itertools.count()
         self._procs: dict[tuple[str, int], subprocess.Popen] = {}
         self._trace: list[tuple[float, str, str, int]] = []  # (t, event, job, iteration)
 
@@ -92,44 +101,43 @@ class PilotManager:
             job = Job(spec=spec)
             now = self.now()
             for k in range(spec.iterations):
-                task = Task(job=spec.name, iteration=k, cores=spec.cores, submit=now)
-                job.tasks.append(task)
-                self._queue.append(task)
-            self._order[spec.name] = len(self._order)
+                job.tasks.append(Task(job=spec.name, iteration=k, cores=spec.cores,
+                                      seq=next(self._task_seq), submit=now))
+            self._pending += spec.iterations
             self._jobs[spec.name] = job
+            unmet = {dep for dep in spec.after if not self._jobs[dep].all_succeeded}
+            for dep in unmet:
+                self._dependents.setdefault(dep, []).append(spec.name)
+            job.unmet = len(unmet)
+            if not unmet:
+                self._make_ready(job)
             self._tick()
             return spec.name
 
     # --- scheduling core (lock held) ------------------------------------------
 
-    def _eligible(self, task: Task) -> bool:
-        job = self._jobs[task.job]
-        for dep in job.spec.after:
-            if self._jobs[dep].status != SUCCEEDED:
-                return False
-        if task.iteration > 0 and not job.spec.parallel_iterations:
-            if job.tasks[task.iteration - 1].status != SUCCEEDED:
-                return False
-        return True
+    def _make_ready(self, job: Job):
+        """The job's dependencies succeeded: its first (or every parallel) task is eligible."""
+        for task in job.tasks if job.spec.parallel_iterations else job.tasks[:1]:
+            self._push(task)
 
-    def _allocate(self, cores: int) -> tuple[tuple[str, int], ...] | None:
-        if cores > self.allocation.total_cores - self._busy_cores:
-            return None
+    def _push(self, task: Task):
+        heapq.heappush(self._ready.setdefault(task.cores, []), (task.seq, task))
+
+    def _allocate(self, cores: int) -> tuple[tuple[str, int], ...]:
+        """Take `cores` free cores, filling nodes in order (tasks may span nodes)."""
         taken: list[tuple[str, int]] = []
         need = cores
         for name, _ in self.allocation.nodes:
-            if need == 0:
-                break
             grab = min(self._free[name], need)
             if grab > 0:
                 taken.append((name, grab))
+                self._free[name] -= grab
                 need -= grab
-        if need > 0:
-            return None
-        for name, n in taken:
-            self._free[name] -= n
+                if need == 0:
+                    break
+        assert need == 0
         self._busy_cores += cores
-        assert self._busy_cores <= self.allocation.total_cores
         return tuple(taken)
 
     def _release(self, assigned: tuple[tuple[str, int], ...]):
@@ -139,31 +147,38 @@ class PilotManager:
         assert self._busy_cores >= 0
 
     def _tick(self):
-        """Dispatch every eligible queued task that fits, in FIFO order."""
-        for task in list(self._queue):
-            if task.status != QUEUED:
-                continue
-            if not self._eligible(task):
-                continue
-            assigned = self._allocate(task.cores)
-            if assigned is None:
-                continue   # head blocked; later eligible tasks may backfill
-            task.assigned = assigned
-            task.status = EXECUTING
-            task.start = self.now()
-            self._trace.append((task.start, "start", task.job, task.iteration))
-            if self.clock == "simulated":
-                duration = self._jobs[task.job].spec.duration
-                heapq.heappush(self._events, (task.start + duration, next(self._seq), task))
-            else:
-                threading.Thread(
-                    target=self._run_task, args=(task,), daemon=True
-                ).start()
-        self._prune_queue()
+        """Start the lowest-numbered eligible task that fits, until none fits.
 
-    def _prune_queue(self):
-        while self._queue and self._queue[0].status != QUEUED:
-            self._queue.popleft()
+        Within one tick free cores only fall and eligibility does not
+        change, so this is the order of one FIFO scan that starts every
+        eligible task fitting the cores left when it is reached.
+        """
+        while True:
+            free = self.allocation.total_cores - self._busy_cores
+            best = None
+            for cores, heap in self._ready.items():
+                if cores > free:
+                    continue
+                while heap and heap[0][1].status != QUEUED:
+                    heapq.heappop(heap)   # canceled or omitted while waiting
+                if heap and (best is None or heap[0][0] < best[0][0]):
+                    best = heap
+            if best is None:
+                return
+            self._start(heapq.heappop(best)[1])
+
+    def _start(self, task: Task):
+        task.assigned = self._allocate(task.cores)
+        task.status = EXECUTING
+        task.start = self.now()
+        self._trace.append((task.start, "start", task.job, task.iteration))
+        if self.on_task_event is not None:
+            self.on_task_event(task)
+        if self.clock == "simulated":
+            duration = self._jobs[task.job].spec.duration
+            heapq.heappush(self._events, (task.start + duration, next(self._event_seq), task))
+        else:
+            threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
 
     # --- wall-clock execution ----------------------------------------------
 
@@ -185,19 +200,18 @@ class PilotManager:
         return self.workdir / "pj-logs"
 
     def _run_task(self, task: Task):
+        """Worker thread: run the task's command, then end the task."""
         spec = self._jobs[task.job].spec
         cwd = spec.workdir or str(self.workdir)
         env = None
         if spec.env:
             env = dict(os.environ)
             env.update(dict(spec.env))
-        out_path = self._io_path(spec, task, "stdout")
-        err_path = self._io_path(spec, task, "stderr")
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        err_path.parent.mkdir(parents=True, exist_ok=True)
-        proc = None
-        exit_code: int | None = None
         try:
+            out_path = self._io_path(spec, task, "stdout")
+            err_path = self._io_path(spec, task, "stderr")
+            out_path.parent.mkdir(parents=True, exist_ok=True)
+            err_path.parent.mkdir(parents=True, exist_ok=True)
             with open(out_path, "wb") as out, open(err_path, "wb") as err:
                 proc = subprocess.Popen(
                     list(spec.command), cwd=cwd, env=env, stdout=out, stderr=err
@@ -208,25 +222,21 @@ class PilotManager:
                     self._procs[(task.job, task.iteration)] = proc
                 exit_code = proc.wait()
         except OSError:
-            exit_code = 127
-        finally:
-            self._on_task_exit(task, exit_code)
+            exit_code = 127   # could not be started
+        except Exception:   # a fault of the manager, not of the command: the task fails
+            traceback.print_exc()
+            exit_code = None
+        self._on_task_exit(task, exit_code)
 
     def _on_task_exit(self, task: Task, exit_code: int | None):
         with self._cond:
             self._procs.pop((task.job, task.iteration), None)
             task.end = self.now()
             task.exit_code = exit_code
-            self._trace.append((task.end, "end", task.job, task.iteration))
             if task.cancel_requested:
-                task.status = CANCELED
-            elif exit_code == 0:
-                task.status = SUCCEEDED
+                self._end_task(task, CANCELED)
             else:
-                task.status = FAILED
-            self._release(task.assigned)
-            self._after_state_change(task)
-            self._tick()
+                self._end_task(task, SUCCEEDED if exit_code == 0 else FAILED)
             self._cond.notify_all()
 
     # --- simulated execution -------------------------------------------------
@@ -238,33 +248,51 @@ class PilotManager:
             self._sim_now = max(self._sim_now, end)
             task.end = self._sim_now
             task.exit_code = 0
-            self._trace.append((task.end, "end", task.job, task.iteration))
-            task.status = CANCELED if task.cancel_requested else SUCCEEDED
-            self._release(task.assigned)
-            self._after_state_change(task)
-            self._tick()
+            self._end_task(task, CANCELED if task.cancel_requested else SUCCEEDED)
 
     # --- state cascade ----------------------------------------------------------
 
-    def _after_state_change(self, task: Task):
+    def _end_task(self, task: Task, status: str):
+        """A started task ended: free its cores, propagate, dispatch."""
+        self._trace.append((task.end, "end", task.job, task.iteration))
+        task.status = status
+        self._pending -= 1
+        self._release(task.assigned)
+        if self.on_task_event is not None:
+            self.on_task_event(task)
         job = self._jobs[task.job]
-        if task.status in BROKEN and not job.spec.parallel_iterations:
-            for later in job.tasks[task.iteration + 1:]:
-                if later.status == QUEUED:
-                    later.status = OMITTED
-        if job.terminal and job.status in BROKEN:
+        if status == SUCCEEDED:
+            job.succeeded += 1
+            if job.all_succeeded:
+                for name in self._dependents.get(job.spec.name, ()):
+                    self._jobs[name].unmet -= 1
+                    if self._jobs[name].unmet == 0:
+                        self._make_ready(self._jobs[name])
+            elif not job.spec.parallel_iterations:
+                self._push(job.tasks[task.iteration + 1])
+        elif not job.spec.parallel_iterations:
+            self._end_queued(job.tasks[task.iteration + 1:], OMITTED)
+        if job.terminal and not job.all_succeeded:   # broken once its last task ended
             self._omit_dependents(job.spec.name)
+        self._tick()
+
+    def _end_queued(self, tasks, status: str) -> bool:
+        """Move the QUEUED ones of `tasks` straight to a terminal `status`."""
+        changed = False
+        for t in tasks:
+            if t.status == QUEUED:
+                t.status = status
+                self._pending -= 1
+                changed = True
+        return changed
 
     def _omit_dependents(self, name: str):
-        for other in self._jobs.values():
-            if name in other.spec.after:
-                changed = False
-                for t in other.tasks:
-                    if t.status == QUEUED:
-                        t.status = OMITTED
-                        changed = True
-                if changed and other.terminal:
-                    self._omit_dependents(other.spec.name)
+        stack = [name]
+        while stack:
+            for other in self._dependents.get(stack.pop(), ()):
+                job = self._jobs[other]
+                if self._end_queued(job.tasks, OMITTED) and job.terminal:
+                    stack.append(other)
 
     # --- operations -----------------------------------------------------------
 
@@ -276,33 +304,27 @@ class PilotManager:
                 raise JobNotFound(f"no job named {name!r}")
             if job.terminal:
                 raise AlreadyTerminal(f"job {name!r} is already terminal")
-            executing: list[Task] = []
+            self._end_queued(job.tasks, CANCELED)
             for t in job.tasks:
-                if t.status == QUEUED:
-                    t.status = CANCELED
-                    t.cancel_requested = True
-                elif t.status == EXECUTING:
-                    t.cancel_requested = True
-                    executing.append(t)
-            for t in executing:
+                if t.status != EXECUTING:
+                    continue
+                t.cancel_requested = True
                 proc = self._procs.get((t.job, t.iteration))
                 if proc is not None:
                     proc.terminate()
-                    timer = threading.Timer(CANCEL_GRACE_SECONDS, self._force_kill, (proc,))
+                    timer = threading.Timer(CANCEL_GRACE_SECONDS, proc.kill)
                     timer.daemon = True
                     timer.start()
             if job.terminal:
                 self._omit_dependents(name)
-            self._tick()
             self._cond.notify_all()
 
-    @staticmethod
-    def _force_kill(proc: subprocess.Popen):
-        if proc.poll() is None:
-            try:
-                proc.send_signal(signal.SIGKILL)
-            except OSError:
-                pass
+    def cancel_all(self):
+        """Cancel every non-terminal job under one lock hold: nothing starts meanwhile."""
+        with self._cond:
+            for name, job in self._jobs.items():
+                if not job.terminal:
+                    self.cancel(name)
 
     def job_snapshot(self, name: str) -> dict:
         with self._cond:
@@ -366,18 +388,15 @@ class PilotManager:
         with self._cond:
             self._accepting = False
             if self.clock == "simulated":
-                self._tick()
                 self.drain_simulated()
                 return
-            while not all(j.terminal for j in self._jobs.values()):
+            while self._pending:
                 self._cond.wait(timeout=0.5)
 
     def report(self) -> dict:
         """Makespan, overhead against the ideal bound, utilization trace."""
         with self._cond:
-            records = []
-            for name in sorted(self._jobs, key=self._order.get):
-                records.append(self._job_doc(self._jobs[name]))
+            records = [self._job_doc(job) for job in self._jobs.values()]
             executed = [
                 t
                 for job in self._jobs.values()

@@ -12,7 +12,6 @@ can later process each tensor grid separately and sum with c_k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +72,20 @@ def _merge_key(point: np.ndarray) -> tuple[int, ...]:
     return tuple(int(round(x / MERGE_TOL)) for x in point)
 
 
+def multi_indices(d: int, level: int):
+    """Every k in N^d with |k|_1 <= level, in lexicographic order.
+
+    The order is that of ``itertools.product(range(level + 1), repeat=d)``
+    with the other indices left out, but only C(d + level, d) are visited.
+    """
+    if d == 0:
+        yield ()
+        return
+    for first in range(level + 1):
+        for rest in multi_indices(d - 1, level - first):
+            yield (first, *rest)
+
+
 def smolyak_grid(
     d: int,
     level: int,
@@ -114,11 +127,8 @@ def smolyak_grid(
     components: list[Component] = []
     budget = 0
 
-    for k in itertools.product(range(level + 1), repeat=d):
-        norm = sum(k)
-        if norm > level:
-            continue
-        coeff = combination_coefficient(d, level, norm)
+    for k in multi_indices(d, level):
+        coeff = combination_coefficient(d, level, sum(k))
         if coeff == 0:
             continue
         comp_rules = [rule_at(i, k[i]) for i in range(d)]

@@ -1,11 +1,16 @@
 import json
+import socket
 import stat
+import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 from tests.conftest import uniform_param, write_config
 from uqpilot.campaign.ops import Campaign
+from uqpilot.cli import uq
 from uqpilot.executors import RunPlan, execute_campaign
 from uqpilot.sampling.samplers import SamplerSpec
 
@@ -121,6 +126,105 @@ class TestPilotExecutor:
         )
         assert not summary.ok
         assert campaign.store.run(3)["status"] == "FAILED"
+
+
+class TestEngine:
+    def test_many_workers_under_thread_switch_pressure(self, tmp_path):
+        # more concurrent runs than cores and a tiny switch interval: a lost
+        # update to the manager's counters would hang or drop a run
+        campaign = echo_campaign(tmp_path, n_runs=80)
+        result = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.update(
+                summary=execute_campaign(campaign, RunPlan(executor="local-pool", workers=8))))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert result["summary"].ok
+        assert campaign.store.status_counts()["COLLATED"] == 80
+
+    def test_pilotjob_run_needs_no_socket(self, tmp_path, monkeypatch):
+        campaign = echo_campaign(tmp_path)
+        campaign.close()
+
+        def no_sockets(*args, **kwargs):
+            raise OSError("sockets are disabled in this test")
+
+        monkeypatch.setattr(socket, "socket", no_sockets)
+        code = uq.main(["run", "--workdir", str(tmp_path / "camp"),
+                        "--executor", "pilotjob", "--allocation-cores", "2"])
+        assert code == 0
+        with Campaign.open(tmp_path / "camp") as reopened:
+            assert reopened.store.status_counts()["COLLATED"] == 10
+
+    @pytest.mark.parametrize("executor", ["serial", "local-pool"])
+    def test_error_cancels_and_drains_the_manager(self, tmp_path, monkeypatch, executor):
+        campaign = script_campaign(tmp_path, SLEEP_FROM_RUN_3, n_runs=6)
+        started = record_popen(monkeypatch)
+        set_status = campaign.store.set_status
+
+        def failing_set_status(run_id, status, *args, **kwargs):
+            if run_id == 3 and status != "ENCODED":   # once the 3rd run is executing
+                raise RuntimeError("store went away")
+            return set_status(run_id, status, *args, **kwargs)
+
+        monkeypatch.setattr(campaign.store, "set_status", failing_set_status)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="store went away"):
+            execute_campaign(campaign, RunPlan(executor=executor, workers=2))
+        assert time.monotonic() - t0 < 30   # children were stopped, not waited out
+        assert len(started) >= 3
+        assert all(proc.poll() is not None for proc in started)
+        monkeypatch.undo()
+        campaign.resume()
+        assert campaign.store.status_counts()["SUBMITTED"] == 0
+
+    def test_interrupt_leaves_unstarted_runs_encoded(self, tmp_path, monkeypatch):
+        campaign = script_campaign(tmp_path, "import time\ntime.sleep(60)\n", n_runs=4)
+        started = record_popen(monkeypatch)
+        set_status = campaign.store.set_status
+
+        def interrupted_after_first_start(run_id, status, *args, **kwargs):
+            set_status(run_id, status, *args, **kwargs)
+            if status == "SUBMITTED":
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign.store, "set_status", interrupted_after_first_start)
+        with pytest.raises(KeyboardInterrupt):
+            execute_campaign(campaign, RunPlan(executor="serial"))
+        assert len(started) == 1
+        assert started[0].poll() is not None
+        monkeypatch.undo()
+        rows = {row["run_id"]: row for row in campaign.store.runs()}
+        assert rows[1]["status"] == "SUBMITTED"
+        for run_id in (2, 3, 4):
+            assert rows[run_id]["status"] == "ENCODED"
+            assert rows[run_id]["attempts"] == 0
+
+
+SLEEP_FROM_RUN_3 = """
+import pathlib, shutil, time
+if pathlib.Path.cwd().name >= "run_000003":
+    time.sleep(60)
+shutil.copy("input.json", "out.csv")
+"""
+
+
+def record_popen(monkeypatch) -> list[subprocess.Popen]:
+    """Keep every process the manager starts, to check none outlives the run."""
+    started: list[subprocess.Popen] = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return started
 
 
 class TestExecutorEquivalence:

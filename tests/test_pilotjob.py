@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 
 import pytest
@@ -251,6 +252,38 @@ class TestFailurePropagation:
         m.drain()
         its = m.job_snapshot("flaky")["iterations"]
         assert [t["status"] for t in its] == ["FAILED", "OMITTED", "OMITTED"]
+
+    def test_parallel_job_with_mixed_outcomes_omits_dependents(self, tmp_path):
+        # iteration 0 fails (its stdout path is a directory), iteration 1
+        # succeeds and ends last: the job is FAILED once both have ended
+        (tmp_path / "out.0").mkdir()
+        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="p", command=("true",), iterations=2,
+                         parallel_iterations=True, stdout="out"))
+        m.submit(JobSpec(name="d", command=("true",), after=("p",)))
+        drainer = threading.Thread(target=m.drain, daemon=True)
+        drainer.start()
+        drainer.join(timeout=30)
+        assert not drainer.is_alive()
+        its = m.job_snapshot("p")["iterations"]
+        assert [(t["status"], t["exit_code"]) for t in its] == [("FAILED", 127), ("SUCCEEDED", 0)]
+        assert m.job_snapshot("p")["status"] == "FAILED"
+        assert m.job_snapshot("d")["status"] == "OMITTED"
+
+    def test_unwritable_output_path_fails_the_task(self, tmp_path):
+        # the log directory cannot be made: the task fails instead of
+        # leaving drain() waiting on a worker thread that died
+        (tmp_path / "afile").write_text("")
+        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="a", command=("true",), stdout="afile/out"))
+        m.submit(JobSpec(name="b", command=("true",)))
+        drainer = threading.Thread(target=m.drain, daemon=True)
+        drainer.start()
+        drainer.join(timeout=30)
+        assert not drainer.is_alive()
+        assert m.job_snapshot("a")["iterations"][0]["exit_code"] == 127
+        assert m.job_snapshot("a")["status"] == "FAILED"
+        assert m.job_snapshot("b")["status"] == "SUCCEEDED"
 
 
 class TestBatchMode:

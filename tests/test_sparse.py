@@ -118,3 +118,30 @@ def test_combination_coefficients_window():
     assert combination_coefficient(3, 4, 2) == 1
     assert combination_coefficient(3, 4, 1) == 0
     assert combination_coefficient(3, 4, 0) == 0
+
+
+def product_filter(d: int, level: int):
+    """The full (level+1)^d product with |k|_1 > level dropped."""
+    return (k for k in itertools.product(range(level + 1), repeat=d) if sum(k) <= level)
+
+
+@pytest.mark.parametrize("rule", ["clenshaw-curtis", "gauss-legendre"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_index_enumeration_matches_product_filter_bitwise(rule, d, level, monkeypatch):
+    from uqpilot.sampling import sparse
+
+    assert list(sparse.multi_indices(d, level)) == list(product_filter(d, level))
+    grid = smolyak_grid(d, level, rule)
+    monkeypatch.setattr(sparse, "multi_indices", product_filter)
+    reference = smolyak_grid(d, level, rule)
+    assert grid.points.tobytes() == reference.points.tobytes()
+    assert grid.weights.tobytes() == reference.weights.tobytes()
+    assert [c.index for c in grid.components] == [c.index for c in reference.components]
+
+
+def test_high_dimension_low_level_grid_returns():
+    # the product filter would walk 4^16 = 4.3e9 indices here
+    grid = smolyak_grid(16, 3, "clenshaw-curtis")
+    assert len(grid.components) == math.comb(16 + 3, 3)   # every |k|_1 <= 3 contributes
+    assert abs(grid.weights.sum() - 1.0) < 1e-10

@@ -11,7 +11,6 @@ from uqpilot.analysis.spectral import (
     SpectralSurrogate,
     moments,
     project_sparse,
-    project_tensor,
     sobol,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "bootstrap",
     "moments",
     "project_sparse",
-    "project_tensor",
     "sobol",
     "sobol_mc",
     "surrogate_for_stage",

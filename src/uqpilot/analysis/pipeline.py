@@ -1,29 +1,27 @@
 """Stage analysis: from collated QoI vectors to moments and Sobol reports.
 
-Quadrature stages (sc/pce) rebuild their grid deterministically from the
-stored sampler spec, match runs to grid points by run order, and go
-through pseudo-spectral projection. MC/halton stages get sample moments
-and bootstrap intervals instead.
+Quadrature stages (sc/pce) rebuild their grid from the stored sampler
+spec with ``stage_grid``, the one grid builder that sampling uses too,
+and match runs to grid points by run order. The grid's points go to
+physical space through ``to_physical``, as at sampling, and
+``project_sparse`` projects them; a tensor stage is its one-component
+case. MC/halton stages get sample moments and bootstrap intervals
+instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from uqpilot.analysis.bootstrap import BootstrapCI, bootstrap
-from uqpilot.analysis.spectral import (
-    SobolReport,
-    SpectralSurrogate,
-    moments,
-    project_sparse,
-    project_tensor,
-    sobol,
-)
+from uqpilot.analysis.spectral import SobolReport, SpectralSurrogate, project_sparse, sobol
 from uqpilot.campaign.store import CampaignStore
 from uqpilot.errors import MissingRunError, SamplerError
-from uqpilot.sampling.quadrature import clenshaw_curtis, gauss_hermite, gauss_legendre
-from uqpilot.sampling.samplers import SamplerSpec, rule_name_for
-from uqpilot.sampling.sparse import order_at_level, smolyak_grid
+from uqpilot.sampling.samplers import SamplerSpec, stage_grid, to_physical
+# unused here, but bench/workloads.py traces pipeline.smolyak_grid by name
+from uqpilot.sampling.sparse import smolyak_grid  # noqa: F401
 
 
 def stage_sampler(store: CampaignStore, stage_id: int) -> SamplerSpec:
@@ -81,43 +79,25 @@ def surrogate_for_stage(
             f"stage {stage_id}: {len(run_ids)} collated of {expected} runs"
         )
 
-    rules = [rule_name_for(d, spec.growth) for d in dists]
-    if spec.variant == "sc" and spec.sparse:
-        grid = smolyak_grid(len(dists), spec.level, rules)
-        _check_points(store, stage_id, run_ids, grid.points, dists, names)
-        return project_sparse(values, grid, dists, names, qoi=qoi, index=index)
-
-    level = spec.level if spec.variant == "sc" else spec.order
-    one_d = []
-    for rule in rules:
-        if rule == "gauss-legendre":
-            one_d.append(gauss_legendre(order_at_level(rule, level)))
-        elif rule == "gauss-hermite":
-            one_d.append(gauss_hermite(order_at_level(rule, level)))
-        else:
-            one_d.append(clenshaw_curtis(level))
-    from uqpilot.sampling.quadrature import tensor_grid
-
-    points, _ = tensor_grid(one_d)
-    _check_points(store, stage_id, run_ids, points, dists, names)
-    total_degree = spec.order if spec.variant == "pce" else None
-    return project_tensor(
-        values, one_d, dists, points, names, qoi=qoi, index=index,
-        total_degree=total_degree,
+    grid = stage_grid(spec, dists)
+    physical = to_physical(grid.points, dists)
+    _check_points(store, stage_id, run_ids, physical, names)
+    return project_sparse(
+        values, dataclasses.replace(grid, points=physical), dists, names,
+        qoi=qoi, index=index,
     )
 
 
-def _check_points(store, stage_id, run_ids, ref_points, dists, names):
+def _check_points(store, stage_id, run_ids, physical, names):
     """Stored run parameters must match the rebuilt grid, point for point."""
-    if len(run_ids) != len(ref_points):
+    if len(run_ids) != len(physical):
         raise MissingRunError(
-            f"stage {stage_id}: {len(run_ids)} runs vs {len(ref_points)} grid points"
+            f"stage {stage_id}: {len(run_ids)} runs vs {len(physical)} grid points"
         )
     rows = {r["run_id"]: store.run_params(r) for r in store.runs(stage_id=stage_id)}
-    for rid, zp in zip(run_ids, ref_points):
+    for rid, point in zip(run_ids, physical.tolist()):
         params = rows[rid]
-        for (name, dist), z in zip(zip(names, dists), zp):
-            expect = dist.from_reference(float(z))
+        for name, expect in zip(names, point):
             got = params[name]
             if abs(got - expect) > 1e-9 * max(1.0, abs(expect)):
                 raise MissingRunError(

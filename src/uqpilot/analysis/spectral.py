@@ -2,14 +2,17 @@
 
 Coefficients come from weighted sums over quadrature points,
 
-    c_k = sum_p w_p * y(x_p) * Phi_k(x_p),
+    c_k = sum_p w_p * y(x_p) * Phi_k(x_p).
 
-either over a full tensor grid (per-dimension degree caps) or a sparse
-grid, where each component tensor grid is projected separately and the
-results are summed with the Smolyak combination coefficients. With an
-orthonormal basis the mean is c_0, the variance is the sum of the other
-squared coefficients, and Sobol indices are ratios of coefficient-subset
-sums.
+``project_sparse`` is the one projection. Each component tensor grid of
+a ``SparseGrid`` is projected onto its own alias-free degree range and
+the results are summed with the combination coefficients (the sparse
+pseudo-spectral method of Constantine, Eldred & Phipps, CMAME 2012); a
+full tensor grid is the one-component case. The grid's points must be in
+the physical domain: ``evaluate_basis`` is the one place that maps them
+back to the reference domain. With an orthonormal basis the mean is c_0,
+the variance is the sum of the other squared coefficients, and Sobol
+indices are ratios of coefficient-subset sums.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from uqpilot.analysis.basis import evaluate_basis
-from uqpilot.errors import BasisError, MissingRunError
+from uqpilot.errors import MissingRunError
 from uqpilot.sampling.distributions import Distribution1D
-from uqpilot.sampling.quadrature import QuadRule
 from uqpilot.sampling.sparse import SparseGrid
 
 DEGENERATE_VARIANCE = 1e-14
@@ -68,50 +70,6 @@ def _values_matrix(values, n_expected: int, what: str) -> np.ndarray:
     return y
 
 
-def project_tensor(
-    values,
-    rules: list[QuadRule],
-    dists: list[Distribution1D],
-    points: np.ndarray,
-    param_names: list[str],
-    qoi: str = "y",
-    index=None,
-    degree_caps: list[int] | None = None,
-    total_degree: int | None = None,
-) -> SpectralSurrogate:
-    """Project evaluations on a full tensor grid.
-
-    `values` holds one row per grid point, in tensor_grid point order.
-    Degrees default to order-1 per dimension (alias-free for Gauss rules);
-    `total_degree` additionally truncates to |k|_1 <= total_degree.
-    """
-    if degree_caps is None:
-        degree_caps = [r.order - 1 for r in rules]
-    y = _values_matrix(values, len(points), "tensor projection")
-    weights = _tensor_weights(rules)
-    basis = [
-        evaluate_basis(dist, points[:, i], degree_caps[i])
-        for i, dist in enumerate(dists)
-    ]
-    terms: dict[tuple[int, ...], np.ndarray] = {}
-    wy = weights[:, None] * y
-    for key in itertools.product(*[range(c + 1) for c in degree_caps]):
-        if total_degree is not None and sum(key) > total_degree:
-            continue
-        phi = np.ones(len(points))
-        for i, k in enumerate(key):
-            phi = phi * basis[i][k]
-        terms[key] = phi @ wy
-    return SpectralSurrogate(list(param_names), list(dists), qoi, index, terms)
-
-
-def _tensor_weights(rules: list[QuadRule]) -> np.ndarray:
-    from uqpilot.sampling.quadrature import tensor_grid
-
-    _, w = tensor_grid(rules)
-    return w
-
-
 def project_sparse(
     values,
     grid: SparseGrid,
@@ -120,14 +78,14 @@ def project_sparse(
     qoi: str = "y",
     index=None,
 ) -> SpectralSurrogate:
-    """Combination-technique projection over a Smolyak grid.
+    """Combination-technique projection over a grid with physical points.
 
-    `values` holds one row per merged grid point. Each component tensor
-    grid projects onto its own alias-free degree range; component
-    surrogates are summed with the combination coefficients. Terms are
-    truncated to total degree <= grid.level.
+    `values` holds one row per grid point. Each component tensor grid
+    projects onto its own alias-free degree range; component surrogates
+    are summed with the combination coefficients. Terms are truncated to
+    total degree <= grid.total_degree when that is set.
     """
-    y = _values_matrix(values, len(grid.points), "sparse projection")
+    y = _values_matrix(values, len(grid.points), "projection")
     terms: dict[tuple[int, ...], np.ndarray] = {}
     for comp in grid.components:
         pts = grid.points[comp.rows]
@@ -137,7 +95,7 @@ def project_sparse(
         ]
         wy = comp.weights[:, None] * y[comp.rows]
         for key in itertools.product(*[range(c + 1) for c in caps]):
-            if sum(key) > grid.level:
+            if grid.total_degree is not None and sum(key) > grid.total_degree:
                 continue
             phi = np.ones(len(pts))
             for i, k in enumerate(key):
@@ -154,9 +112,7 @@ def _alias_free_cap(rule: str, order: int) -> int:
     # n-point Gauss rules integrate products of two degree-(n-1) basis
     # polynomials exactly; CC with m points is exact through degree m-1,
     # so cap at floor((m-1)/2) to keep component projections alias-free
-    if rule == "clenshaw-curtis":
-        return max(0, (order - 1) // 2) if order > 1 else 0
-    return order - 1
+    return (order - 1) // 2 if rule == "clenshaw-curtis" else order - 1
 
 
 def moments(s: SpectralSurrogate) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +163,3 @@ def sobol(s: SpectralSurrogate) -> SobolReport:
         mean=mean,
     )
 
-
-def check_basis_supported(dists: list[Distribution1D]):
-    for d in dists:
-        if d.variant not in ("uniform", "normal"):
-            raise BasisError(f"unsupported input distribution {d.variant!r}")

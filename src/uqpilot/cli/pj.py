@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--after", nargs="*", default=[])
             p.add_argument("--job-workdir", default=None)
             p.add_argument("--duration", type=float, default=None)
-            p.add_argument("command", nargs=argparse.REMAINDER,
+            # not dest "command": that names the subcommand
+            p.add_argument("job_command", metavar="command", nargs=argparse.REMAINDER,
                            help="command and arguments (prefix with --)")
         elif name in ("status", "cancel"):
             p.add_argument("--name", required=(name == "cancel"), default=None)
@@ -99,7 +100,7 @@ def _client(manager: str):
 def cmd_submit(args) -> int:
     from uqpilot.errors import UqError
 
-    command = args.command
+    command = args.job_command
     if command and command[0] == "--":
         command = command[1:]
     payload = {

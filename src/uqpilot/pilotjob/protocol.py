@@ -146,14 +146,20 @@ class ManagerServer:
 
 
 class PjClient:
-    """Blocking request/response client for the manager socket."""
+    """Blocking request/response client for the manager socket.
+
+    `timeout` bounds the connect and each reply except finish's, which
+    comes only once the manager has drained, however long that takes.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 600.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._timeout = timeout
         self._file = self._sock.makefile("rwb")
         self._next_id = itertools.count(1)
 
     def request(self, cmd: str, payload: dict | None = None) -> dict:
+        self._sock.settimeout(None if cmd == "finish" else self._timeout)
         req = {"id": next(self._next_id), "cmd": cmd, "payload": payload or {}}
         self._file.write((json.dumps(req) + "\n").encode())
         self._file.flush()

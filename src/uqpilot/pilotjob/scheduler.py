@@ -105,16 +105,29 @@ class PilotManager:
                                       seq=next(self._task_seq), submit=now))
             self._pending += spec.iterations
             self._jobs[spec.name] = job
-            unmet = {dep for dep in spec.after if not self._jobs[dep].all_succeeded}
-            for dep in unmet:
-                self._dependents.setdefault(dep, []).append(spec.name)
-            job.unmet = len(unmet)
-            if not unmet:
-                self._make_ready(job)
+            self._enqueue(job)
             self._tick()
             return spec.name
 
     # --- scheduling core (lock held) ------------------------------------------
+
+    def _enqueue(self, job: Job):
+        """Count a new job's unmet dependencies; with none left it is ready.
+
+        A dependency that has already ended broken omits the job at once,
+        as the cascade would have done had the job existed then. A job
+        submitted later that depends on this one is omitted the same way.
+        """
+        deps = [self._jobs[name] for name in job.spec.after]
+        if any(not dep.all_succeeded and dep.terminal for dep in deps):
+            self._end_queued(job.tasks, OMITTED)
+            return
+        unmet = {dep.spec.name for dep in deps if not dep.all_succeeded}
+        for name in unmet:
+            self._dependents.setdefault(name, []).append(job.spec.name)
+        job.unmet = len(unmet)
+        if not unmet:
+            self._make_ready(job)
 
     def _make_ready(self, job: Job):
         """The job's dependencies succeeded: its first (or every parallel) task is eligible."""

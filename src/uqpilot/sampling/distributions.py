@@ -74,8 +74,9 @@ class Distribution1D:
         mu, sigma = self.args
         return mu + sigma * ndtri(u)
 
-    def from_reference(self, z: float) -> float:
-        """Map a reference-domain quadrature node into physical space.
+    def from_reference(self, z):
+        """Map reference-domain quadrature nodes (a float or an array) into
+        physical space.
 
         Uniform uses the affine map from [-1, 1]; normal uses the
         standardisation z -> mu + sigma*z.

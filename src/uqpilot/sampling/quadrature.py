@@ -83,13 +83,15 @@ def clenshaw_curtis(level: int) -> QuadRule:
     return QuadRule("clenshaw-curtis", m, nodes, weights / 2.0)
 
 
-def rule_for(kind: str, n_or_level: int) -> QuadRule:
-    if kind == "gauss-legendre":
-        return gauss_legendre(n_or_level)
-    if kind == "gauss-hermite":
-        return gauss_hermite(n_or_level)
+def rule_at_level(kind: str, level: int) -> QuadRule:
+    """The 1-D rule of `kind` at a growth level: Clenshaw-Curtis takes the
+    level itself (2^l + 1 nodes), Gauss rules grow linearly (l + 1 nodes)."""
     if kind == "clenshaw-curtis":
-        return clenshaw_curtis(n_or_level)
+        return clenshaw_curtis(level)
+    if kind == "gauss-legendre":
+        return gauss_legendre(level + 1)
+    if kind == "gauss-hermite":
+        return gauss_hermite(level + 1)
     raise DomainError(f"unknown quadrature rule {kind!r}")
 
 

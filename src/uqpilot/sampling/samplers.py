@@ -4,19 +4,21 @@
 list of parameter sets (and, for quadrature plans, weights) that becomes
 one campaign stage. All draws are pure functions of (space, spec): the
 MC path uses the counter-based Philox generator keyed by the stage seed,
-so stores are reproducible across machines.
+so stores are reproducible across machines. Quadrature plans take their
+reference-domain grid from ``stage_grid``, which analysis calls too, and
+map it into physical space with ``to_physical``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from uqpilot.errors import SamplerError
 from uqpilot.sampling.distributions import Distribution1D
-from uqpilot.sampling.quadrature import gauss_hermite, gauss_legendre, tensor_grid
-from uqpilot.sampling.sparse import order_at_level, smolyak_grid
+from uqpilot.sampling.quadrature import rule_at_level, tensor_grid
+from uqpilot.sampling.sparse import Component, SparseGrid, smolyak_grid
 
 RNG_ALGORITHM = "philox4x64-numpy"
 
@@ -25,7 +27,7 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """mc(n, seed) | halton(n, skip) | sc(level, growth, sparse) | pce(order)."""
+    """mc(n, seed) | halton(n, skip) | sc(level, growth, sparse) | pce(order, growth)."""
 
     variant: str
     n: int = 0
@@ -35,7 +37,6 @@ class SamplerSpec:
     order: int = 0
     growth: str = "linear"          # linear (Gauss) | exp2 (Clenshaw-Curtis)
     sparse: bool = False
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variant not in ("mc", "halton", "sc", "pce"):
@@ -62,7 +63,7 @@ class SamplerSpec:
         elif self.variant == "sc":
             doc.update(level=self.level, growth=self.growth, sparse=self.sparse)
         else:
-            doc.update(order=self.order)
+            doc.update(order=self.order, growth=self.growth)
         return doc
 
     @classmethod
@@ -77,7 +78,8 @@ class SamplerSpec:
                        growth=str(doc.get("growth", "linear")),
                        sparse=bool(doc.get("sparse", False)))
         if kind == "pce":
-            return cls("pce", order=int(doc["order"]))
+            return cls("pce", order=int(doc["order"]),
+                       growth=str(doc.get("growth", "linear")))
         raise SamplerError(f"unknown sampler document {doc!r}")
 
 
@@ -111,6 +113,42 @@ def rule_name_for(dist: Distribution1D, growth: str) -> str:
     if dist.variant == "normal":
         return "gauss-hermite"   # no nested family; linear growth
     raise SamplerError("quadrature sampler over a constant dimension")
+
+
+def stage_grid(spec: SamplerSpec, dists: list[Distribution1D]) -> SparseGrid:
+    """The quadrature grid of an sc/pce stage over its active `dists`.
+
+    Points are in the reference domain. A sparse sc stage is a Smolyak
+    grid; a tensor sc or pce stage is the one-component case, truncated
+    to total degree <= order for pce and not at all for sc.
+    """
+    rules = [rule_name_for(dist, spec.growth) for dist in dists]
+    if spec.variant == "sc" and spec.sparse:
+        return smolyak_grid(len(dists), spec.level, rules)
+    level = spec.level if spec.variant == "sc" else spec.order
+    one_d = [rule_at_level(name, level) for name in rules]
+    points, weights = tensor_grid(one_d)
+    component = Component(
+        index=(level,) * len(dists),
+        coefficient=1,
+        rows=np.arange(len(points)),
+        weights=weights,
+        orders=tuple(r.order for r in one_d),
+    )
+    return SparseGrid(
+        dimension=len(dists),
+        level=level,
+        rules=tuple(rules),
+        points=points,
+        weights=weights,
+        components=[component],
+        total_degree=spec.order if spec.variant == "pce" else None,
+    )
+
+
+def to_physical(points: np.ndarray, dists: list[Distribution1D]) -> np.ndarray:
+    """Map (N, d) reference-domain points into physical space, column by column."""
+    return np.column_stack([dist.from_reference(points[:, i]) for i, dist in enumerate(dists)])
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -151,28 +189,11 @@ def draw(space, spec: SamplerSpec):
         return sets, None
 
     # quadrature plans
-    rules = [rule_name_for(dist, spec.growth) for _, dist in active]
-    if spec.variant == "sc" and spec.sparse:
-        grid = smolyak_grid(len(active), spec.level, rules)
-        points, weights = grid.points, grid.weights
-    else:
-        level = spec.level if spec.variant == "sc" else spec.order
-        one_d = []
-        for name in rules:
-            order = order_at_level(name, level)
-            if name == "gauss-legendre":
-                one_d.append(gauss_legendre(order))
-            elif name == "gauss-hermite":
-                one_d.append(gauss_hermite(order))
-            else:
-                from uqpilot.sampling.quadrature import clenshaw_curtis
-                one_d.append(clenshaw_curtis(level))
-        points, weights = tensor_grid(one_d)
-
+    active_dists = [dist for _, dist in active]
+    grid = stage_grid(spec, active_dists)
     sets = []
-    for point in points:
+    for row in to_physical(grid.points, active_dists).tolist():
         params = dict(pinned)
-        for (name, dist), z in zip(active, point):
-            params[name] = dist.from_reference(float(z))
+        params.update(zip((name for name, _ in active), row))
         sets.append({n: params[n] for n in names})
-    return sets, [float(w) for w in weights]
+    return sets, grid.weights.tolist()

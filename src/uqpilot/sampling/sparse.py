@@ -7,7 +7,8 @@ where the combination coefficient
     c_k = (-1)^(L - |k|) * C(d - 1, L - |k|)   for L-d+1 <= |k| <= L
 
 and zero otherwise. Component provenance is kept so spectral projection
-can later process each tensor grid separately and sum with c_k.
+can later process each tensor grid separately and sum with c_k. A full
+tensor grid is the same structure with one component of coefficient 1.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from uqpilot.errors import DomainError, SizeError
 from uqpilot.sampling.quadrature import (
     TENSOR_SIZE_CAP,
     QuadRule,
-    cc_num_nodes,
-    rule_for,
+    rule_at_level,
     tensor_grid,
 )
 
 MERGE_TOL = 1e-12
-
-
-def order_at_level(rule: str, level: int) -> int:
-    """Growth rule: CC uses m(0)=1, m(l)=2^l+1; Gauss rules grow linearly."""
-    return cc_num_nodes(level) if rule == "clenshaw-curtis" else level + 1
 
 
 @dataclass(frozen=True)
@@ -54,6 +49,7 @@ class SparseGrid:
     weights: np.ndarray                # (N,) combined weights, sum 1
     components: list[Component] = field(repr=False)
     merged: bool = True
+    total_degree: int | None = None    # projection keeps |k|_1 <= this; None: no cap
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,13 +86,13 @@ def smolyak_grid(
     d: int,
     level: int,
     rules: list[str] | str = "clenshaw-curtis",
-    merge: bool | None = None,
 ) -> SparseGrid:
     """Build the level-`level` Smolyak grid over `d` dimensions.
 
     `rules` is a single 1-D rule name or one per dimension. Duplicate
-    points are merged (weights summed) unless any dimension uses a
-    non-nested rule with `merge=None`, or `merge=False` is forced.
+    points are merged (weights summed) unless a dimension uses the
+    non-nested Gauss-Hermite rule. Projection truncates to total degree
+    <= `level`.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -106,19 +102,14 @@ def smolyak_grid(
         rules = [rules] * d
     if len(rules) != d:
         raise DomainError(f"need one rule per dimension ({d}), got {len(rules)}")
-    if merge is None:
-        # non-nested Gauss-Hermite dimensions disable merging
-        merge = all(r != "gauss-hermite" for r in rules)
+    merge = all(r != "gauss-hermite" for r in rules)
 
     rule_cache: dict[tuple[str, int], QuadRule] = {}
 
     def rule_at(dim: int, lvl: int) -> QuadRule:
-        name = rules[dim]
-        # clenshaw_curtis() takes a level, Gauss constructors take an order
-        arg = lvl if name == "clenshaw-curtis" else lvl + 1
-        key = (name, arg)
+        key = (rules[dim], lvl)
         if key not in rule_cache:
-            rule_cache[key] = rule_for(name, arg)
+            rule_cache[key] = rule_at_level(*key)
         return rule_cache[key]
 
     index_to_row: dict[tuple[int, ...], int] = {}
@@ -165,4 +156,5 @@ def smolyak_grid(
         weights=np.array(merged_weights),
         components=components,
         merged=merge,
+        total_degree=level,
     )

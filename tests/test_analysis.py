@@ -1,31 +1,40 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tests.conftest import write_config
 from uqpilot.analysis.models import ADDITIVE, ALL_MODELS, BILINEAR, SINGLE_FACTOR
-from uqpilot.analysis.spectral import (
-    moments,
-    project_sparse,
-    project_tensor,
-    sobol,
-)
+from uqpilot.analysis.pipeline import analyze_quadrature_stage
+from uqpilot.analysis.spectral import moments, project_sparse, sobol
+from uqpilot.campaign.ops import Campaign
 from uqpilot.sampling.distributions import normal, uniform
-from uqpilot.sampling.quadrature import gauss_hermite, gauss_legendre, tensor_grid
+from uqpilot.sampling.samplers import SamplerSpec, stage_grid, to_physical
 from uqpilot.sampling.sparse import smolyak_grid
 
 U2 = [uniform(-1, 1), uniform(-1, 1)]
 
 
-def tensor_surrogate(model_fn, rules, dists, names=("x1", "x2"), **kw):
-    pts, _ = tensor_grid(rules)
-    return project_tensor(model_fn(pts), rules, list(dists), pts, list(names), **kw)
+def physical_grid(spec, dists):
+    """The stage grid of `spec` with its points mapped into physical space."""
+    grid = stage_grid(spec, list(dists))
+    return dataclasses.replace(grid, points=to_physical(grid.points, list(dists)))
+
+
+def gauss_grid(n, dists):
+    """Tensor grid of n Gauss points per dimension (sc level n - 1)."""
+    return physical_grid(SamplerSpec("sc", level=n - 1), dists)
+
+
+def tensor_surrogate(model_fn, n, dists, names=("x1", "x2")):
+    grid = gauss_grid(n, dists)
+    return project_sparse(model_fn(grid.points), grid, list(dists), list(names))
 
 
 class TestProjection:
     def test_constant_function_orthonormality(self):
-        rules = [gauss_legendre(3), gauss_legendre(3)]
-        s = tensor_surrogate(lambda p: np.full(len(p), 5.0), rules, U2)
+        s = tensor_surrogate(lambda p: np.full(len(p), 5.0), 3, U2)
         assert s.coefficient((0, 0))[0] == pytest.approx(5.0, abs=1e-12)
         for key, c in s.terms.items():
             if key != (0, 0):
@@ -33,14 +42,12 @@ class TestProjection:
 
     def test_linear_model_coefficient(self):
         # hand integral: <x, sqrt(3) x> over uniform(-1,1) = sqrt(3)/3
-        rules = [gauss_legendre(2)]
-        pts, _ = tensor_grid(rules)
-        s = project_tensor(pts[:, 0], rules, [uniform(-1, 1)], pts, ["x"])
+        grid = gauss_grid(2, [uniform(-1, 1)])
+        s = project_sparse(grid.points[:, 0], grid, [uniform(-1, 1)], ["x"])
         assert s.coefficient((1,))[0] == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
     def test_pure_interaction_hits_single_term(self):
-        rules = [gauss_legendre(3), gauss_legendre(3)]
-        s = tensor_surrogate(lambda p: p[:, 0] * p[:, 1], rules, U2)
+        s = tensor_surrogate(lambda p: p[:, 0] * p[:, 1], 3, U2)
         for key, c in s.terms.items():
             if key == (1, 1):
                 assert abs(float(c[0])) > 0.1
@@ -49,11 +56,10 @@ class TestProjection:
 
     def test_physical_domain_mapping(self):
         # y = x over uniform(3, 7): mean 5, variance (7-3)^2/12
-        rules = [gauss_legendre(3)]
-        pts_ref, _ = tensor_grid(rules)
         dist = uniform(3, 7)
-        phys = np.array([[dist.from_reference(z[0])] for z in pts_ref])
-        s = project_tensor(phys[:, 0], rules, [dist], phys, ["x"])
+        grid = stage_grid(SamplerSpec("sc", level=2), [dist])
+        phys = np.array([[dist.from_reference(z[0])] for z in grid.points])
+        s = project_sparse(phys[:, 0], dataclasses.replace(grid, points=phys), [dist], ["x"])
         mean, var = moments(s)
         assert mean[0] == pytest.approx(5.0, abs=1e-10)
         assert var[0] == pytest.approx(16 / 12, abs=1e-10)
@@ -61,24 +67,21 @@ class TestProjection:
 
 class TestMoments:
     def test_constant(self):
-        rules = [gauss_legendre(2), gauss_legendre(2)]
-        s = tensor_surrogate(lambda p: np.full(len(p), 5.0), rules, U2)
+        s = tensor_surrogate(lambda p: np.full(len(p), 5.0), 2, U2)
         mean, var = moments(s)
         assert mean[0] == pytest.approx(5.0)
         assert var[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_linear_variance(self):
-        rules = [gauss_legendre(2)]
-        pts, _ = tensor_grid(rules)
-        s = project_tensor(pts[:, 0], rules, [uniform(-1, 1)], pts, ["x"])
+        grid = gauss_grid(2, [uniform(-1, 1)])
+        s = project_sparse(grid.points[:, 0], grid, [uniform(-1, 1)], ["x"])
         mean, var = moments(s)
         assert mean[0] == pytest.approx(0.0, abs=1e-12)
         assert var[0] == pytest.approx(1 / 3, abs=1e-10)
 
     def test_standard_normal_linear(self):
-        rules = [gauss_hermite(3)]
-        pts, _ = tensor_grid(rules)
-        s = project_tensor(pts[:, 0], rules, [normal(0, 1)], pts, ["z"])
+        grid = gauss_grid(3, [normal(0, 1)])
+        s = project_sparse(grid.points[:, 0], grid, [normal(0, 1)], ["z"])
         mean, var = moments(s)
         assert mean[0] == pytest.approx(0.0, abs=1e-12)
         assert var[0] == pytest.approx(1.0, abs=1e-10)
@@ -87,8 +90,7 @@ class TestMoments:
 class TestSobol:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_analytic_models_tensor(self, model):
-        rules = [gauss_legendre(model.degree + 1)] * model.dimension
-        s = tensor_surrogate(model, rules, model.dists)
+        s = tensor_surrogate(model, model.degree + 1, model.dists)
         report = sobol(s)
         for i, name in enumerate(report.param_names):
             assert report.first[name][0] == pytest.approx(model.first[i], abs=1e-8)
@@ -106,40 +108,34 @@ class TestSobol:
             assert report.total[name][0] == pytest.approx(model.total[i], abs=1e-8)
 
     def test_symmetric_additive(self):
-        rules = [gauss_legendre(2), gauss_legendre(2)]
-        report = sobol(tensor_surrogate(ADDITIVE, rules, U2))
+        report = sobol(tensor_surrogate(ADDITIVE, 2, U2))
         assert report.first["x1"][0] == pytest.approx(0.5, abs=1e-10)
         assert report.total["x1"][0] == pytest.approx(report.first["x1"][0], abs=1e-10)
 
     def test_inert_parameter(self):
-        rules = [gauss_legendre(2), gauss_legendre(2)]
-        report = sobol(tensor_surrogate(SINGLE_FACTOR, rules, U2))
+        report = sobol(tensor_surrogate(SINGLE_FACTOR, 2, U2))
         assert report.first["x1"][0] == pytest.approx(1.0, abs=1e-10)
         assert report.first["x2"][0] == pytest.approx(0.0, abs=1e-10)
 
     def test_bilinear_hand_decomposition(self):
-        rules = [gauss_legendre(3), gauss_legendre(3)]
-        report = sobol(tensor_surrogate(BILINEAR, rules, U2))
+        report = sobol(tensor_surrogate(BILINEAR, 3, U2))
         assert report.first["x1"][0] == pytest.approx(3 / 7, abs=1e-10)
         assert report.total["x1"][0] == pytest.approx(4 / 7, abs=1e-10)
 
     def test_additive_models_sum_to_one(self):
-        rules = [gauss_legendre(4), gauss_legendre(4)]
-        report = sobol(tensor_surrogate(ADDITIVE, rules, U2))
+        report = sobol(tensor_surrogate(ADDITIVE, 4, U2))
         total = sum(report.first[name][0] for name in report.param_names)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_variance_reported_undefined(self):
-        rules = [gauss_legendre(2), gauss_legendre(2)]
-        report = sobol(tensor_surrogate(lambda p: np.zeros(len(p)), rules, U2))
+        report = sobol(tensor_surrogate(lambda p: np.zeros(len(p)), 2, U2))
         assert report.degenerate[0]
         assert math.isnan(report.first["x1"][0])
         assert math.isnan(report.total["x2"][0])
 
     def test_bounds_hold(self):
-        rules = [gauss_legendre(4), gauss_legendre(4)]
         fn = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 3 + 0.3 * p[:, 0] * p[:, 1]
-        report = sobol(tensor_surrogate(fn, rules, U2))
+        report = sobol(tensor_surrogate(fn, 4, U2))
         eps = 1e-8
         total_first = 0.0
         for name in report.param_names:
@@ -154,8 +150,7 @@ class TestSobol:
 class TestDegreeSaturation:
     def test_coefficients_stable_beyond_model_degree(self):
         def get_terms(n):
-            rules = [gauss_legendre(n), gauss_legendre(n)]
-            return tensor_surrogate(BILINEAR, rules, U2).terms
+            return tensor_surrogate(BILINEAR, n, U2).terms
 
         small = get_terms(2)
         large = get_terms(5)
@@ -168,15 +163,15 @@ class TestDegreeSaturation:
 
 class TestVectorQoI:
     def test_pointwise_equals_scalar_analysis(self):
-        rules = [gauss_legendre(3), gauss_legendre(3)]
-        pts, _ = tensor_grid(rules)
+        grid = gauss_grid(3, U2)
+        pts = grid.points
         series = np.stack(
             [ADDITIVE(pts), BILINEAR(pts), 3.0 * SINGLE_FACTOR(pts)], axis=1
         )
-        s_vec = project_tensor(series, rules, U2, pts, ["x1", "x2"])
+        s_vec = project_sparse(series, grid, U2, ["x1", "x2"])
         report_vec = sobol(s_vec)
         for t, model_fn in enumerate([ADDITIVE, BILINEAR, lambda p: 3.0 * SINGLE_FACTOR(p)]):
-            s_scalar = project_tensor(model_fn(pts), rules, U2, pts, ["x1", "x2"])
+            s_scalar = project_sparse(model_fn(pts), grid, U2, ["x1", "x2"])
             report_scalar = sobol(s_scalar)
             for name in ("x1", "x2"):
                 assert report_vec.first[name][t] == pytest.approx(
@@ -185,3 +180,72 @@ class TestVectorQoI:
             assert report_vec.variance[t] == pytest.approx(
                 report_scalar.variance[0], abs=1e-12
             )
+
+
+class TestTensorClenshawCurtis:
+    def test_alias_free_caps_make_tensor_cc_exact(self):
+        # x1^2 + x1*x2^3 over U(-1,1)^2: V = 4/45 + (1/3)(1/7) = 43/315.
+        # 9 CC points a dimension are exact through degree 9, so caps of
+        # degree 4 project exactly; caps of degree 8 would alias.
+        grid = physical_grid(SamplerSpec("sc", level=3, growth="exp2"), U2)
+        assert [c.orders for c in grid.components] == [(9, 9)]
+        x = grid.points
+        _, var = moments(project_sparse(x[:, 0] ** 2 + x[:, 0] * x[:, 1] ** 3, grid, U2, ["x1", "x2"]))
+        assert abs(var[0] - 43 / 315) <= 1e-12
+
+
+class TestStageAnalysis:
+    """analyze_quadrature_stage on a store whose inputs are off the reference
+    domain: a ~ uniform(3, 7), b ~ normal(2, 0.5), k pinned at 2.5.
+
+    With u = (a - 5)/2 ~ U(-1, 1) and z = (b - 2)/0.5 ~ N(0, 1):
+    y0 = a + 2b + ab + k = 21.5 + 6u + 3.5z + uz, so V = 12 + 12.25 + 1/3;
+    y1 = a^2 = 25 + 20u + 4u^2, so mean 25 + 4/3 and V = 400/3 + 64/45.
+    """
+
+    V0 = 12 + 12.25 + 1 / 3
+    MEAN = (21.5, 25 + 4 / 3)
+    VARIANCE = (V0, 400 / 3 + 64 / 45)
+    FIRST = {"a": (12 / V0, 1.0), "b": (12.25 / V0, 0.0)}
+    TOTAL = {"a": ((12 + 1 / 3) / V0, 1.0), "b": ((12.25 + 1 / 3) / V0, 0.0)}
+
+    @staticmethod
+    def collated_stage(tmp_path, spec):
+        params = [
+            {"name": "a", "kind": "real", "default": 5.0,
+             "distribution": {"type": "uniform", "args": [3, 7]}},
+            {"name": "k", "kind": "real", "default": 2.5,
+             "distribution": {"type": "constant", "args": [2.5]}},
+            {"name": "b", "kind": "real", "default": 2.0,
+             "distribution": {"type": "normal", "args": [2, 0.5]}},
+        ]
+        config = write_config(tmp_path, params, "a=$a k=$k b=$b\n", ["true"])
+        campaign = Campaign.create(config, tmp_path / "camp")
+        stage = campaign.add_stage(spec)
+        store = campaign.store
+        for row in store.runs(stage_id=stage):
+            for status in ("ENCODED", "SUBMITTED", "COMPLETED"):
+                store.set_status(row["run_id"], status)
+            p = store.run_params(row)
+            y = [p["a"] + 2 * p["b"] + p["a"] * p["b"] + p["k"], p["a"] ** 2]
+            store.insert_qoi(row["run_id"], [0.0, 1.0], {"y": y})
+        return store, stage
+
+    @pytest.mark.parametrize("spec", [
+        SamplerSpec("sc", level=2, growth="exp2", sparse=True),
+        SamplerSpec("sc", level=2, growth="linear", sparse=True),
+        SamplerSpec("sc", level=2),
+        SamplerSpec("sc", level=2, growth="exp2"),
+        SamplerSpec("pce", order=2),
+        SamplerSpec("pce", order=2, growth="exp2"),
+    ], ids=["sparse-cc", "sparse-gauss", "tensor-gauss", "tensor-cc", "pce", "pce-cc"])
+    def test_analytic_moments_and_indices(self, tmp_path, spec):
+        store, stage = self.collated_stage(tmp_path, spec)
+        report = analyze_quadrature_stage(store, stage, "y")
+        store.close()
+        assert report.param_names == ["a", "b"]
+        assert report.mean == pytest.approx(self.MEAN, rel=1e-12)
+        assert report.variance == pytest.approx(self.VARIANCE, rel=1e-10)
+        for name in ("a", "b"):
+            assert report.first[name] == pytest.approx(self.FIRST[name], abs=1e-10)
+            assert report.total[name] == pytest.approx(self.TOTAL[name], abs=1e-10)

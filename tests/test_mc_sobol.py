@@ -33,15 +33,12 @@ class TestPickFreeze:
                 assert abs(r.total[name] - model.total[i]) <= halfwidth
 
     def test_cross_estimator_agreement(self):
-        from uqpilot.analysis.spectral import sobol
-        from uqpilot.sampling.quadrature import gauss_legendre, tensor_grid
-        from uqpilot.analysis.spectral import project_tensor
+        from uqpilot.analysis.spectral import project_sparse, sobol
+        from uqpilot.sampling.samplers import SamplerSpec, stage_grid
 
-        rules = [gauss_legendre(2), gauss_legendre(2)]
-        pts, _ = tensor_grid(rules)
-        spectral = sobol(
-            project_tensor(BILINEAR(pts), rules, list(BILINEAR.dists), pts, ["x1", "x2"])
-        )
+        dists = list(BILINEAR.dists)
+        grid = stage_grid(SamplerSpec("sc", level=1), dists)   # 2 Gauss points a dimension
+        spectral = sobol(project_sparse(BILINEAR(grid.points), grid, dists, ["x1", "x2"]))
         mc = sobol_mc(BILINEAR, list(BILINEAR.dists), n=N, seed=31)
         for name in ("x1", "x2"):
             assert mc.first[name] == pytest.approx(

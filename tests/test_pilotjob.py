@@ -223,6 +223,18 @@ class TestCancel:
         with pytest.raises(JobNotFound):
             m.cancel("ghost")
 
+    def test_submit_after_canceled_dependency_is_omitted(self, tmp_path):
+        m = sim_manager(2, tmp_path)
+        m.submit(sim_job("a"))
+        m.submit(sim_job("b", cores=2))
+        m.cancel("b")
+        m.submit(sim_job("c", after=("b",)))
+        m.submit(sim_job("d", after=("c", "a")))
+        m.drain()
+        status = {j["name"]: j["status"] for j in m.report()["jobs"]}
+        assert status == {"a": "SUCCEEDED", "b": "CANCELED", "c": "OMITTED", "d": "OMITTED"}
+        assert m.job_snapshot("c")["iterations"][0]["start"] is None
+
     def test_cancel_executing_wall_clock(self, tmp_path):
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="sleeper", command=("sleep", "30")))
@@ -284,6 +296,23 @@ class TestFailurePropagation:
         assert m.job_snapshot("a")["iterations"][0]["exit_code"] == 127
         assert m.job_snapshot("a")["status"] == "FAILED"
         assert m.job_snapshot("b")["status"] == "SUCCEEDED"
+
+
+    def test_submit_after_failed_dependency_drains(self, tmp_path):
+        # the dependency has already ended FAILED when the dependent
+        # arrives: it is omitted at once, so a wall-clock drain returns
+        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="bad", command=("false",)))
+        deadline = time.time() + 10
+        while m.job_snapshot("bad")["status"] != "FAILED":
+            assert time.time() < deadline
+            time.sleep(0.01)
+        m.submit(JobSpec(name="late", command=("true",), after=("bad",)))
+        drainer = threading.Thread(target=m.drain, daemon=True)
+        drainer.start()
+        drainer.join(timeout=10)
+        assert not drainer.is_alive()
+        assert m.job_snapshot("late")["status"] == "OMITTED"
 
 
 class TestBatchMode:
@@ -375,6 +404,20 @@ class TestSocketInterface:
                 assert resources["total_cores"] == 2
                 finish = client.call("finish")
                 assert finish["finished"] is True
+        finally:
+            server.stop()
+
+    def test_finish_waits_past_the_client_timeout(self, tmp_path):
+        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        server = ManagerServer(m).start()
+        try:
+            with PjClient(*server.address, timeout=0.5) as client:
+                client.call("submit", {"name": "slow", "command": ["sleep", "1.5"]})
+                finish = client.call("finish")
+            assert finish["finished"] is True
+            assert finish["jobs"] == 1
+            assert server.report["jobs"][0]["status"] == "SUCCEEDED"
+            assert finish["makespan"] >= 1.5
         finally:
             server.stop()
 

@@ -112,5 +112,6 @@ class TestSpecValidation:
             SamplerSpec("halton", n=4, skip=2),
             SamplerSpec("sc", level=2, growth="exp2", sparse=True),
             SamplerSpec("pce", order=3),
+            SamplerSpec("pce", order=3, growth="exp2"),
         ):
             assert SamplerSpec.from_json(spec.to_json()) == spec

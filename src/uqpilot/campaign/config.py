@@ -211,6 +211,9 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> CampaignConfig:
             raise ConfigError(f"duplicate parameter name {p.name!r}")
         seen.add(p.name)
     app = AppSpec.from_json(doc["app"], base_dir=base_dir)
+    if Path(app.decoder.output_relpath) == Path(app.target):
+        # each attempt starts by deleting the output of the one before it
+        raise ConfigError(f"decoder output {app.target!r} is also the rendered input")
 
     template = Path(app.template_path)
     if not template.is_file():

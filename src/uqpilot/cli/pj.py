@@ -22,20 +22,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run a manager (batch file or socket service)")
     p.add_argument("--batch", help="batch JSON file; runs to completion and exits")
-    p.add_argument("--socket", action="store_true", help="serve the network interface")
+    p.add_argument("--socket", action="store_true",
+                   help="serve the control protocol on <workdir>/pj.sock")
     p.add_argument("--workdir", default=".")
     p.add_argument("--clock", choices=["wall", "simulated"], default="wall")
     p.add_argument("--allocation-cores", type=int, default=None)
     p.add_argument("--virtual", action="store_true",
                    help="virtual allocation (no hardware core cap)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
     p.add_argument("--report", default=None, help="report path (default pj-report.json)")
 
     for name in ("submit", "status", "cancel", "finish"):
         p = sub.add_parser(name)
         p.add_argument("--manager", default=".",
-                       help="manager workdir or host:port")
+                       help="manager workdir or its pj.sock path")
         if name == "submit":
             p.add_argument("--name", required=True)
             p.add_argument("--cores", type=int, default=1)
@@ -73,7 +72,7 @@ def cmd_serve(args) -> int:
                 allocation = Allocation.local()
             report = serve_socket(
                 allocation, workdir=args.workdir, clock=args.clock,
-                host=args.host, port=args.port, report_path=args.report,
+                report_path=args.report,
             )
         else:
             return _fail("serve needs --batch FILE or --socket")
@@ -93,8 +92,7 @@ def _client(manager: str):
     from uqpilot.pilotjob.manager import discover
     from uqpilot.pilotjob.protocol import PjClient
 
-    host, port = discover(manager)
-    return PjClient(host, port)
+    return PjClient(discover(manager))
 
 
 def cmd_submit(args) -> int:

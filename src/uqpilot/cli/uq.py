@@ -51,15 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute pending runs")
     p.add_argument("--workdir", required=True)
-    p.add_argument("--executor", choices=["serial", "local-pool", "pilotjob"],
-                   default="serial")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--executor", choices=["serial", "pilotjob"], default="serial",
+                   help="serial: one run at a time; pilotjob: --allocation-cores at once")
     p.add_argument("--cores-per-run", type=int, default=1)
-    p.add_argument("--allocation-cores", type=int, default=None)
+    p.add_argument("--allocation-cores", type=int, default=None,
+                   help="pilotjob allocation size (default: the detected cores)")
     p.add_argument("--retries", type=int, default=0)
     p.add_argument("--stage", type=int, default=None)
-    p.add_argument("--no-collate", action="store_true",
-                   help="skip automatic collation of completed runs")
 
     p = sub.add_parser("collate", help="decode completed runs into the store")
     p.add_argument("--workdir", required=True)
@@ -152,7 +150,7 @@ def cmd_sample(args) -> int:
         elif args.sampler == "sc":
             spec = SamplerSpec("sc", level=args.level, growth=growth, sparse=args.sparse)
         else:
-            spec = SamplerSpec("pce", order=args.order)
+            spec = SamplerSpec("pce", order=args.order, growth=growth)
         with _open_campaign(args.workdir) as campaign:
             stage_id = campaign.add_stage(spec)
             rows = campaign.store.runs(stage_id=stage_id)
@@ -181,17 +179,20 @@ def _dump_grid(campaign, rows, out_path: str):
 
 
 def cmd_run(args) -> int:
+    from uqpilot.errors import ExecutorError
     from uqpilot.executors import RunPlan, execute_campaign
+    from uqpilot.pilotjob.jobs import detected_cores
 
-    plan = RunPlan(
-        executor=args.executor,
-        workers=args.workers,
-        cores_per_run=args.cores_per_run,
-        retries=args.retries,
-        allocation_cores=args.allocation_cores,
-        auto_collate=not args.no_collate,
-        stage_id=args.stage,
-    )
+    cores = args.cores_per_run            # serial: one run at a time
+    if args.executor == "pilotjob":
+        cores = detected_cores() if args.allocation_cores is None else args.allocation_cores
+    elif args.allocation_cores is not None:
+        return _fail(EXIT_USAGE, "--allocation-cores needs --executor pilotjob")
+    try:
+        plan = RunPlan(cores=cores, cores_per_run=args.cores_per_run,
+                       retries=args.retries, stage_id=args.stage)
+    except ExecutorError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     with _open_campaign(args.workdir) as campaign:
         summary = execute_campaign(campaign, plan)
         counts = campaign.store.status_counts()

@@ -96,4 +96,4 @@ class AlreadyTerminal(UqError):
 
 
 class ExecutorError(UqError):
-    """Run execution backend failed outside of individual run failures."""
+    """A run plan the execution engine cannot carry out."""

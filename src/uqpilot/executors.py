@@ -1,46 +1,42 @@
-"""Run execution: every executor drives one in-process pilot manager.
+"""Run execution: one in-process pilot manager on a virtual allocation.
 
-The executor names only size the manager's virtual allocation: `serial`
-runs one run at a time, `local-pool` runs `workers` at a time, and
-`pilotjob` packs runs into `--allocation-cores` (default: the detected
-cores). Each round encodes anything NEW, executes every ENCODED run
-(ENCODED -> SUBMITTED -> COMPLETED/FAILED), optionally collates, and
-loops on failures up to the retry limit. Every status change is one
-store commit, so an interrupted execution resumes where it stopped; on
-any error the manager's runs are canceled and drained before the error
-propagates.
+No socket is involved; only `pj serve --socket` serves a manager, on a
+Unix socket in its workdir.
+
+`RunPlan.cores` is the allocation's size and `cores_per_run` each run's
+share of it, so `cores // cores_per_run` runs execute at once. Each round
+encodes anything NEW, executes every ENCODED run (ENCODED -> SUBMITTED ->
+COMPLETED/FAILED), and loops on failures up to the retry limit; every
+COMPLETED run is then collated. Before each attempt starts, the output
+of any earlier attempt is removed, so a run can be recovered only from
+output its own attempt wrote. Every status change is one store commit,
+so an interrupted execution resumes where it stopped; on any error the
+manager's runs are canceled and drained before the error propagates.
 """
 
 from __future__ import annotations
 
 import queue
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
 from uqpilot.errors import DecodeError, ExecutorError
-from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, Allocation, JobSpec, detected_cores
+from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, Allocation, JobSpec
 from uqpilot.pilotjob.scheduler import PilotManager
-
-EXECUTORS = ("serial", "local-pool", "pilotjob")
 
 
 @dataclass
 class RunPlan:
-    executor: str = "serial"
-    workers: int = 4
+    cores: int = 1
     cores_per_run: int = 1
     retries: int = 0
-    allocation_cores: int | None = None
-    auto_collate: bool = True
     stage_id: int | None = None          # None = all pending runs
 
     def __post_init__(self):
-        if self.executor not in EXECUTORS:
-            raise ExecutorError(
-                f"unknown executor {self.executor!r}; choose from {', '.join(EXECUTORS)}"
-            )
-        if self.workers < 1 or self.cores_per_run < 1:
-            raise ExecutorError("workers and cores-per-run must be >= 1")
+        if not 1 <= self.cores_per_run <= self.cores:
+            raise ExecutorError(f"cores-per-run {self.cores_per_run} must be between 1 "
+                                f"and the allocation's {self.cores} cores")
         if self.retries < 0:
             raise ExecutorError("retry limit must be >= 0")
 
@@ -50,8 +46,6 @@ class RunSummary:
     executed: int = 0
     completed: int = 0
     failed: int = 0
-    collated: int = 0
-    recovered: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -62,8 +56,7 @@ class RunSummary:
 def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     """Run the campaign's pending work to completion under `plan`."""
     summary = RunSummary()
-    resumed = campaign.resume()
-    summary.recovered = resumed.get("recovered", 0)
+    campaign.resume()
 
     rounds = 0
     while True:
@@ -83,13 +76,11 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
             continue
         break
 
-    if plan.auto_collate:
-        for row in campaign.store.runs(stage_id=plan.stage_id, status="COMPLETED"):
-            try:
-                campaign.decode(row["run_id"])
-                summary.collated += 1
-            except DecodeError as exc:
-                summary.errors.append(f"run {row['run_id']}: {exc}")
+    for row in campaign.store.runs(stage_id=plan.stage_id, status="COMPLETED"):
+        try:
+            campaign.decode(row["run_id"])
+        except DecodeError as exc:
+            summary.errors.append(f"run {row['run_id']}: {exc}")
 
     counts = campaign.store.status_counts(stage_id=plan.stage_id)
     summary.completed = counts["COMPLETED"] + counts["COLLATED"]
@@ -104,21 +95,16 @@ def _execute(campaign: Campaign, plan: RunPlan, rows: list):
     FAILED as it ends; the manager reports both events through a queue, so
     every commit happens in this thread.
     """
-    if plan.executor == "pilotjob":
-        cores = plan.allocation_cores or detected_cores()
-    else:
-        cores = (1 if plan.executor == "serial" else plan.workers) * plan.cores_per_run
-    if plan.cores_per_run > cores:
-        raise ExecutorError(
-            f"cores-per-run {plan.cores_per_run} exceeds the {cores}-core allocation"
-        )
     store = campaign.store
-    command = tuple(store.app_spec().command)
+    app = store.app_spec()
+    command = tuple(app.command)
     events: queue.SimpleQueue = queue.SimpleQueue()
-    manager = PilotManager(Allocation.virtual(cores), workdir=campaign.workdir, clock="wall",
+    manager = PilotManager(Allocation.virtual(plan.cores), workdir=campaign.workdir, clock="wall",
                            on_task_event=lambda task: events.put((task.job, task.status)))
     try:
         for row in rows:
+            # resume and the retry loop re-run a run without encoding it again
+            (Path(row["run_dir"]) / app.decoder.output_relpath).unlink(missing_ok=True)
             manager.submit(JobSpec(name=str(row["run_id"]), command=command,
                                    cores=plan.cores_per_run, workdir=row["run_dir"],
                                    stdout="run.stdout", stderr="run.stderr"))

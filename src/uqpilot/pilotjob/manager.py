@@ -2,22 +2,21 @@
 
 Batch mode loads a JSON job file, runs the whole workload to completion,
 and writes the scheduler report. Socket mode serves the control protocol
-until a finish command arrives. A discovery file (pj-manager.json) in the
-manager workdir lets clients find the socket address.
+on a Unix socket, `pj.sock` in the manager workdir and readable only by
+its owner, until a finish command arrives; clients find the socket from
+the workdir alone.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from uqpilot.errors import ParseError
 from uqpilot.pilotjob.jobs import Allocation, JobSpec
-from uqpilot.pilotjob.protocol import ManagerServer
+from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
 from uqpilot.pilotjob.scheduler import PilotManager
 
-DISCOVERY_FILENAME = "pj-manager.json"
 REPORT_FILENAME = "pj-report.json"
 
 
@@ -69,37 +68,24 @@ def serve_socket(
     allocation: Allocation,
     workdir: str | Path = ".",
     clock: str = "wall",
-    host: str = "127.0.0.1",
-    port: int = 0,
     report_path: str | Path | None = None,
 ) -> dict | None:
-    """Network interface: serve requests until a finish command drains us."""
+    """Socket interface: serve requests until a finish command drains us."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     manager = PilotManager(allocation, workdir=workdir, clock=clock)
-    server = ManagerServer(manager, host=host, port=port)
-    discovery = workdir / DISCOVERY_FILENAME
-    discovery.write_text(
-        json.dumps({"host": server.host, "port": server.port, "pid": os.getpid()}) + "\n"
-    )
-    try:
-        server.serve_until_finished()
-    finally:
-        discovery.unlink(missing_ok=True)
+    server = ManagerServer(manager)
+    server.serve_until_finished()
     if server.report is not None:
         write_report(server.report, report_path or workdir / REPORT_FILENAME)
     return server.report
 
 
-def discover(workdir_or_address: str) -> tuple[str, int]:
-    """Resolve 'host:port' or a manager workdir into a socket address."""
-    if ":" in workdir_or_address and not Path(workdir_or_address).exists():
-        host, port = workdir_or_address.rsplit(":", 1)
-        return host, int(port)
-    path = Path(workdir_or_address)
+def discover(manager: str | Path) -> Path:
+    """Resolve a manager workdir, or its socket path, to the socket path."""
+    path = Path(manager)
     if path.is_dir():
-        path = path / DISCOVERY_FILENAME
-    if not path.is_file():
-        raise ParseError(f"no manager discovery file at {path}")
-    doc = json.loads(path.read_text())
-    return str(doc["host"]), int(doc["port"])
+        path = path / SOCKET_FILENAME
+    if not path.is_socket():
+        raise ParseError(f"no manager socket at {path}")
+    return path

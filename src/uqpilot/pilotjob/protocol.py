@@ -1,4 +1,8 @@
-"""Newline-delimited JSON control protocol over a local stream socket.
+"""Newline-delimited JSON control protocol over the manager's Unix socket.
+
+The socket is `pj.sock` in the manager's workdir. It is made mode 0600
+before the server listens, so only the user who started the manager can
+connect, and it is removed when the server closes.
 
 Requests:  {"id": ..., "cmd": "submit"|"status"|"cancel"|"resources"|"finish",
             "payload": {...}}
@@ -13,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import socket
 import socketserver
 import threading
+from pathlib import Path
 
 from uqpilot.errors import (
     AlreadyTerminal,
@@ -27,6 +33,8 @@ from uqpilot.errors import (
 )
 from uqpilot.pilotjob.jobs import JobSpec
 from uqpilot.pilotjob.scheduler import PilotManager
+
+SOCKET_FILENAME = "pj.sock"
 
 _ERROR_CODES = {
     ValidationError: "validation",
@@ -42,10 +50,11 @@ def _error_doc(req_id, exc: Exception) -> dict:
 
 
 class ManagerServer:
-    """Socket front-end for a PilotManager."""
+    """Unix-socket front-end for a PilotManager, at `<workdir>/pj.sock`."""
 
-    def __init__(self, manager: PilotManager, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, manager: PilotManager):
         self.manager = manager
+        self.path = Path(manager.workdir) / SOCKET_FILENAME
         self._finish_event = threading.Event()
         self.report: dict | None = None
         outer = self
@@ -65,15 +74,25 @@ class ManagerServer:
                     if response.get("data", {}).get("finished"):
                         return
 
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
+        class Server(socketserver.ThreadingUnixStreamServer):
             daemon_threads = True
+            bound = False
+
+            def server_bind(self):
+                super().server_bind()
+                self.bound = True
+                # before server_activate listens, so no one connects earlier
+                os.chmod(self.server_address, 0o600)
+
+            def server_close(self):
+                super().server_close()
+                if self.bound:   # never remove a socket another manager bound
+                    os.unlink(self.server_address)
 
         try:
-            self._server = Server((host, port), Handler)
+            self._server = Server(str(self.path), Handler)
         except OSError as exc:
-            raise BindError(f"cannot bind manager socket on {host}:{port}: {exc}") from exc
-        self.host, self.port = self._server.server_address
+            raise BindError(f"cannot bind manager socket {self.path}: {exc}") from exc
         self._thread: threading.Thread | None = None
 
     def start(self):
@@ -84,17 +103,14 @@ class ManagerServer:
     def serve_until_finished(self):
         """Block until a finish command has drained the manager."""
         self.start()
-        self._finish_event.wait()
-        self._server.shutdown()
-        self._server.server_close()
+        try:
+            self._finish_event.wait()
+        finally:
+            self.stop()
 
     def stop(self):
         self._server.shutdown()
         self._server.server_close()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
 
     def handle_request(self, raw: bytes) -> dict:
         try:
@@ -152,8 +168,14 @@ class PjClient:
     comes only once the manager has drained, however long that takes.
     """
 
-    def __init__(self, host: str, port: int, timeout: float = 600.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, path: str | Path, timeout: float = 600.0):
+        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._sock.settimeout(timeout)
+        try:
+            self._sock.connect(str(path))
+        except OSError:
+            self._sock.close()
+            raise
         self._timeout = timeout
         self._file = self._sock.makefile("rwb")
         self._next_id = itertools.count(1)

@@ -50,6 +50,13 @@ class TestCreate:
         with pytest.raises(ConfigError, match="template"):
             Campaign.create(cfg, tmp_path / "camp")
 
+    def test_output_that_is_the_rendered_input_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, [uniform_param("a", 0, 1)], "y\n$a\n", ["true"],
+                           decoder={"output_relpath": "./input.json", "format": "csv",
+                                    "qoi_columns": ["y"]})
+        with pytest.raises(ConfigError, match="also the rendered input"):
+            Campaign.create(cfg, tmp_path / "camp")
+
     def test_bad_distribution_params(self, tmp_path):
         bad = {
             "name": "a", "kind": "real", "default": 0.5,
@@ -138,7 +145,7 @@ class TestStagesAndEncode:
         campaign.add_stage(SamplerSpec("mc", n=3, seed=5))
         from uqpilot.executors import RunPlan, execute_campaign
 
-        execute_campaign(campaign, RunPlan(executor="serial"))
+        execute_campaign(campaign, RunPlan())
         _, rows = campaign.store.load_frame("a")
         for rid, values in rows:
             stored = campaign.store.run_params(campaign.store.run(rid))["a"]

@@ -1,11 +1,13 @@
 """Smoke tests of the `pj` command, driven through ``uqpilot.cli.pj.main``."""
 
 import json
+import stat
 import threading
 import time
 
 from uqpilot.cli import pj
-from uqpilot.pilotjob.manager import DISCOVERY_FILENAME, REPORT_FILENAME
+from uqpilot.pilotjob.manager import REPORT_FILENAME
+from uqpilot.pilotjob.protocol import SOCKET_FILENAME
 
 
 def test_serve_batch_simulated(tmp_path, capsys):
@@ -50,10 +52,12 @@ def test_serve_socket_round_trip(tmp_path, capsys):
         daemon=True)
     server.start()
     deadline = time.time() + 10
-    while not (tmp_path / DISCOVERY_FILENAME).exists():
+    sock = tmp_path / SOCKET_FILENAME
+    while not sock.exists():
         assert time.time() < deadline
         time.sleep(0.01)
     try:
+        assert stat.S_IMODE(sock.stat().st_mode) == 0o600
         assert pj.main(["submit", "--manager", wd, "--name", "a", "--", "true"]) == 0
         assert pj.main(["submit", "--manager", wd, "--name", "b", "--after", "a",
                         "--", "true"]) == 0
@@ -66,6 +70,20 @@ def test_serve_socket_round_trip(tmp_path, capsys):
         server.join(timeout=30)
     assert not server.is_alive()
     assert codes == [pj.EXIT_OK]
-    assert not (tmp_path / DISCOVERY_FILENAME).exists()
+    assert not sock.exists()
     report = json.loads((tmp_path / REPORT_FILENAME).read_text())
     assert [j["status"] for j in report["jobs"]] == ["SUCCEEDED", "SUCCEEDED"]
+
+
+def test_clients_without_a_manager_fail_cleanly(tmp_path, capsys):
+    assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_USAGE
+    assert f"no manager socket at {tmp_path / SOCKET_FILENAME}" in capsys.readouterr().err
+
+
+def test_serve_refuses_a_workdir_with_a_socket_left_behind(tmp_path, capsys):
+    (tmp_path / SOCKET_FILENAME).write_text("")
+    code = pj.main(["serve", "--socket", "--workdir", str(tmp_path),
+                    "--allocation-cores", "1", "--virtual"])
+    assert code == pj.EXIT_USAGE
+    assert f"cannot bind manager socket {tmp_path / SOCKET_FILENAME}" in capsys.readouterr().err
+    assert (tmp_path / SOCKET_FILENAME).exists()

@@ -1,0 +1,194 @@
+"""The `uq` subcommands driven through ``uqpilot.cli.uq.main``."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from tests.conftest import uniform_param, write_config
+from uqpilot import executors
+from uqpilot.campaign.ops import Campaign
+from uqpilot.cli import uq
+
+# run_000003 writes no `y` column, so its run ends COMPLETED and fails to decode
+ECHO_BUT_RUN_3_UNDECODABLE = """
+import pathlib, shutil
+if pathlib.Path.cwd().name == "run_000003":
+    pathlib.Path("out.csv").write_text("z\\n1\\n")
+else:
+    shutil.copy("input.json", "out.csv")
+"""
+
+
+def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
+    """`uq init` and an MC stage; the app echoes `a` into `out.csv` as `y`."""
+    command = ["cp", "input.json", "out.csv"]
+    if script is not None:
+        (tmp_path / "app.py").write_text(script)
+        command = [sys.executable, str(tmp_path / "app.py")]
+    cfg = write_config(
+        tmp_path,
+        parameters or [uniform_param("a", 0.0, 1.0)],
+        "y\n$a\n",
+        command,
+        decoder={"output_relpath": "out.csv", "format": "csv", "qoi_columns": ["y"]},
+    )
+    wd = str(tmp_path / "camp")
+    assert uq.main(["init", "--config", str(cfg), "--workdir", wd]) == uq.EXIT_OK
+    if n_runs:
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc",
+                        "--n", str(n_runs), "--seed", "3"]) == uq.EXIT_OK
+    return wd
+
+
+def statuses(wd) -> dict[int, str]:
+    with Campaign.open(wd) as campaign:
+        return {row["run_id"]: row["status"] for row in campaign.store.runs()}
+
+
+class TestRunCores:
+    @pytest.mark.parametrize("argv", [
+        ["--executor", "pilotjob", "--allocation-cores", "1", "--cores-per-run", "2"],
+        ["--executor", "pilotjob", "--allocation-cores", "0"],
+        ["--allocation-cores", "2"],
+        ["--cores-per-run", "0"],
+        ["--retries", "-1"],
+    ], ids=["allocation-below-cores-per-run", "zero-allocation", "allocation-with-serial",
+            "zero-cores-per-run", "negative-retries"])
+    def test_bad_core_count_is_a_usage_error_before_encoding(self, tmp_path, capsys, argv):
+        wd = make_campaign(tmp_path)
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd, *argv]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("uq: ")
+        assert set(statuses(wd).values()) == {"NEW"}
+
+    @pytest.mark.parametrize("argv, cores, per_run", [
+        ([], 1, 1),
+        (["--cores-per-run", "2"], 2, 2),
+        (["--executor", "pilotjob", "--allocation-cores", "3"], 3, 1),
+        (["--executor", "pilotjob"], 5, 1),
+        (["--executor", "pilotjob", "--cores-per-run", "5"], 5, 5),
+    ], ids=["serial", "serial-wide-runs", "pilotjob", "pilotjob-detected",
+            "pilotjob-detected-wide-runs"])
+    def test_one_core_count_reaches_the_engine(self, tmp_path, monkeypatch, argv, cores,
+                                               per_run):
+        wd = make_campaign(tmp_path, n_runs=0)
+        monkeypatch.setenv("PJ_VIRTUAL_CORES", "5")
+        plans = []
+        monkeypatch.setattr(executors, "execute_campaign",
+                            lambda campaign, plan: plans.append(plan) or executors.RunSummary())
+        assert uq.main(["run", "--workdir", wd, *argv]) == uq.EXIT_OK
+        assert [(p.cores, p.cores_per_run) for p in plans] == [(cores, per_run)]
+
+
+class TestSample:
+    def test_pce_keeps_its_growth_rule(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0, parameters=[
+            uniform_param("a", 0.0, 1.0), uniform_param("b", 2.0, 3.0)])
+        capsys.readouterr()
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "pce", "--order", "2",
+                        "--growth", "exp2"]) == uq.EXIT_OK
+        assert capsys.readouterr().out == "stage 1: 25 runs\n"
+        with Campaign.open(wd) as campaign:
+            (stage,) = campaign.store.stages()
+            assert json.loads(stage["sampler_json"])["growth"] == "exp2"
+            assert len(campaign.store.runs()) == 25
+
+
+class TestStatusCollateResume:
+    def test_status_counts_per_stage(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "halton", "--n", "3"]) == 0
+        assert uq.main(["run", "--workdir", wd, "--stage", "1"]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["status", "--workdir", wd]) == uq.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "campaign 'test-campaign' (1 parameters)",
+            "  stage 1: mc n=4 [COLLATED=4]",
+            "  stage 2: halton n=3 [NEW=3]",
+            "  totals: NEW=3, COLLATED=4",
+        ]
+
+    def test_collate_after_a_decode_error(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, script=ECHO_BUT_RUN_3_UNDECODABLE)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        assert "uq: run 3: " in capsys.readouterr().err
+        assert statuses(wd)[3] == "COMPLETED"
+
+        assert uq.main(["collate", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
+        out = capsys.readouterr()
+        assert out.out == "collated=3 pending=1\n"
+        assert "uq: run 3: " in out.err
+
+        (tmp_path / "camp" / "runs" / "run_000003" / "out.csv").write_text("y\n0.5\n")
+        assert uq.main(["collate", "--workdir", wd]) == uq.EXIT_OK
+        assert capsys.readouterr().out == "collated=4 pending=0\n"
+        assert set(statuses(wd).values()) == {"COLLATED"}
+
+    def test_resume_retries_failed_and_recovers_finished_runs(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=3)
+        with Campaign.open(wd) as campaign:
+            for run_id in (1, 2):
+                run_dir = campaign.encode(run_id)
+                campaign.store.set_status(run_id, "SUBMITTED")
+            (run_dir / "out.csv").write_text("y\n0.25\n")   # run 2 finished, then a kill
+            campaign.encode(3)
+            campaign.store.set_status(3, "SUBMITTED")
+            campaign.store.set_status(3, "FAILED")
+        capsys.readouterr()
+        assert uq.main(["resume", "--workdir", wd]) == uq.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["submitted"], summary["failed"]) == (2, 1)
+        assert (summary["recovered"], summary["retry"]) == (1, 2)
+        assert statuses(wd) == {1: "ENCODED", 2: "COLLATED", 3: "ENCODED"}
+
+        assert uq.main(["resume", "--workdir", wd]) == uq.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["encoded"], summary["recovered"], summary["retry"]) == (2, 0, 0)
+
+
+class TestValidate:
+    def test_similarity_to_its_own_ensemble(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity",
+                        "--qoi", "y"]) == uq.EXIT_OK
+        distance, report = capsys.readouterr().out.splitlines()
+        assert distance == "hellinger distance: 0"
+        doc = json.loads(Path(report.removeprefix("report: ")).read_text())
+        assert doc["pattern"] == "similarity"
+        assert doc["per_qoi"] == {"y": 0.0}
+        latest = tmp_path / "camp" / "reports" / "validation-similarity-latest.json"
+        assert json.loads(latest.read_text()) == doc
+
+    def test_ensemble_mare_against_a_reference(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "ensemble", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_OK
+        aggregate, report = capsys.readouterr().out.splitlines()
+        with Campaign.open(wd) as campaign:
+            values = [v[0] for _, v in campaign.store.load_frame("y")[1]]
+        expected = sum(abs(v - 0.5) / 0.5 for v in values) / len(values)
+        assert aggregate == f"aggregate (mean): {expected:.6g}"
+        doc = json.loads(Path(report.removeprefix("report: ")).read_text())
+        assert doc["aggregate"] == pytest.approx(expected, rel=1e-12)
+        assert sorted(doc["per_run"]) == ["1", "2", "3", "4"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--pattern", "similarity", "--qoi", "y", "--metric", "cosine"], "unknown metric"),
+        (["--pattern", "similarity"], "needs --qoi"),
+        (["--pattern", "ensemble", "--qoi", "y"], "needs --qoi and --reference"),
+    ])
+    def test_usage_errors(self, tmp_path, capsys, argv, message):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, *argv]) == uq.EXIT_USAGE
+        assert message in capsys.readouterr().err

@@ -66,7 +66,7 @@ shutil.copy("input.json", "out.csv")
 class TestSerialAndPool:
     def test_local_pool_completes_all(self, tmp_path):
         campaign = echo_campaign(tmp_path)
-        summary = execute_campaign(campaign, RunPlan(executor="local-pool", workers=4))
+        summary = execute_campaign(campaign, RunPlan(cores=4))
         assert summary.ok
         assert summary.failed == 0
         counts = campaign.store.status_counts()
@@ -74,7 +74,7 @@ class TestSerialAndPool:
 
     def test_single_failure_reported(self, tmp_path):
         campaign = script_campaign(tmp_path, ALWAYS_FAIL_RUN_3)
-        summary = execute_campaign(campaign, RunPlan(executor="local-pool", retries=0))
+        summary = execute_campaign(campaign, RunPlan(cores=4, retries=0))
         assert not summary.ok
         assert summary.failed == 1
         counts = campaign.store.status_counts()
@@ -83,15 +83,15 @@ class TestSerialAndPool:
 
     def test_retry_recovers_transient_failure(self, tmp_path):
         campaign = script_campaign(tmp_path, FAIL_RUN_3)
-        summary = execute_campaign(campaign, RunPlan(executor="serial", retries=1))
+        summary = execute_campaign(campaign, RunPlan(retries=1))
         assert summary.ok
         assert campaign.store.status_counts()["COLLATED"] == 10
         assert campaign.store.run(3)["attempts"] == 1
 
     def test_rerun_is_idempotent(self, tmp_path):
         campaign = echo_campaign(tmp_path)
-        execute_campaign(campaign, RunPlan(executor="serial"))
-        second = execute_campaign(campaign, RunPlan(executor="serial"))
+        execute_campaign(campaign, RunPlan())
+        second = execute_campaign(campaign, RunPlan())
         assert second.executed == 0
         assert campaign.store.status_counts()["COLLATED"] == 10
 
@@ -105,27 +105,27 @@ class TestSerialAndPool:
         )
         campaign = Campaign.create(cfg, tmp_path / "camp")
         campaign.add_stage(SamplerSpec("mc", n=1, seed=0))
-        execute_campaign(campaign, RunPlan(executor="serial"))
+        execute_campaign(campaign, RunPlan())
         out = (campaign.run_dir(1) / "run.stdout").read_text()
         assert "hello-from-run" in out
 
 
 class TestPilotExecutor:
     def test_completes_all(self, tmp_path):
-        campaign = echo_campaign(tmp_path)
-        summary = execute_campaign(
-            campaign, RunPlan(executor="pilotjob", allocation_cores=4)
-        )
-        assert summary.ok
-        assert campaign.store.status_counts()["COLLATED"] == 10
+        echo_campaign(tmp_path).close()
+        code = uq.main(["run", "--workdir", str(tmp_path / "camp"),
+                        "--executor", "pilotjob", "--allocation-cores", "4"])
+        assert code == uq.EXIT_OK
+        with Campaign.open(tmp_path / "camp") as campaign:
+            assert campaign.store.status_counts()["COLLATED"] == 10
 
     def test_failure_synchronized_back(self, tmp_path):
-        campaign = script_campaign(tmp_path, ALWAYS_FAIL_RUN_3)
-        summary = execute_campaign(
-            campaign, RunPlan(executor="pilotjob", allocation_cores=4)
-        )
-        assert not summary.ok
-        assert campaign.store.run(3)["status"] == "FAILED"
+        script_campaign(tmp_path, ALWAYS_FAIL_RUN_3).close()
+        code = uq.main(["run", "--workdir", str(tmp_path / "camp"),
+                        "--executor", "pilotjob", "--allocation-cores", "4"])
+        assert code == uq.EXIT_RUN_FAILURES
+        with Campaign.open(tmp_path / "camp") as campaign:
+            assert campaign.store.run(3)["status"] == "FAILED"
 
 
 class TestEngine:
@@ -138,7 +138,7 @@ class TestEngine:
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(target=lambda: result.update(
-                summary=execute_campaign(campaign, RunPlan(executor="local-pool", workers=8))))
+                summary=execute_campaign(campaign, RunPlan(cores=8))))
             worker.start()
             worker.join(timeout=120)
         finally:
@@ -161,8 +161,8 @@ class TestEngine:
         with Campaign.open(tmp_path / "camp") as reopened:
             assert reopened.store.status_counts()["COLLATED"] == 10
 
-    @pytest.mark.parametrize("executor", ["serial", "local-pool"])
-    def test_error_cancels_and_drains_the_manager(self, tmp_path, monkeypatch, executor):
+    @pytest.mark.parametrize("cores", [1, 2], ids=["serial", "pilotjob"])
+    def test_error_cancels_and_drains_the_manager(self, tmp_path, monkeypatch, cores):
         campaign = script_campaign(tmp_path, SLEEP_FROM_RUN_3, n_runs=6)
         started = record_popen(monkeypatch)
         set_status = campaign.store.set_status
@@ -175,7 +175,7 @@ class TestEngine:
         monkeypatch.setattr(campaign.store, "set_status", failing_set_status)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="store went away"):
-            execute_campaign(campaign, RunPlan(executor=executor, workers=2))
+            execute_campaign(campaign, RunPlan(cores=cores))
         assert time.monotonic() - t0 < 30   # children were stopped, not waited out
         assert len(started) >= 3
         assert all(proc.poll() is not None for proc in started)
@@ -195,7 +195,7 @@ class TestEngine:
 
         monkeypatch.setattr(campaign.store, "set_status", interrupted_after_first_start)
         with pytest.raises(KeyboardInterrupt):
-            execute_campaign(campaign, RunPlan(executor="serial"))
+            execute_campaign(campaign, RunPlan())
         assert len(started) == 1
         assert started[0].poll() is not None
         monkeypatch.undo()
@@ -205,6 +205,38 @@ class TestEngine:
             assert rows[run_id]["status"] == "ENCODED"
             assert rows[run_id]["attempts"] == 0
 
+
+    def test_resume_never_collates_a_failed_attempts_output(self, tmp_path, monkeypatch):
+        # attempt 0 writes an output and fails; attempt 1 is stopped before
+        # it writes one, so there is nothing of its own to recover
+        campaign = script_campaign(tmp_path, FAIL_WITH_OUTPUT_THEN_SLEEP, n_runs=1)
+        assert execute_campaign(campaign, RunPlan()).failed == 1
+        set_status = campaign.store.set_status
+
+        def interrupted_after_first_start(run_id, status, *args, **kwargs):
+            set_status(run_id, status, *args, **kwargs)
+            if status == "SUBMITTED":
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign.store, "set_status", interrupted_after_first_start)
+        with pytest.raises(KeyboardInterrupt):
+            execute_campaign(campaign, RunPlan())
+        monkeypatch.undo()
+        assert campaign.store.run(1)["status"] == "SUBMITTED"
+        summary = campaign.resume()
+        assert (summary["recovered"], summary["retry"]) == (0, 1)
+        assert campaign.store.status_counts()["COLLATED"] == 0
+        assert campaign.store.load_frame("y")[1] == []
+
+
+FAIL_WITH_OUTPUT_THEN_SLEEP = """
+import pathlib, sys, time
+if pathlib.Path("failed-once").exists():
+    time.sleep(60)
+pathlib.Path("failed-once").write_text("")
+pathlib.Path("out.csv").write_text("y\\n999\\n")
+sys.exit(1)
+"""
 
 SLEEP_FROM_RUN_3 = """
 import pathlib, shutil, time
@@ -230,15 +262,14 @@ def record_popen(monkeypatch) -> list[subprocess.Popen]:
 class TestExecutorEquivalence:
     def test_qoi_frames_bitwise_identical(self, tmp_path):
         frames = {}
-        for executor in ("serial", "local-pool", "pilotjob"):
-            base = tmp_path / executor
+        for cores in (1, 3, 4):
+            base = tmp_path / f"cores{cores}"
             base.mkdir()
             campaign = echo_campaign(base, workdir_name="camp")
-            plan = RunPlan(executor=executor, workers=3, allocation_cores=4)
-            summary = execute_campaign(campaign, plan)
+            summary = execute_campaign(campaign, RunPlan(cores=cores))
             assert summary.ok
             rows = campaign.store._conn.execute(
                 "SELECT run_id, qoi, values_json FROM qoi_values ORDER BY run_id, qoi"
             ).fetchall()
-            frames[executor] = json.dumps([tuple(r) for r in rows])
-        assert frames["serial"] == frames["local-pool"] == frames["pilotjob"]
+            frames[cores] = json.dumps([tuple(r) for r in rows])
+        assert frames[1] == frames[3] == frames[4]

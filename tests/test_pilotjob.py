@@ -1,4 +1,5 @@
 import json
+import stat
 import threading
 import time
 
@@ -392,7 +393,7 @@ class TestSocketInterface:
         m = PilotManager(Allocation.virtual(2), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address) as client:
+            with PjClient(server.path) as client:
                 assert client.call("submit", {"name": "a", "command": ["true"]}) == {
                     "name": "a"
                 }
@@ -411,7 +412,7 @@ class TestSocketInterface:
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address, timeout=0.5) as client:
+            with PjClient(server.path, timeout=0.5) as client:
                 client.call("submit", {"name": "slow", "command": ["sleep", "1.5"]})
                 finish = client.call("finish")
             assert finish["finished"] is True
@@ -425,7 +426,7 @@ class TestSocketInterface:
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address) as client:
+            with PjClient(server.path) as client:
                 response = client.request("frobnicate")
                 assert response["ok"] is False
                 assert response["error"]["code"] == "unknown-command"
@@ -436,7 +437,7 @@ class TestSocketInterface:
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address) as client:
+            with PjClient(server.path) as client:
                 response = client.request(
                     "submit", {"name": "x", "command": ["true"], "after": ["ghost"]}
                 )
@@ -451,7 +452,7 @@ class TestSocketInterface:
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address) as client:
+            with PjClient(server.path) as client:
                 response = client.request("resources")
                 assert response["id"] == 1
                 response = client.request("resources")
@@ -464,16 +465,41 @@ class TestSocketInterface:
         server = ManagerServer(m).start()
         try:
             m2 = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
-            with pytest.raises(BindError):
-                ManagerServer(m2, host=server.host, port=server.port)
+            with pytest.raises(BindError, match=str(server.path)):
+                ManagerServer(m2)
+            # the refused second server leaves the first one's socket alone
+            with PjClient(server.path) as client:
+                assert client.call("resources")["total_cores"] == 1
         finally:
             server.stop()
+        assert not server.path.exists()
+
+    def test_socket_path_over_the_af_unix_limit(self, tmp_path):
+        workdir = tmp_path / ("d" * 120)
+        workdir.mkdir()
+        m = PilotManager(Allocation.virtual(1), workdir=workdir, clock="wall")
+        with pytest.raises(BindError, match="d" * 120):
+            ManagerServer(m)
+        assert not (workdir / "pj.sock").exists()
+
+    def test_socket_is_private_while_served(self, tmp_path):
+        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        server = ManagerServer(m).start()
+        try:
+            mode = server.path.stat().st_mode
+            assert stat.S_ISSOCK(mode)
+            assert stat.S_IMODE(mode) == 0o600
+            with PjClient(server.path) as client:
+                client.call("finish")
+        finally:
+            server.stop()
+        assert not server.path.exists()
 
     def test_no_submissions_after_finish(self, tmp_path):
         m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            with PjClient(*server.address) as client:
+            with PjClient(server.path) as client:
                 client.call("finish")
             with pytest.raises(Exception):
                 m.submit(JobSpec(name="late", command=("true",)))

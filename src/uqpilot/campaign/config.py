@@ -169,19 +169,6 @@ class CampaignConfig:
     app: AppSpec
     parameters: tuple[ParameterDef, ...]
 
-    def parameter(self, name: str) -> ParameterDef:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-    @property
-    def names(self) -> list[str]:
-        return [p.name for p in self.parameters]
-
-    def space(self) -> list[tuple[str, Distribution1D]]:
-        return [(p.name, p.distribution) for p in self.parameters]
-
     def to_json(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from functools import cached_property, partial
 from pathlib import Path
 
-from uqpilot.campaign.config import CampaignConfig, load_config
+from uqpilot.campaign.config import AppSpec, CampaignConfig, load_config
 from uqpilot.campaign.decode import decode_output
 from uqpilot.campaign.encode import render
 from uqpilot.campaign.store import CampaignStore
-from uqpilot.errors import SamplerError
+from uqpilot.errors import DecodeError, SamplerError
 
 RUNS_SUBDIR = "runs"
 
@@ -68,45 +69,51 @@ class Campaign:
 
     # --- encode / decode ---------------------------------------------------
 
+    @cached_property
+    def app(self) -> AppSpec:
+        """The app row, parsed once: the store writes it at create only."""
+        return self.store.app_spec()
+
+    @cached_property
+    def template(self) -> str:
+        return Path(self.app.template_path).read_text()
+
     def run_dir(self, run_id: int) -> Path:
         return self.workdir / RUNS_SUBDIR / f"run_{run_id:06d}"
 
     def encode(self, run_id: int) -> Path:
         """Render the template into the run directory; NEW/FAILED -> ENCODED."""
         row = self.store.run(run_id)
-        app = self.store.app_spec()
         params = self.store.run_params(row)
         rdir = self.run_dir(run_id)
         rdir.mkdir(parents=True, exist_ok=True)
-        text = Path(app.template_path).read_text()
-        (rdir / app.target).write_text(render(text, params, app.delimiter))
+        (rdir / self.app.target).write_text(render(self.template, params, self.app.delimiter))
         self.store.set_status(run_id, "ENCODED", run_dir=str(rdir))
         return rdir
 
     def decode(self, run_id: int):
-        """Parse the run's output and collate it; COMPLETED -> COLLATED."""
+        """Parse the run's output and collate it; SUBMITTED/COMPLETED -> COLLATED."""
         row = self.store.run(run_id)
-        app = self.store.app_spec()
-        index, columns = decode_output(row["run_dir"], app.decoder)
+        index, columns = decode_output(row["run_dir"], self.app.decoder)
         self.store.insert_qoi(run_id, index, columns)
         return index, columns
 
-    def try_decode(self, row):
-        """Decode attempt for crash recovery; None when output is unusable."""
-        from uqpilot.errors import DecodeError
-
-        if not row["run_dir"]:
-            return None
+    def collate(self, run_id: int) -> str | None:
+        """The collate step of `uq run` and `uq collate`: decode a run that
+        ended well, or return the error that leaves it COMPLETED."""
         try:
-            return decode_output(row["run_dir"], self.store.app_spec().decoder)
-        except DecodeError:
-            return None
+            self.decode(run_id)
+        except DecodeError as exc:
+            if self.store.run(run_id)["status"] == "SUBMITTED":
+                self.store.set_status(run_id, "COMPLETED")
+            return f"run {run_id}: {exc}"
+        return None
 
     # --- resume --------------------------------------------------------------
 
     def resume(self) -> dict:
         """Reconcile statuses after interruption; see CampaignStore.resume."""
-        return self.store.resume(self.try_decode)
+        return self.store.resume(partial(decode_output, spec=self.app.decoder))
 
     # --- inspection ------------------------------------------------------------
 

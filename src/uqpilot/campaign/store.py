@@ -361,6 +361,7 @@ class CampaignStore:
     def insert_qoi(self, run_id: int, index: list[float] | None, columns: dict[str, list[float]]):
         """Record decoded vectors and collate the run, atomically.
 
+        A SUBMITTED run (just ended, or recovered) passes COMPLETED on the way.
         Enforces the frame invariants: per-qoi vector lengths must match
         rows already present, and the index vector must be shared.
         """
@@ -390,6 +391,8 @@ class CampaignStore:
                     "INSERT INTO qoi_values (run_id, qoi, values_json) VALUES (?, ?, ?)",
                     (run_id, qoi, json.dumps(values)),
                 )
+            if self.run(run_id)["status"] == "SUBMITTED":
+                self._transition(run_id, "COMPLETED")
             self._transition(run_id, "COLLATED")
 
     def _frame_length(self, qoi: str) -> int | None:
@@ -435,11 +438,12 @@ class CampaignStore:
     def resume(self, recover) -> dict:
         """Reconcile after a crash or interruption.
 
-        `recover(run_row) -> (index, columns) | None` decides whether an
-        interrupted SUBMITTED run left a complete, decodable output; if
-        so the run is recovered as COMPLETED+COLLATED, otherwise it is
-        marked FAILED and immediately re-eligible (ENCODED, attempts+1).
-        FAILED runs are likewise reset. Returns a work summary.
+        `recover(run_dir) -> (index, columns)` parses the output an
+        interrupted SUBMITTED run left, raising DecodeError when there is
+        none it can use. Output it parses is collated (COLLATED), or left
+        COMPLETED when it does not fit the frame; without usable output
+        the run is marked FAILED and immediately re-eligible (ENCODED,
+        attempts+1). FAILED runs are likewise reset. Returns a work summary.
         """
         summary = {s.lower(): 0 for s in STATUSES}
         summary["retry"] = 0
@@ -447,22 +451,22 @@ class CampaignStore:
         for row in self.runs():
             summary[row["status"].lower()] += 1
         for row in self.runs(status="SUBMITTED"):
-            decoded = recover(row) if recover is not None else None
-            if decoded is not None:
-                index, columns = decoded
-                self.set_status(row["run_id"], "COMPLETED")
-                try:
-                    self.insert_qoi(row["run_id"], index, columns)
-                except DecodeError:
-                    # output complete but inconsistent with the frame; the
-                    # run stays COMPLETED and collation reports it later
-                    pass
-                summary["recovered"] += 1
-            else:
+            try:
+                decoded = recover(row["run_dir"]) if recover and row["run_dir"] else None
+            except DecodeError:
+                decoded = None
+            if decoded is None:
                 with self._txn():
                     self._transition(row["run_id"], "FAILED")
                     self._transition(row["run_id"], "ENCODED", bump_attempts=True)
                 summary["retry"] += 1
+                continue
+            try:
+                self.insert_qoi(row["run_id"], *decoded)
+            except DecodeError:
+                # complete output that does not fit the frame; `uq collate` reports it
+                self.set_status(row["run_id"], "COMPLETED")
+            summary["recovered"] += 1
         for row in self.runs(status="FAILED"):
             self.set_status(row["run_id"], "ENCODED", bump_attempts=True)
             summary["retry"] += 1

@@ -206,16 +206,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_collate(args) -> int:
-    from uqpilot.errors import DecodeError
-
     failures = 0
     with _open_campaign(args.workdir) as campaign:
         for row in campaign.store.runs(status="COMPLETED"):
-            try:
-                campaign.decode(row["run_id"])
-            except DecodeError as exc:
+            error = campaign.collate(row["run_id"])
+            if error:
                 failures += 1
-                print(f"uq: run {row['run_id']}: {exc}", file=sys.stderr)
+                print(f"uq: {error}", file=sys.stderr)
         counts = campaign.store.status_counts()
     print(f"collated={counts['COLLATED']} pending={counts['COMPLETED']}")
     return EXIT_OK if failures == 0 else EXIT_RUN_FAILURES

@@ -1,27 +1,32 @@
-"""Run execution: one in-process pilot manager on a virtual allocation.
+"""Run execution: one event loop on an in-process pilot manager.
 
 No socket is involved; only `pj serve --socket` serves a manager, on a
-Unix socket in its workdir.
+Unix socket in its workdir. `RunPlan.cores` is the allocation's size and
+`cores_per_run` each run's share of it, so `cores // cores_per_run` runs
+execute at once.
 
-`RunPlan.cores` is the allocation's size and `cores_per_run` each run's
-share of it, so `cores // cores_per_run` runs execute at once. Each round
-encodes anything NEW, executes every ENCODED run (ENCODED -> SUBMITTED ->
-COMPLETED/FAILED), and loops on failures up to the retry limit; every
-COMPLETED run is then collated. Before each attempt starts, the output
-of any earlier attempt is removed, so a run can be recovered only from
-output its own attempt wrote. Every status change is one store commit,
-so an interrupted execution resumes where it stopped; on any error the
-manager's runs are canceled and drained before the error propagates.
+One pass over the stage collates each run an earlier call left
+COMPLETED, and encodes each NEW run and submits it at once (an ENCODED
+run as it is); each attempt first removes the output of any earlier
+one, so a run can be recovered only from output its own attempt wrote.
+The loop then commits each event as the manager reports it: SUBMITTED
+as a run starts; as it ends, COLLATED (through COMPLETED, in one
+commit), or COMPLETED when its output does not decode, or FAILED, and
+then, while retries are left, ENCODED with attempts+1 and a
+resubmission. Every commit is one transaction, so an interrupted
+execution resumes where it stopped; on any error the manager's runs are
+canceled and drained before the error propagates.
 """
 
 from __future__ import annotations
 
 import queue
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
-from uqpilot.errors import DecodeError, ExecutorError
+from uqpilot.errors import ExecutorError
 from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, Allocation, JobSpec
 from uqpilot.pilotjob.scheduler import PilotManager
 
@@ -50,68 +55,65 @@ class RunSummary:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        return self.failed == 0 and not self.errors
 
 
 def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     """Run the campaign's pending work to completion under `plan`."""
     summary = RunSummary()
     campaign.resume()
-
-    rounds = 0
-    while True:
-        for row in campaign.store.runs(stage_id=plan.stage_id, status="NEW"):
-            campaign.encode(row["run_id"])
-        targets = campaign.store.runs(stage_id=plan.stage_id, status="ENCODED")
-        if not targets:
-            break
-        summary.executed += len(targets)
-        _execute(campaign, plan, targets)
-
-        failed = campaign.store.runs(stage_id=plan.stage_id, status="FAILED")
-        if failed and rounds < plan.retries:
-            for row in failed:
-                campaign.store.set_status(row["run_id"], "ENCODED", bump_attempts=True)
-            rounds += 1
-            continue
-        break
-
-    for row in campaign.store.runs(stage_id=plan.stage_id, status="COMPLETED"):
-        try:
-            campaign.decode(row["run_id"])
-        except DecodeError as exc:
-            summary.errors.append(f"run {row['run_id']}: {exc}")
-
+    _execute(campaign, plan, campaign.store.runs(stage_id=plan.stage_id), summary)
     counts = campaign.store.status_counts(stage_id=plan.stage_id)
     summary.completed = counts["COMPLETED"] + counts["COLLATED"]
     summary.failed = counts["FAILED"]
     return summary
 
 
-def _execute(campaign: Campaign, plan: RunPlan, rows: list):
-    """One job per run, submitted to a manager on a virtual allocation.
-
-    A run is marked SUBMITTED as the manager starts it and COMPLETED or
-    FAILED as it ends; the manager reports both events through a queue, so
-    every commit happens in this thread.
-    """
+def _execute(campaign: Campaign, plan: RunPlan, rows: list, summary: RunSummary):
+    """One job per attempt on a manager with a virtual allocation; a retry
+    is named `<run_id>.<k>`, as the manager refuses a duplicate name."""
     store = campaign.store
-    app = store.app_spec()
-    command = tuple(app.command)
+    app = campaign.app
     events: queue.SimpleQueue = queue.SimpleQueue()
     manager = PilotManager(Allocation.virtual(plan.cores), workdir=campaign.workdir, clock="wall",
                            on_task_event=lambda task: events.put((task.job, task.status)))
+
+    def collate(run_id: int):
+        error = campaign.collate(run_id)
+        if error:
+            summary.errors.append(error)
+
+    def submit(run_dir: str, name: str):
+        (Path(run_dir) / app.decoder.output_relpath).unlink(missing_ok=True)
+        manager.submit(JobSpec(name=name, command=app.command, cores=plan.cores_per_run,
+                               workdir=run_dir, stdout="run.stdout", stderr="run.stderr"))
+        summary.executed += 1
+
     try:
         for row in rows:
-            # resume and the retry loop re-run a run without encoding it again
-            (Path(row["run_dir"]) / app.decoder.output_relpath).unlink(missing_ok=True)
-            manager.submit(JobSpec(name=str(row["run_id"]), command=command,
-                                   cores=plan.cores_per_run, workdir=row["run_dir"],
-                                   stdout="run.stdout", stderr="run.stderr"))
-        for _ in range(2 * len(rows)):   # one start and one end per run
+            if row["status"] == "COMPLETED":   # its output did not decode in an earlier call
+                collate(row["run_id"])
+            elif row["status"] == "NEW":
+                submit(str(campaign.encode(row["run_id"])), str(row["run_id"]))
+            elif row["status"] == "ENCODED":
+                submit(row["run_dir"], str(row["run_id"]))
+        retried: Counter = Counter()
+        ended = 0
+        while ended < summary.executed:
             name, status = events.get()
-            store.set_status(int(name), "SUBMITTED" if status == EXECUTING
-                             else "COMPLETED" if status == SUCCEEDED else "FAILED")
+            run_id = int(name.split(".")[0])
+            if status == EXECUTING:
+                store.set_status(run_id, "SUBMITTED")
+                continue
+            ended += 1
+            if status == SUCCEEDED:
+                collate(run_id)
+                continue
+            store.set_status(run_id, "FAILED")
+            retried[run_id] += 1
+            if retried[run_id] <= plan.retries:
+                store.set_status(run_id, "ENCODED", bump_attempts=True)
+                submit(store.run(run_id)["run_dir"], f"{run_id}.{retried[run_id]}")
         manager.drain()
     except BaseException:
         manager.cancel_all()

@@ -93,15 +93,13 @@ def mare(values: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean(np.abs(v - r) / denom))
 
 
-def _score_builtin(store: CampaignStore, qoi: str, reference: np.ndarray, run_id: int) -> float:
-    _, rows = store.load_frame(qoi)
-    for rid, values in rows:
-        if rid == run_id:
-            try:
-                return mare(np.asarray(values), reference)
-            except ScorerError as exc:
-                raise ScorerError(f"run {run_id}: {exc}", run_id=run_id) from exc
-    raise ScorerError(f"run {run_id} has no collated {qoi!r} vector", run_id=run_id)
+def _score_builtin(frame: dict, qoi: str, reference: np.ndarray, run_id: int) -> float:
+    if run_id not in frame:
+        raise ScorerError(f"run {run_id} has no collated {qoi!r} vector", run_id=run_id)
+    try:
+        return mare(np.asarray(frame[run_id]), reference)
+    except ScorerError as exc:
+        raise ScorerError(f"run {run_id}: {exc}", run_id=run_id) from exc
 
 
 def _score_external(command: list[str], run_dir: str, run_id: int) -> float:
@@ -157,11 +155,14 @@ def ensemble_validate(
         raise DomainError("mare scorer needs a qoi and a reference vector")
 
     scorer_name = scorer if builtin else " ".join(scorer)
+    if builtin:
+        frame = dict(store.load_frame(qoi)[1])
+        reference = np.asarray(reference, dtype=float)
     per_run: dict[int, float] = {}
     for row in rows:
         rid = row["run_id"]
         if builtin:
-            score = _score_builtin(store, qoi, np.asarray(reference, dtype=float), rid)
+            score = _score_builtin(frame, qoi, reference, rid)
         else:
             if not row["run_dir"]:
                 raise ScorerError(f"run {rid} has no run directory", run_id=rid)

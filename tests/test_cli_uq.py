@@ -112,9 +112,18 @@ class TestStatusCollateResume:
             "  totals: NEW=3, COLLATED=4",
         ]
 
+    def test_status_and_analyze_after_the_template_moved(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "input.template").rename(tmp_path / "moved.template")
+        capsys.readouterr()
+        assert uq.main(["status", "--workdir", wd]) == uq.EXIT_OK
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_OK
+        assert "n=4" in capsys.readouterr().out
+
     def test_collate_after_a_decode_error(self, tmp_path, capsys):
         wd = make_campaign(tmp_path, script=ECHO_BUT_RUN_3_UNDECODABLE)
-        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
         assert "uq: run 3: " in capsys.readouterr().err
         assert statuses(wd)[3] == "COMPLETED"
 
@@ -127,6 +136,14 @@ class TestStatusCollateResume:
         assert uq.main(["collate", "--workdir", wd]) == uq.EXIT_OK
         assert capsys.readouterr().out == "collated=4 pending=0\n"
         assert set(statuses(wd).values()) == {"COLLATED"}
+
+    def test_next_run_collates_a_run_left_completed(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, script=ECHO_BUT_RUN_3_UNDECODABLE)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
+        (tmp_path / "camp" / "runs" / "run_000003" / "out.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        assert capsys.readouterr().out == "executed=0 completed=4 failed=0 collated=4\n"
 
     def test_resume_retries_failed_and_recovers_finished_runs(self, tmp_path, capsys):
         wd = make_campaign(tmp_path, n_runs=3)

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from tests.conftest import uniform_param, write_config
 from uqpilot.campaign.ops import Campaign
+from uqpilot.campaign.store import CampaignStore
 from uqpilot.cli import uq
 from uqpilot.executors import RunPlan, execute_campaign
 from uqpilot.sampling.samplers import SamplerSpec
@@ -87,6 +89,52 @@ class TestSerialAndPool:
         assert summary.ok
         assert campaign.store.status_counts()["COLLATED"] == 10
         assert campaign.store.run(3)["attempts"] == 1
+
+    def test_exhausted_retries_leave_the_run_failed(self, tmp_path):
+        campaign = script_campaign(tmp_path, ALWAYS_FAIL_RUN_3)
+        summary = execute_campaign(campaign, RunPlan(cores=2, retries=2))
+        assert not summary.ok
+        assert summary.executed == 12   # ten first attempts and two retries of run 3
+        assert summary.failed == 1
+        row = campaign.store.run(3)
+        assert (row["status"], row["attempts"]) == ("FAILED", 2)
+        assert campaign.store.status_counts()["COLLATED"] == 9
+
+    def test_a_successful_run_costs_three_commits(self, tmp_path, monkeypatch):
+        # ENCODED, SUBMITTED, and COMPLETED+COLLATED in one transaction
+        campaign = echo_campaign(tmp_path)
+        txn = CampaignStore._txn
+        entered = []
+
+        def counted_txn(store):
+            entered.append(1)
+            return txn(store)
+
+        monkeypatch.setattr(CampaignStore, "_txn", counted_txn)
+        summary = execute_campaign(campaign, RunPlan(cores=2))
+        assert summary.ok
+        assert campaign.store.status_counts()["COLLATED"] == 10
+        assert len(entered) == 3 * 10
+
+    def test_app_and_template_are_read_once(self, tmp_path, monkeypatch):
+        campaign = echo_campaign(tmp_path)
+        app_spec = CampaignStore.app_spec
+        template = Path(campaign.store.app_spec().template_path)
+        read_text = Path.read_text
+        reads = {"app": 0, "template": 0}
+
+        def counted_app_spec(store):
+            reads["app"] += 1
+            return app_spec(store)
+
+        def counted_read_text(path, *args, **kwargs):
+            reads["template"] += path == template
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignStore, "app_spec", counted_app_spec)
+        monkeypatch.setattr(Path, "read_text", counted_read_text)
+        assert execute_campaign(campaign, RunPlan(cores=2, retries=1)).ok
+        assert reads == {"app": 1, "template": 1}
 
     def test_rerun_is_idempotent(self, tmp_path):
         campaign = echo_campaign(tmp_path)

@@ -115,6 +115,29 @@ class TestIntegrity:
         assert len(store.runs(status="ENCODED")) == 2
         assert all(r["attempts"] == 1 for r in store.runs(status="ENCODED"))
 
+    def test_resume_recovers_submitted_runs_by_their_output(self, tmp_path):
+        from uqpilot.errors import DecodeError
+
+        store = make_store(tmp_path)
+        add_mc_stage(store, 4)
+        for rid in range(1, 5):
+            store.set_status(rid, "ENCODED", run_dir=f"run{rid}")
+            store.set_status(rid, "SUBMITTED")
+        outputs = {"run1": [1.0], "run2": [2.0], "run3": [3.0, 4.0]}   # run4 wrote none
+
+        def recover(run_dir):
+            if run_dir not in outputs:
+                raise DecodeError(f"no output in {run_dir}")
+            return None, {"y": outputs[run_dir]}
+
+        summary = store.resume(recover)
+        assert (summary["recovered"], summary["retry"]) == (3, 1)
+        rows = {r["run_id"]: r for r in store.runs()}
+        assert [rows[rid]["status"] for rid in range(1, 5)] == [
+            "COLLATED", "COLLATED", "COMPLETED", "ENCODED"]   # run3 does not fit the frame
+        assert rows[4]["attempts"] == 1
+        assert store.load_frame("y")[1] == [(1, [1.0]), (2, [2.0])]
+
     def test_open_missing(self, tmp_path):
         with pytest.raises(StoreCorrupt):
             CampaignStore.open(tmp_path)

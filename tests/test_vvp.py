@@ -223,6 +223,20 @@ class TestEnsemblePattern:
             values = list(score.per_run.values())
             assert min(values) <= score.aggregate <= max(values)
 
+    def test_frame_loaded_once_per_validation(self, tmp_path, monkeypatch):
+        store = self.store_with_scores(tmp_path, [[1.0], [2.0], [4.0], [8.0]])
+        load_frame = store.load_frame
+        calls = []
+
+        def counted_load_frame(*args, **kwargs):
+            calls.append(args)
+            return load_frame(*args, **kwargs)
+
+        monkeypatch.setattr(store, "load_frame", counted_load_frame)
+        score = ensemble_validate(store, "mare", qoi="y", reference=np.array([2.0]))
+        assert calls == [("y",)]
+        assert score.per_run == {1: 0.5, 2: 0.0, 3: 1.0, 4: 3.0}
+
     def test_scores_recorded_in_store(self, tmp_path):
         store = self.store_with_scores(tmp_path, [[1.0], [2.0]])
         ensemble_validate(store, "mare", qoi="y", reference=np.array([1.0]))

@@ -51,7 +51,7 @@ def sobol_mc(
     u = np.where(u == 0.0, np.nextafter(0.0, 1.0), u)
     base = np.empty_like(u)
     for j, dist in enumerate(dists):
-        base[:, j] = dist.quantile_array(u[:, j])
+        base[:, j] = dist.quantile(u[:, j])
     a, b = base[:n], base[n:]
 
     fa = np.asarray(model(a), dtype=float).reshape(n)

@@ -1,15 +1,21 @@
-"""Campaign operations: create, sample in stages, encode, decode, resume."""
+"""Campaign operations: create, sample in stages, encode, decode, recover.
+
+`Campaign.recover` is the one place that decides what a run left behind
+by an interrupted or failed execution becomes: `uq run` applies it to
+each run of the stage it executes, in the same pass that submits them,
+and `uq resume` applies it to every run through `Campaign.resume`.
+"""
 
 from __future__ import annotations
 
 import json
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 from uqpilot.campaign.config import AppSpec, CampaignConfig, load_config
 from uqpilot.campaign.decode import decode_output
 from uqpilot.campaign.encode import render
-from uqpilot.campaign.store import CampaignStore
+from uqpilot.campaign.store import STATUSES, CampaignStore
 from uqpilot.errors import DecodeError, SamplerError
 
 RUNS_SUBDIR = "runs"
@@ -109,11 +115,47 @@ class Campaign:
             return f"run {run_id}: {exc}"
         return None
 
-    # --- resume --------------------------------------------------------------
+    # --- recovery ---------------------------------------------------------------
+
+    def recover(self, row) -> str:
+        """Reconcile one run after an interruption; returns its new status.
+
+        A SUBMITTED run whose own output decodes is collated, or left
+        COMPLETED when that output does not fit the frame (`uq collate`
+        reports it). Without usable output it goes FAILED -> ENCODED in
+        one commit. A FAILED run goes to ENCODED; both retries count an
+        attempt. Any other run is returned unchanged.
+        """
+        run_id, status = row["run_id"], row["status"]
+        if status == "FAILED":
+            self.store.set_status(run_id, "ENCODED")
+            return "ENCODED"
+        if status != "SUBMITTED":
+            return status
+        try:
+            index, columns = decode_output(row["run_dir"], self.app.decoder)
+        except DecodeError:
+            self.store.set_status(run_id, "FAILED", "ENCODED")
+            return "ENCODED"
+        try:
+            self.store.insert_qoi(run_id, index, columns)
+        except DecodeError:
+            self.store.set_status(run_id, "COMPLETED")
+            return "COMPLETED"
+        return "COLLATED"
 
     def resume(self) -> dict:
-        """Reconcile statuses after interruption; see CampaignStore.resume."""
-        return self.store.resume(partial(decode_output, spec=self.app.decoder))
+        """Recover every run of every stage: the per-status counts before,
+        plus how many runs were set to retry and how many were recovered
+        from their output."""
+        summary = {s.lower(): 0 for s in STATUSES}
+        summary.update(retry=0, recovered=0)
+        for row in self.store.runs():
+            summary[row["status"].lower()] += 1
+            status = self.recover(row)
+            if status != row["status"]:
+                summary["retry" if status == "ENCODED" else "recovered"] += 1
+        return summary
 
     # --- inspection ------------------------------------------------------------
 

@@ -4,6 +4,10 @@ One writer at a time, any number of readers. Every mutation is one
 transaction, so a crash at any instant leaves the file readable with the
 last transaction either fully present or fully absent. Stages are
 append-only: adding one never rewrites existing rows.
+
+The store enforces the run lifecycle (`ALLOWED_TRANSITIONS`) and counts
+attempts on the retry edge, but holds no recovery policy: deciding what
+an interrupted run becomes is `Campaign.recover`'s job.
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ class CampaignStore:
             raise StoreCorrupt(f"{self.path}: missing tables {sorted(needed - tables)}")
         bad = self._conn.execute(
             "SELECT run_id, status FROM runs WHERE status NOT IN"
-            " ('NEW','ENCODED','SUBMITTED','COMPLETED','FAILED','COLLATED')"
+            f" ({', '.join('?' * len(STATUSES))})", STATUSES,
         ).fetchone()
         if bad:
             raise StoreCorrupt(f"run {bad['run_id']} has unknown status {bad['status']!r}")
@@ -324,18 +328,15 @@ class CampaignStore:
             counts[row["status"]] = row["n"]
         return counts
 
-    def set_status(
-        self,
-        run_id: int,
-        new_status: str,
-        run_dir: str | None = None,
-        bump_attempts: bool = False,
-    ):
-        """One legal lifecycle transition, committed atomically."""
+    def set_status(self, run_id: int, *statuses: str, run_dir: str | None = None):
+        """Walk the run through one or more legal transitions, committed
+        atomically."""
         with self._txn():
-            self._transition(run_id, new_status, run_dir, bump_attempts)
+            for new_status in statuses:
+                self._transition(run_id, new_status, run_dir)
 
-    def _transition(self, run_id, new_status, run_dir=None, bump_attempts=False):
+    def _transition(self, run_id, new_status, run_dir=None):
+        """Leaving FAILED for ENCODED starts a new attempt: attempts+1."""
         row = self._conn.execute(
             "SELECT status FROM runs WHERE run_id=?", (run_id,)
         ).fetchone()
@@ -351,7 +352,7 @@ class CampaignStore:
         if run_dir is not None:
             sets.append("run_dir=?")
             args.append(run_dir)
-        if bump_attempts:
+        if (current, new_status) == ("FAILED", "ENCODED"):
             sets.append("attempts=attempts+1")
         args.append(run_id)
         self._conn.execute(f"UPDATE runs SET {', '.join(sets)} WHERE run_id=?", args)
@@ -432,45 +433,6 @@ class CampaignStore:
                 "INSERT OR REPLACE INTO run_scores (run_id, scorer, score) VALUES (?, ?, ?)",
                 (run_id, scorer, score),
             )
-
-    # --- resume -----------------------------------------------------------
-
-    def resume(self, recover) -> dict:
-        """Reconcile after a crash or interruption.
-
-        `recover(run_dir) -> (index, columns)` parses the output an
-        interrupted SUBMITTED run left, raising DecodeError when there is
-        none it can use. Output it parses is collated (COLLATED), or left
-        COMPLETED when it does not fit the frame; without usable output
-        the run is marked FAILED and immediately re-eligible (ENCODED,
-        attempts+1). FAILED runs are likewise reset. Returns a work summary.
-        """
-        summary = {s.lower(): 0 for s in STATUSES}
-        summary["retry"] = 0
-        summary["recovered"] = 0
-        for row in self.runs():
-            summary[row["status"].lower()] += 1
-        for row in self.runs(status="SUBMITTED"):
-            try:
-                decoded = recover(row["run_dir"]) if recover and row["run_dir"] else None
-            except DecodeError:
-                decoded = None
-            if decoded is None:
-                with self._txn():
-                    self._transition(row["run_id"], "FAILED")
-                    self._transition(row["run_id"], "ENCODED", bump_attempts=True)
-                summary["retry"] += 1
-                continue
-            try:
-                self.insert_qoi(row["run_id"], *decoded)
-            except DecodeError:
-                # complete output that does not fit the frame; `uq collate` reports it
-                self.set_status(row["run_id"], "COMPLETED")
-            summary["recovered"] += 1
-        for row in self.runs(status="FAILED"):
-            self.set_status(row["run_id"], "ENCODED", bump_attempts=True)
-            summary["retry"] += 1
-        return summary
 
     # --- dumps -----------------------------------------------------------
 

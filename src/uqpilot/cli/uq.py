@@ -99,6 +99,10 @@ def _open_campaign(workdir: str):
     return Campaign.open(workdir)
 
 
+def _unknown_stage(store, stage_id: int | None) -> bool:
+    return stage_id is not None and stage_id not in {s["stage_id"] for s in store.stages()}
+
+
 def _reports_dir(workdir: str) -> Path:
     path = Path(workdir) / "reports"
     path.mkdir(exist_ok=True)
@@ -194,6 +198,8 @@ def cmd_run(args) -> int:
     except ExecutorError as exc:
         return _fail(EXIT_USAGE, str(exc))
     with _open_campaign(args.workdir) as campaign:
+        if _unknown_stage(campaign.store, args.stage):
+            return _fail(EXIT_USAGE, f"no stage {args.stage}")
         summary = execute_campaign(campaign, plan)
         counts = campaign.store.status_counts()
     print(
@@ -229,7 +235,9 @@ def cmd_analyze(args) -> int:
 
     with _open_campaign(args.workdir) as campaign:
         store = campaign.store
-        stage_id = args.stage or store.latest_stage_id()
+        if _unknown_stage(store, args.stage):
+            return _fail(EXIT_USAGE, f"no stage {args.stage}")
+        stage_id = store.latest_stage_id() if args.stage is None else args.stage
         if stage_id is None:
             return _fail(EXIT_USAGE, "campaign has no stages to analyze")
         qois = store.qoi_names()
@@ -276,7 +284,7 @@ def cmd_analyze(args) -> int:
                 }
                 json_path.write_text(json.dumps(payload, indent=2) + "\n")
                 _publish(json_path, f"analysis-{args.qoi}-latest.json")
-                final = doc["mean"][-1]
+                final = payload["mean"][-1]
                 print(f"qoi {args.qoi!r}: n={doc['n_runs']} final mean={final!r}")
                 print(f"report: {json_path}")
         except MissingRunError as exc:

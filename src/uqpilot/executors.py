@@ -5,17 +5,22 @@ Unix socket in its workdir. `RunPlan.cores` is the allocation's size and
 `cores_per_run` each run's share of it, so `cores // cores_per_run` runs
 execute at once.
 
-One pass over the stage collates each run an earlier call left
-COMPLETED, and encodes each NEW run and submits it at once (an ENCODED
-run as it is); each attempt first removes the output of any earlier
-one, so a run can be recovered only from output its own attempt wrote.
+`execute_campaign` makes one pass over the runs of its stage and no
+other. Each run first goes through `Campaign.recover`: a run that an
+interrupted call left SUBMITTED is collated from the output its attempt
+wrote, and a FAILED run, or a SUBMITTED one without usable output, goes
+back to ENCODED. The pass then collates each run left COMPLETED, and
+encodes each NEW run and submits it at once (an ENCODED run as it is);
+each attempt first removes the output of any earlier one, so a run can
+be recovered only from output its own attempt wrote.
+
 The loop then commits each event as the manager reports it: SUBMITTED
 as a run starts; as it ends, COLLATED (through COMPLETED, in one
 commit), or COMPLETED when its output does not decode, or FAILED, and
-then, while retries are left, ENCODED with attempts+1 and a
-resubmission. Every commit is one transaction, so an interrupted
-execution resumes where it stopped; on any error the manager's runs are
-canceled and drained before the error propagates.
+then, while retries are left, ENCODED (attempts+1) and a resubmission.
+Every commit is one transaction, so a second call picks up where an
+interrupted one stopped; on any error the manager's runs are canceled
+and drained before the error propagates.
 """
 
 from __future__ import annotations
@@ -59,21 +64,13 @@ class RunSummary:
 
 
 def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
-    """Run the campaign's pending work to completion under `plan`."""
-    summary = RunSummary()
-    campaign.resume()
-    _execute(campaign, plan, campaign.store.runs(stage_id=plan.stage_id), summary)
-    counts = campaign.store.status_counts(stage_id=plan.stage_id)
-    summary.completed = counts["COMPLETED"] + counts["COLLATED"]
-    summary.failed = counts["FAILED"]
-    return summary
-
-
-def _execute(campaign: Campaign, plan: RunPlan, rows: list, summary: RunSummary):
-    """One job per attempt on a manager with a virtual allocation; a retry
-    is named `<run_id>.<k>`, as the manager refuses a duplicate name."""
+    """Run the pending work of `plan.stage_id` (every stage if None) to
+    completion. One job per attempt on a manager with a virtual
+    allocation; a retry is named `<run_id>.<k>`, as the manager refuses a
+    duplicate name."""
     store = campaign.store
     app = campaign.app
+    summary = RunSummary()
     events: queue.SimpleQueue = queue.SimpleQueue()
     manager = PilotManager(Allocation.virtual(plan.cores), workdir=campaign.workdir, clock="wall",
                            on_task_event=lambda task: events.put((task.job, task.status)))
@@ -90,12 +87,13 @@ def _execute(campaign: Campaign, plan: RunPlan, rows: list, summary: RunSummary)
         summary.executed += 1
 
     try:
-        for row in rows:
-            if row["status"] == "COMPLETED":   # its output did not decode in an earlier call
+        for row in store.runs(stage_id=plan.stage_id):
+            status = campaign.recover(row)
+            if status == "COMPLETED":   # its output did not decode in an earlier call
                 collate(row["run_id"])
-            elif row["status"] == "NEW":
+            elif status == "NEW":
                 submit(str(campaign.encode(row["run_id"])), str(row["run_id"]))
-            elif row["status"] == "ENCODED":
+            elif status == "ENCODED":
                 submit(row["run_dir"], str(row["run_id"]))
         retried: Counter = Counter()
         ended = 0
@@ -112,10 +110,14 @@ def _execute(campaign: Campaign, plan: RunPlan, rows: list, summary: RunSummary)
             store.set_status(run_id, "FAILED")
             retried[run_id] += 1
             if retried[run_id] <= plan.retries:
-                store.set_status(run_id, "ENCODED", bump_attempts=True)
+                store.set_status(run_id, "ENCODED")
                 submit(store.run(run_id)["run_dir"], f"{run_id}.{retried[run_id]}")
         manager.drain()
     except BaseException:
         manager.cancel_all()
         manager.drain()
         raise
+    counts = store.status_counts(stage_id=plan.stage_id)
+    summary.completed = counts["COMPLETED"] + counts["COLLATED"]
+    summary.failed = counts["FAILED"]
+    return summary

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtri
 
 from uqpilot.errors import ConfigError, DomainError
@@ -47,27 +48,14 @@ class Distribution1D:
     def is_constant(self) -> bool:
         return self.variant == "constant"
 
-    def quantile(self, u: float) -> float:
-        """Inverse CDF at u in the open interval (0, 1)."""
+    def quantile(self, u):
+        """Inverse CDF at u (a float or an array) in the open interval (0, 1)."""
         if self.variant == "constant":
             return self.args[0]
-        if not 0.0 < u < 1.0:
-            raise DomainError(f"quantile argument must lie in (0, 1), got {u}")
-        if self.variant == "uniform":
-            lo, hi = self.args
-            return lo + u * (hi - lo)
-        mu, sigma = self.args
-        return mu + sigma * float(ndtri(u))
-
-    def quantile_array(self, u):
-        """Vectorized quantile for arrays with entries in (0, 1)."""
-        import numpy as np
-
         u = np.asarray(u, dtype=float)
-        if self.variant == "constant":
-            return np.full_like(u, self.args[0])
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise DomainError("quantile arguments must lie in (0, 1)")
+        inside = (0.0 < u) & (u < 1.0)
+        if not inside.all():
+            raise DomainError(f"quantile argument must lie in (0, 1), got {u[~inside].flat[0]}")
         if self.variant == "uniform":
             lo, hi = self.args
             return lo + u * (hi - lo)

@@ -165,35 +165,29 @@ def draw(space, spec: SamplerSpec):
     and weights is a list of floats for quadrature plans, else None.
     """
     names = [n for n, _ in space]
-    dists = dict(space)
     active = [(n, d) for n, d in space if not d.is_constant]
     pinned = {n: d.args[0] for n, d in space if d.is_constant}
 
     if not active:
         raise SamplerError("parameter space has no non-constant parameters")
 
+    active_dists = [dist for _, dist in active]
     if spec.variant in ("mc", "halton"):
-        d = len(active)
         if spec.variant == "mc":
             rng = np.random.Generator(np.random.Philox(key=spec.seed))
-            u = _open_unit(rng.random((spec.n, d)))
+            u = rng.random((spec.n, len(active)))
         else:
-            u = halton_sequence(spec.n, d, spec.skip)
-            u = _open_unit(u)
-        sets = []
-        for row in u:
-            params = dict(pinned)
-            for (name, dist), ui in zip(active, row):
-                params[name] = dist.quantile(float(ui))
-            sets.append({n: params[n] for n in names})
-        return sets, None
-
-    # quadrature plans
-    active_dists = [dist for _, dist in active]
-    grid = stage_grid(spec, active_dists)
+            u = halton_sequence(spec.n, len(active), spec.skip)
+        u = _open_unit(u)
+        physical = np.column_stack([dist.quantile(u[:, i]) for i, dist in enumerate(active_dists)])
+        weights = None
+    else:
+        grid = stage_grid(spec, active_dists)
+        physical = to_physical(grid.points, active_dists)
+        weights = grid.weights.tolist()
     sets = []
-    for row in to_physical(grid.points, active_dists).tolist():
+    for row in physical.tolist():
         params = dict(pinned)
         params.update(zip((name for name, _ in active), row))
         sets.append({n: params[n] for n in names})
-    return sets, grid.weights.tolist()
+    return sets, weights

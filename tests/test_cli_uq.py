@@ -20,6 +20,13 @@ else:
     shutil.copy("input.json", "out.csv")
 """
 
+FAIL_RUN_2 = """
+import pathlib, shutil, sys
+if pathlib.Path.cwd().name == "run_000002":
+    sys.exit(1)
+shutil.copy("input.json", "out.csv")
+"""
+
 
 def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
     """`uq init` and an MC stage; the app echoes `a` into `out.csv` as `y`."""
@@ -82,6 +89,52 @@ class TestRunCores:
                             lambda campaign, plan: plans.append(plan) or executors.RunSummary())
         assert uq.main(["run", "--workdir", wd, *argv]) == uq.EXIT_OK
         assert [(p.cores, p.cores_per_run) for p in plans] == [(cores, per_run)]
+
+
+class TestStageArgument:
+    def test_run_of_an_unknown_stage_is_a_usage_error(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "halton", "--n", "3"]) == 0
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd, "--stage", "9"]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "uq: no stage 9\n")
+        assert set(statuses(wd).values()) == {"NEW"}
+
+    @pytest.mark.parametrize("stage", ["9", "0"])
+    def test_analyze_of_an_unknown_stage_is_a_usage_error(self, tmp_path, capsys, stage):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y",
+                        "--stage", stage]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"uq: no stage {stage}\n")
+
+    def test_run_of_one_stage_leaves_another_stages_failure_alone(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=3, script=FAIL_RUN_2)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "halton", "--n", "2"]) == 0
+        assert uq.main(["run", "--workdir", wd, "--stage", "2"]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["status", "--workdir", wd]) == uq.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            "  stage 1: mc n=3 [FAILED=1, COLLATED=2]",
+            "  stage 2: halton n=2 [COLLATED=2]",
+        ]
+        with Campaign.open(wd) as campaign:
+            assert campaign.store.run(2)["attempts"] == 0
+
+
+class TestAnalyze:
+    def test_mc_stage_prints_a_plain_final_mean(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_OK
+        line, report = capsys.readouterr().out.splitlines()
+        doc = json.loads(Path(report.removeprefix("report: ")).read_text())
+        assert line == f"qoi 'y': n=4 final mean={doc['mean'][-1]!r}"
 
 
 class TestSample:

@@ -83,6 +83,6 @@ def test_json_round_trip():
 def test_quantile_array_matches_scalar():
     d = normal(2.0, 0.5)
     us = [0.01, 0.2, 0.5, 0.8, 0.99]
-    vec = d.quantile_array(us)
+    vec = d.quantile(us)
     for u, v in zip(us, vec):
         assert v == pytest.approx(d.quantile(u), abs=1e-12)

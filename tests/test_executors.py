@@ -277,6 +277,58 @@ class TestEngine:
         assert campaign.store.load_frame("y")[1] == []
 
 
+    def test_a_second_call_retries_a_run_the_first_left_submitted(self, tmp_path,
+                                                                   monkeypatch):
+        # run 2 is stopped while it executes; no resume between the calls
+        hold = tmp_path / "hold"
+        hold.write_text("")
+        campaign = script_campaign(tmp_path, HOLD_RUN_2.format(hold=str(hold)), n_runs=4)
+        set_status = campaign.store.set_status
+
+        def interrupted_as_run_2_starts(run_id, status, *args, **kwargs):
+            set_status(run_id, status, *args, **kwargs)
+            if (run_id, status) == (2, "SUBMITTED"):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign.store, "set_status", interrupted_as_run_2_starts)
+        with pytest.raises(KeyboardInterrupt):
+            execute_campaign(campaign, RunPlan())
+        monkeypatch.undo()
+        assert campaign.store.run(2)["status"] == "SUBMITTED"
+        hold.unlink()
+        summary = execute_campaign(campaign, RunPlan())
+        assert summary.ok
+        assert summary.executed == 3   # run 2 again, and runs 3 and 4
+        assert campaign.store.status_counts()["COLLATED"] == 4
+        assert campaign.store.run(2)["attempts"] == 1
+
+    def test_a_second_call_collates_output_the_first_left(self, tmp_path, monkeypatch):
+        # run 1 ends well, then the engine stops before it commits the end
+        campaign = echo_campaign(tmp_path, n_runs=4)
+        collate = campaign.collate
+
+        def interrupted_before_collating(run_id):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(campaign, "collate", interrupted_before_collating)
+        with pytest.raises(KeyboardInterrupt):
+            execute_campaign(campaign, RunPlan())
+        monkeypatch.setattr(campaign, "collate", collate)
+        assert campaign.store.run(1)["status"] == "SUBMITTED"
+        summary = execute_campaign(campaign, RunPlan())
+        assert summary.ok
+        assert summary.executed == 3   # run 1 is collated from its output, not run again
+        assert campaign.store.status_counts()["COLLATED"] == 4
+        assert campaign.store.run(1)["attempts"] == 0
+
+
+HOLD_RUN_2 = """
+import pathlib, shutil, time
+if pathlib.Path.cwd().name == "run_000002" and pathlib.Path({hold!r}).exists():
+    time.sleep(60)
+shutil.copy("input.json", "out.csv")
+"""
+
 FAIL_WITH_OUTPUT_THEN_SLEEP = """
 import pathlib, sys, time
 if pathlib.Path("failed-once").exists():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from uqpilot.errors import SamplerError
@@ -56,6 +57,26 @@ class TestHalton:
         tail = halton_sequence(2, 2, skip=2)
         full = halton_sequence(4, 2, skip=0)
         assert tail.tolist() == full[2:].tolist()
+
+    @pytest.mark.parametrize("spec", [SamplerSpec("mc", n=500, seed=3),
+                                      SamplerSpec("halton", n=300, skip=7)],
+                             ids=["mc", "halton"])
+    def test_column_draws_equal_a_per_element_loop(self, spec):
+        space = [("a", uniform(3, 7)), ("b", normal(2, 0.5)), ("c", constant(1.5)),
+                 ("d", uniform(-1, 1))]
+        active = [(name, dist) for name, dist in space if not dist.is_constant]
+        if spec.variant == "mc":
+            u = np.random.Generator(np.random.Philox(key=spec.seed)).random((spec.n, 3))
+            u[u == 0.0] = np.nextafter(0.0, 1.0)
+        else:
+            u = halton_sequence(spec.n, 3, spec.skip)
+        expected = []
+        for row in u:
+            params = {name: float(dist.quantile(float(ui))) for (name, dist), ui in zip(active, row)}
+            expected.append([params.get(name, 1.5) for name, _ in space])
+        sets, _ = draw(space, spec)
+        assert [list(s.values()) for s in sets] == expected
+        assert all(type(v) is float for s in sets for v in s.values())
 
     def test_draw_maps_through_quantiles(self):
         space = [("a", uniform(10, 20))]

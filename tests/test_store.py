@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import uniform_param, write_config
 from uqpilot.campaign.config import load_config
+from uqpilot.campaign.ops import Campaign
 from uqpilot.campaign.store import ALLOWED_TRANSITIONS, CampaignStore, IllegalTransition
 from uqpilot.errors import StoreCorrupt
 
@@ -20,6 +21,23 @@ def make_store(tmp_path, n_params: int = 1) -> CampaignStore:
     template = "".join(f"{p['name']}=${p['name']}\n" for p in params)
     cfg = write_config(tmp_path, params, template, ["true"])
     return CampaignStore.create(tmp_path / "camp", load_config(cfg))
+
+
+def make_campaign(tmp_path) -> Campaign:
+    """A one-parameter campaign whose runs write `y` to `out.csv`."""
+    cfg = write_config(tmp_path, [uniform_param("a", 0, 1)], TEMPLATE, ["true"],
+                       decoder={"output_relpath": "out.csv", "format": "csv",
+                                "qoi_columns": ["y"]})
+    return Campaign.create(cfg, tmp_path / "camp")
+
+
+def submit(campaign: Campaign, run_id: int, output: list[float] | None = None):
+    """Encode the run and mark it SUBMITTED; `output` is the `y` column its
+    attempt wrote before the engine was interrupted."""
+    run_dir = campaign.encode(run_id)
+    campaign.store.set_status(run_id, "SUBMITTED")
+    if output is not None:
+        (run_dir / "out.csv").write_text("y\n" + "".join(f"{v}\n" for v in output))
 
 
 def add_mc_stage(store: CampaignStore, n: int, seed: int = 0):
@@ -49,7 +67,7 @@ class TestLifecycle:
         store.set_status(1, "ENCODED")
         store.set_status(1, "SUBMITTED")
         store.set_status(1, "FAILED")
-        store.set_status(1, "ENCODED", bump_attempts=True)
+        store.set_status(1, "ENCODED")
         assert store.run(1)["attempts"] == 1
 
     @given(ops=st.lists(st.sampled_from(
@@ -61,15 +79,18 @@ class TestLifecycle:
         store = make_store(tmp)
         add_mc_stage(store, 1)
         state = "NEW"
+        retries = 0
         for target in ops:
             if target in ALLOWED_TRANSITIONS[state]:
                 store.set_status(1, target)
+                retries += (state, target) == ("FAILED", "ENCODED")
                 state = target
             else:
                 with pytest.raises(IllegalTransition):
                     store.set_status(1, target)
                 assert store.run(1)["status"] == state
         assert store.run(1)["status"] == state
+        assert store.run(1)["attempts"] == retries
         store.close()
 
 
@@ -93,44 +114,37 @@ class TestStagedSampling:
 
 class TestIntegrity:
     def test_fresh_resume_all_zeros(self, tmp_path):
-        store = make_store(tmp_path)
-        summary = store.resume(recover=None)
+        campaign = make_campaign(tmp_path)
+        summary = campaign.resume()
         assert summary["retry"] == 0
         assert summary["collated"] == 0
 
     def test_resume_partition(self, tmp_path):
-        store = make_store(tmp_path)
+        campaign = make_campaign(tmp_path)
+        store = campaign.store
         add_mc_stage(store, 12)
         for rid in range(1, 13):
-            store.set_status(rid, "ENCODED")
-            store.set_status(rid, "SUBMITTED")
+            submit(campaign, rid)
         for rid in range(1, 11):
             store.set_status(rid, "COMPLETED")
             store.insert_qoi(rid, None, {"y": [1.0]})
         for rid in (11, 12):
             store.set_status(rid, "FAILED")
-        summary = store.resume(recover=None)
+        summary = campaign.resume()
         assert summary["collated"] == 10
         assert summary["retry"] == 2
         assert len(store.runs(status="ENCODED")) == 2
         assert all(r["attempts"] == 1 for r in store.runs(status="ENCODED"))
 
     def test_resume_recovers_submitted_runs_by_their_output(self, tmp_path):
-        from uqpilot.errors import DecodeError
-
-        store = make_store(tmp_path)
+        campaign = make_campaign(tmp_path)
+        store = campaign.store
         add_mc_stage(store, 4)
+        outputs = {1: [1.0], 2: [2.0], 3: [3.0, 4.0]}   # run 4 wrote none
         for rid in range(1, 5):
-            store.set_status(rid, "ENCODED", run_dir=f"run{rid}")
-            store.set_status(rid, "SUBMITTED")
-        outputs = {"run1": [1.0], "run2": [2.0], "run3": [3.0, 4.0]}   # run4 wrote none
+            submit(campaign, rid, outputs.get(rid))
 
-        def recover(run_dir):
-            if run_dir not in outputs:
-                raise DecodeError(f"no output in {run_dir}")
-            return None, {"y": outputs[run_dir]}
-
-        summary = store.resume(recover)
+        summary = campaign.resume()
         assert (summary["recovered"], summary["retry"]) == (3, 1)
         rows = {r["run_id"]: r for r in store.runs()}
         assert [rows[rid]["status"] for rid in range(1, 5)] == [

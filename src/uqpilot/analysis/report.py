@@ -1,4 +1,9 @@
-"""Analysis report serialization: full JSON plus a flat CSV."""
+"""Analysis report documents and their serialization.
+
+A quadrature stage's Sobol report becomes full JSON plus a flat CSV, an
+MC stage's moments JSON alone. `write_json` is the one JSON format of
+every report the `uq` command writes.
+"""
 
 from __future__ import annotations
 
@@ -36,8 +41,27 @@ def report_to_json(report: SobolReport) -> dict:
     return doc
 
 
-def write_json(report: SobolReport, path: str | Path, qoi: str):
-    doc = {"qoi": qoi, **report_to_json(report)}
+def sobol_document(report: SobolReport, qoi: str) -> dict:
+    return {"qoi": qoi, **report_to_json(report)}
+
+
+def mc_document(result: dict, qoi: str, stage_id: int) -> dict:
+    """Moments and bootstrap intervals of an MC stage (`analyze_mc_stage`)."""
+    return {
+        "qoi": qoi,
+        "stage": stage_id,
+        "n_runs": result["n_runs"],
+        "index": None if result["index"] is None else list(result["index"]),
+        "mean": [float(v) for v in result["mean"]],
+        "variance": [float(v) for v in result["variance"]],
+        "mean_ci": [
+            {"lower": ci.lower, "upper": ci.upper, "point": ci.point}
+            for ci in result["mean_ci"]
+        ],
+    }
+
+
+def write_json(doc: dict, path: str | Path):
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

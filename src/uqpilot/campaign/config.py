@@ -216,6 +216,8 @@ def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc, base_dir=path.parent)

@@ -1,4 +1,11 @@
-"""The `pj` command: serve a pilot manager and talk to a running one."""
+"""The `pj` command: serve a pilot manager and talk to a running one.
+
+Subcommands parse, call the manager and print; `main` alone maps errors
+to the exit codes: 0 success; 1 a served workload with jobs that did not
+succeed; 2 usage problems, which is every `UqError`: a bad batch file or
+job, a socket that cannot be bound, no manager listening at `--manager`,
+or a request the manager refused.
+"""
 
 from __future__ import annotations
 
@@ -51,33 +58,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(args) -> int:
-    from uqpilot.errors import BindError, ParseError, ValidationError
     from uqpilot.pilotjob.jobs import Allocation
     from uqpilot.pilotjob.manager import run_batch, serve_socket
 
-    try:
-        if args.batch:
-            report = run_batch(
-                args.batch, workdir=args.workdir, clock=args.clock,
-                report_path=args.report,
-            )
-        elif args.socket:
-            if args.allocation_cores:
-                allocation = (
-                    Allocation.virtual(args.allocation_cores)
-                    if args.virtual
-                    else Allocation.local(args.allocation_cores)
-                )
-            else:
-                allocation = Allocation.local()
-            report = serve_socket(
-                allocation, workdir=args.workdir, clock=args.clock,
-                report_path=args.report,
-            )
-        else:
-            return _fail("serve needs --batch FILE or --socket")
-    except (ParseError, ValidationError, BindError) as exc:
-        return _fail(str(exc))
+    if args.batch:
+        report = run_batch(args.batch, workdir=args.workdir, clock=args.clock,
+                           report_path=args.report)
+    elif args.socket:
+        cores = args.allocation_cores   # local() detects the cores when None
+        allocation = Allocation.virtual(cores) if args.virtual and cores else Allocation.local(cores)
+        report = serve_socket(allocation, workdir=args.workdir, clock=args.clock,
+                              report_path=args.report)
+    else:
+        return _fail("serve needs --batch FILE or --socket")
     if report is None:
         return EXIT_OK
     failed = sum(1 for j in report["jobs"] if j["status"] != "SUCCEEDED")
@@ -88,20 +81,20 @@ def cmd_serve(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAILURES
 
 
-def _client(manager: str):
+def _call(manager: str, cmd: str, payload: dict | None = None) -> dict:
+    """One request to the manager at `manager` (workdir or socket path)."""
     from uqpilot.pilotjob.manager import discover
     from uqpilot.pilotjob.protocol import PjClient
 
-    return PjClient(discover(manager))
+    with PjClient(discover(manager)) as client:
+        return client.call(cmd, payload)
 
 
 def cmd_submit(args) -> int:
-    from uqpilot.errors import UqError
-
     command = args.job_command
     if command and command[0] == "--":
         command = command[1:]
-    payload = {
+    data = _call(args.manager, "submit", {
         "name": args.name,
         "command": command,
         "cores": args.cores,
@@ -109,48 +102,25 @@ def cmd_submit(args) -> int:
         "after": args.after,
         "workdir": args.job_workdir,
         "duration": args.duration,
-    }
-    try:
-        with _client(args.manager) as client:
-            data = client.call("submit", payload)
-    except UqError as exc:
-        return _fail(str(exc))
+    })
     print(data["name"])
     return EXIT_OK
 
 
 def cmd_status(args) -> int:
-    from uqpilot.errors import UqError
-
-    try:
-        with _client(args.manager) as client:
-            data = client.call("status", {"name": args.name} if args.name else {})
-    except UqError as exc:
-        return _fail(str(exc))
+    data = _call(args.manager, "status", {"name": args.name} if args.name else {})
     print(json.dumps(data, indent=2))
     return EXIT_OK
 
 
 def cmd_cancel(args) -> int:
-    from uqpilot.errors import UqError
-
-    try:
-        with _client(args.manager) as client:
-            data = client.call("cancel", {"name": args.name})
-    except UqError as exc:
-        return _fail(str(exc))
+    data = _call(args.manager, "cancel", {"name": args.name})
     print(f"{data['name']}: {data['status']}")
     return EXIT_OK
 
 
 def cmd_finish(args) -> int:
-    from uqpilot.errors import UqError
-
-    try:
-        with _client(args.manager) as client:
-            data = client.call("finish")
-    except UqError as exc:
-        return _fail(str(exc))
+    data = _call(args.manager, "finish")
     print(
         f"finished: jobs={data['jobs']} makespan={data['makespan']:.3f}s "
         f"overhead={data['overhead']:.3f}s"
@@ -168,8 +138,13 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from uqpilot.errors import UqError
+
     args = build_parser().parse_args(argv)
-    return HANDLERS[args.command](args)
+    try:
+        return HANDLERS[args.command](args)
+    except UqError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

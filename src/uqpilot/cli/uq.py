@@ -1,7 +1,10 @@
 """The `uq` command: init, sample, run, collate, analyze, validate, status, resume.
 
-Exit codes are a published contract: 0 success, 1 run failures,
-2 usage/config problems, 3 refusals, 4 store corruption.
+Subcommands parse, call the library and print; `main` alone maps errors
+to the published exit codes: 0 success; 1 run failures, including
+`MissingRunError` (analysis or validation over runs not collated); 2
+usage and configuration problems, which is every other `UqError`; 3
+refusals (`init` into a non-empty workdir); 4 `StoreCorrupt`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import shutil
 import sys
 import time
 from pathlib import Path
+
+from uqpilot.campaign.ops import Campaign
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
@@ -78,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default="final", help="time index, 'final', or 'flat'")
     p.add_argument("--scorer", nargs="+", default=["mare"],
                    help="'mare' or an external command")
-    p.add_argument("--aggregator", default="mean",
-                   choices=["mean", "weighted_mean", "max"])
+    p.add_argument("--aggregator", default="mean", choices=["mean", "max"])
 
     p = sub.add_parser("status", help="status counts per stage")
     p.add_argument("--workdir", required=True)
@@ -93,75 +97,51 @@ def build_parser() -> argparse.ArgumentParser:
 # --- helpers -------------------------------------------------------------
 
 
-def _open_campaign(workdir: str):
-    from uqpilot.campaign.ops import Campaign
-
-    return Campaign.open(workdir)
-
-
 def _unknown_stage(store, stage_id: int | None) -> bool:
     return stage_id is not None and stage_id not in {s["stage_id"] for s in store.stages()}
 
 
-def _reports_dir(workdir: str) -> Path:
-    path = Path(workdir) / "reports"
-    path.mkdir(exist_ok=True)
-    return path
-
-
-def _publish(path: Path, latest_name: str):
-    """Keep a stable 'latest' alias next to timestamped reports."""
-    latest = path.parent / latest_name
-    latest.unlink(missing_ok=True)
-    try:
-        latest.symlink_to(path.name)
-    except OSError:
-        shutil.copyfile(path, latest)
+def _write_report(workdir: str, stem: str, writers: dict) -> list[Path]:
+    """Write reports/<stem>-<stamp><suffix> with each `writers[suffix]`,
+    one stamp for all, and point reports/<stem>-latest<suffix> at it."""
+    reports = Path(workdir) / "reports"
+    reports.mkdir(exist_ok=True)
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    paths = []
+    for suffix, write in writers.items():
+        path = reports / f"{stem}-{stamp}{suffix}"
+        write(path)
+        latest = reports / f"{stem}-latest{suffix}"
+        latest.unlink(missing_ok=True)
+        try:
+            latest.symlink_to(path.name)
+        except OSError:
+            shutil.copyfile(path, latest)
+        paths.append(path)
+    return paths
 
 
 # --- subcommands ----------------------------------------------------------
 
 
 def cmd_init(args) -> int:
-    from uqpilot.campaign.ops import Campaign
-    from uqpilot.errors import ConfigError, TemplateError
-
-    config = Path(args.config)
-    if not config.is_file():
-        return _fail(EXIT_USAGE, f"config file not found: {config}")
     workdir = Path(args.workdir)
     if workdir.exists() and any(workdir.iterdir()) and not args.force:
         return _fail(EXIT_REFUSED, f"workdir {workdir} is not empty (use --force)")
-    try:
-        campaign = Campaign.create(config, workdir)
-    except (ConfigError, TemplateError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    print(campaign.store.path)
-    campaign.close()
+    with Campaign.create(args.config, workdir) as campaign:
+        print(campaign.store.path)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    from uqpilot.errors import SamplerError, SizeError
     from uqpilot.sampling.samplers import SamplerSpec
 
-    growth = args.growth or ("exp2" if args.sparse else "linear")
-    try:
-        if args.sampler == "mc":
-            spec = SamplerSpec("mc", n=args.n, seed=args.seed)
-        elif args.sampler == "halton":
-            spec = SamplerSpec("halton", n=args.n, skip=args.skip)
-        elif args.sampler == "sc":
-            spec = SamplerSpec("sc", level=args.level, growth=growth, sparse=args.sparse)
-        else:
-            spec = SamplerSpec("pce", order=args.order, growth=growth)
-        with _open_campaign(args.workdir) as campaign:
-            stage_id = campaign.add_stage(spec)
-            rows = campaign.store.runs(stage_id=stage_id)
-            if args.dump_grid:
-                _dump_grid(campaign, rows, args.dump_grid)
-    except (SamplerError, SizeError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    spec = SamplerSpec.from_json({"variant": args.sampler, **vars(args)})
+    with Campaign.open(args.workdir) as campaign:
+        stage_id = campaign.add_stage(spec)
+        rows = campaign.store.runs(stage_id=stage_id)
+        if args.dump_grid:
+            _dump_grid(campaign, rows, args.dump_grid)
     print(f"stage {stage_id}: {len(rows)} runs")
     return EXIT_OK
 
@@ -183,7 +163,6 @@ def _dump_grid(campaign, rows, out_path: str):
 
 
 def cmd_run(args) -> int:
-    from uqpilot.errors import ExecutorError
     from uqpilot.executors import RunPlan, execute_campaign
     from uqpilot.pilotjob.jobs import detected_cores
 
@@ -192,12 +171,9 @@ def cmd_run(args) -> int:
         cores = detected_cores() if args.allocation_cores is None else args.allocation_cores
     elif args.allocation_cores is not None:
         return _fail(EXIT_USAGE, "--allocation-cores needs --executor pilotjob")
-    try:
-        plan = RunPlan(cores=cores, cores_per_run=args.cores_per_run,
-                       retries=args.retries, stage_id=args.stage)
-    except ExecutorError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    with _open_campaign(args.workdir) as campaign:
+    plan = RunPlan(cores=cores, cores_per_run=args.cores_per_run,
+                   retries=args.retries, stage_id=args.stage)
+    with Campaign.open(args.workdir) as campaign:
         if _unknown_stage(campaign.store, args.stage):
             return _fail(EXIT_USAGE, f"no stage {args.stage}")
         summary = execute_campaign(campaign, plan)
@@ -213,7 +189,7 @@ def cmd_run(args) -> int:
 
 def cmd_collate(args) -> int:
     failures = 0
-    with _open_campaign(args.workdir) as campaign:
+    with Campaign.open(args.workdir) as campaign:
         for row in campaign.store.runs(status="COMPLETED"):
             error = campaign.collate(row["run_id"])
             if error:
@@ -230,10 +206,15 @@ def cmd_analyze(args) -> int:
         analyze_quadrature_stage,
         stage_sampler,
     )
-    from uqpilot.analysis.report import format_final_table, write_csv, write_json
-    from uqpilot.errors import MissingRunError, SamplerError
+    from uqpilot.analysis.report import (
+        format_final_table,
+        mc_document,
+        sobol_document,
+        write_csv,
+        write_json,
+    )
 
-    with _open_campaign(args.workdir) as campaign:
+    with Campaign.open(args.workdir) as campaign:
         store = campaign.store
         if _unknown_stage(store, args.stage):
             return _fail(EXIT_USAGE, f"no stage {args.stage}")
@@ -246,146 +227,86 @@ def cmd_analyze(args) -> int:
                 EXIT_USAGE,
                 f"unknown qoi {args.qoi!r}; available: {', '.join(qois) or '(none)'}",
             )
-        spec = stage_sampler(store, stage_id)
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        reports = _reports_dir(args.workdir)
-        try:
-            if spec.is_quadrature:
-                report = analyze_quadrature_stage(store, stage_id, args.qoi)
-                json_path = reports / f"analysis-{args.qoi}-{stamp}.json"
-                csv_path = reports / f"analysis-{args.qoi}-{stamp}.csv"
-                write_json(report, json_path, args.qoi)
-                write_csv(report, csv_path)
-                _publish(json_path, f"analysis-{args.qoi}-latest.json")
-                _publish(csv_path, f"analysis-{args.qoi}-latest.csv")
-                print(format_final_table(report, args.qoi))
-                print(f"reports: {json_path} {csv_path}")
-            else:
-                doc = analyze_mc_stage(
-                    store, stage_id, args.qoi, allow_missing=args.allow_missing
-                )
-                if doc["missing"]:
-                    print(
-                        f"uq: warning: {len(doc['missing'])} runs missing from stage "
-                        f"{stage_id}", file=sys.stderr,
-                    )
-                json_path = reports / f"analysis-{args.qoi}-{stamp}.json"
-                payload = {
-                    "qoi": args.qoi,
-                    "stage": stage_id,
-                    "n_runs": doc["n_runs"],
-                    "index": None if doc["index"] is None else list(doc["index"]),
-                    "mean": [float(v) for v in doc["mean"]],
-                    "variance": [float(v) for v in doc["variance"]],
-                    "mean_ci": [
-                        {"lower": ci.lower, "upper": ci.upper, "point": ci.point}
-                        for ci in doc["mean_ci"]
-                    ],
-                }
-                json_path.write_text(json.dumps(payload, indent=2) + "\n")
-                _publish(json_path, f"analysis-{args.qoi}-latest.json")
-                final = payload["mean"][-1]
-                print(f"qoi {args.qoi!r}: n={doc['n_runs']} final mean={final!r}")
-                print(f"report: {json_path}")
-        except MissingRunError as exc:
-            return _fail(EXIT_RUN_FAILURES, str(exc))
-        except SamplerError as exc:
-            return _fail(EXIT_USAGE, str(exc))
+        stem = f"analysis-{args.qoi}"
+        if stage_sampler(store, stage_id).is_quadrature:
+            report = analyze_quadrature_stage(store, stage_id, args.qoi)
+            doc = sobol_document(report, args.qoi)
+            json_path, csv_path = _write_report(args.workdir, stem, {
+                ".json": lambda path: write_json(doc, path),
+                ".csv": lambda path: write_csv(report, path),
+            })
+            print(format_final_table(report, args.qoi))
+            print(f"reports: {json_path} {csv_path}")
+        else:
+            result = analyze_mc_stage(store, stage_id, args.qoi,
+                                      allow_missing=args.allow_missing)
+            if result["missing"]:
+                print(f"uq: warning: {len(result['missing'])} runs missing from stage "
+                      f"{stage_id}", file=sys.stderr)
+            doc = mc_document(result, args.qoi, stage_id)
+            (path,) = _write_report(args.workdir, stem,
+                                    {".json": lambda path: write_json(doc, path)})
+            print(f"qoi {args.qoi!r}: n={doc['n_runs']} final mean={doc['mean'][-1]!r}")
+            print(f"report: {path}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
+    import dataclasses
+
     import numpy as np
 
-    from uqpilot.errors import BinningError, DomainError, EmptyInput, ScorerError
+    from uqpilot.analysis.report import write_json
     from uqpilot.vvp.distances import EmpiricalDist
     from uqpilot.vvp.patterns import (
-        METRICS,
+        ensemble_distribution,
         ensemble_validate,
         validate_similarity,
     )
 
-    with _open_campaign(args.workdir) as campaign:
+    if args.pattern == "similarity" and not args.qoi:
+        return _fail(EXIT_USAGE, "similarity validation needs --qoi")
+    if args.pattern == "ensemble" and args.scorer == ["mare"] and not (args.qoi and args.reference):
+        return _fail(EXIT_USAGE, "mare scorer needs --qoi and --reference")
+    with Campaign.open(args.workdir) as campaign:
         store = campaign.store
-        reports = _reports_dir(args.workdir)
-        stamp = time.strftime("%Y%m%d-%H%M%S")
         if args.pattern == "similarity":
-            if args.metric not in METRICS:
-                return _fail(
-                    EXIT_USAGE,
-                    f"unknown metric {args.metric!r}; choose from {{{', '.join(METRICS)}}}",
-                )
-            if not args.qoi:
-                return _fail(EXIT_USAGE, "similarity validation needs --qoi")
             if args.reference:
-                ref_values = _read_reference(args.reference, args.qoi)
-                if ref_values is None:
-                    return _fail(EXIT_USAGE, f"reference lacks column {args.qoi!r}")
-                reference = EmpiricalDist.from_samples(ref_values)
+                reference = EmpiricalDist.from_samples(_read_reference(args.reference, args.qoi))
             else:
-                from uqpilot.vvp.patterns import ensemble_distribution
-
                 reference = ensemble_distribution(store, args.qoi, args.at)
-            try:
-                result = validate_similarity(
-                    store, [args.qoi], reference, args.metric, at=args.at
-                )
-            except (BinningError, EmptyInput, DomainError) as exc:
-                return _fail(EXIT_USAGE, str(exc))
-            doc = {
-                "pattern": "similarity",
-                "metric": result.metric,
-                "distance": result.distance,
-                "per_qoi": result.per_qoi,
-            }
+            result = validate_similarity(store, [args.qoi], reference, args.metric, at=args.at)
             print(f"{result.metric} distance: {result.distance:.6g}")
         else:
-            scorer = args.scorer[0] if args.scorer == ["mare"] else args.scorer
-            reference = None
-            if scorer == "mare":
-                if not (args.qoi and args.reference):
-                    return _fail(EXIT_USAGE, "mare scorer needs --qoi and --reference")
-                ref = _read_reference(args.reference, args.qoi)
-                if ref is None:
-                    return _fail(EXIT_USAGE, f"reference lacks column {args.qoi!r}")
-                reference = np.asarray(ref)
-            try:
-                score = ensemble_validate(
-                    store,
-                    scorer,
-                    aggregator=args.aggregator,
-                    qoi=args.qoi,
-                    reference=reference,
-                )
-            except (ScorerError, DomainError, EmptyInput) as exc:
-                return _fail(EXIT_USAGE, str(exc))
-            doc = {
-                "pattern": "ensemble",
-                "scorer": score.scorer,
-                "aggregator": score.aggregator,
-                "aggregate": score.aggregate,
-                "per_run": {str(k): v for k, v in score.per_run.items()},
-            }
-            print(f"aggregate ({score.aggregator}): {score.aggregate:.6g}")
-        path = reports / f"validation-{args.pattern}-{stamp}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-        _publish(path, f"validation-{args.pattern}-latest.json")
+            mare = args.scorer == ["mare"]
+            reference = np.asarray(_read_reference(args.reference, args.qoi)) if mare else None
+            result = ensemble_validate(store, "mare" if mare else args.scorer,
+                                       aggregator=args.aggregator, qoi=args.qoi,
+                                       reference=reference)
+            print(f"aggregate ({result.aggregator}): {result.aggregate:.6g}")
+        doc = {"pattern": args.pattern, **dataclasses.asdict(result)}
+        (path,) = _write_report(args.workdir, f"validation-{args.pattern}",
+                                {".json": lambda path: write_json(doc, path)})
         print(f"report: {path}")
     return EXIT_OK
 
 
-def _read_reference(path: str, qoi: str):
+def _read_reference(path: str, qoi: str) -> list[float]:
     import csv
 
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or qoi not in rows[0]:
-        return None
-    return [float(r[qoi]) for r in rows]
+    from uqpilot.errors import ParseError
+
+    try:
+        with open(path, newline="") as fh:
+            return [float(row[qoi]) for row in csv.DictReader(fh)]
+    except KeyError as exc:
+        raise ParseError(f"reference lacks column {qoi!r}") from exc
+    except (OSError, csv.Error, TypeError, ValueError) as exc:
+        raise ParseError(f"cannot read reference {path}: {exc}") from exc
 
 
 def cmd_status(args) -> int:
-    with _open_campaign(args.workdir) as campaign:
+    with Campaign.open(args.workdir) as campaign:
         doc = campaign.describe()
     print(f"campaign {doc['name']!r} ({len(doc['parameters'])} parameters)")
     for stage in doc["stages"]:
@@ -400,7 +321,7 @@ def cmd_status(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    with _open_campaign(args.workdir) as campaign:
+    with Campaign.open(args.workdir) as campaign:
         summary = campaign.resume()
     print(json.dumps(summary))
     return EXIT_OK
@@ -419,13 +340,17 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from uqpilot.errors import StoreCorrupt
+    from uqpilot.errors import MissingRunError, StoreCorrupt, UqError
 
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
     except StoreCorrupt as exc:
         return _fail(EXIT_CORRUPT, f"{exc} (store may need manual recovery)")
+    except MissingRunError as exc:
+        return _fail(EXIT_RUN_FAILURES, str(exc))
+    except UqError as exc:
+        return _fail(EXIT_USAGE, str(exc))
 
 
 if __name__ == "__main__":

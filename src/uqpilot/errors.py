@@ -76,7 +76,8 @@ class ScorerError(UqError):
 # --- pilot job ----------------------------------------------------------
 
 class ParseError(UqError):
-    """Malformed batch file or protocol message."""
+    """Unreadable input (a batch or reference file, a protocol message), or
+    no manager to exchange messages with."""
 
 
 class BindError(UqError):

@@ -2,7 +2,9 @@
 
 The socket is `pj.sock` in the manager's workdir. It is made mode 0600
 before the server listens, so only the user who started the manager can
-connect, and it is removed when the server closes.
+connect, and it is removed when the server closes. A manager killed
+before it could close leaves the socket behind; the next server replaces
+a socket that refuses connections, and refuses one a manager listens on.
 
 Requests:  {"id": ..., "cmd": "submit"|"status"|"cancel"|"resources"|"finish",
             "payload": {...}}
@@ -42,6 +44,21 @@ _ERROR_CODES = {
     AlreadyTerminal: "already-terminal",
     ParseError: "parse",
 }
+
+
+def _refuses_connections(path: Path) -> bool:
+    """True for a socket file no process listens on."""
+    if not path.is_socket():
+        return False
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        probe.settimeout(1.0)
+        try:
+            probe.connect(str(path))
+        except ConnectionRefusedError:
+            return True
+        except OSError:     # busy, or not ours to connect to: leave it to bind
+            pass
+    return False
 
 
 def _error_doc(req_id, exc: Exception) -> dict:
@@ -89,6 +106,8 @@ class ManagerServer:
                 if self.bound:   # never remove a socket another manager bound
                     os.unlink(self.server_address)
 
+        if _refuses_connections(self.path):
+            self.path.unlink()
         try:
             self._server = Server(str(self.path), Handler)
         except OSError as exc:
@@ -173,9 +192,9 @@ class PjClient:
         self._sock.settimeout(timeout)
         try:
             self._sock.connect(str(path))
-        except OSError:
+        except OSError as exc:
             self._sock.close()
-            raise
+            raise ParseError(f"no manager listening at {path}") from exc
         self._timeout = timeout
         self._file = self._sock.makefile("rwb")
         self._next_id = itertools.count(1)

@@ -68,18 +68,26 @@ class SamplerSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SamplerSpec":
+        """Parse a stored sampler document, or `uq sample`'s options.
+
+        Fields the variant does not use are ignored, and a missing one
+        raises SamplerError. Without a growth rule, a sparse grid takes
+        exp2 and any other grid linear.
+        """
         kind = doc.get("variant")
-        if kind == "mc":
-            return cls("mc", n=int(doc["n"]), seed=int(doc["seed"]))
-        if kind == "halton":
-            return cls("halton", n=int(doc["n"]), skip=int(doc.get("skip", 0)))
-        if kind == "sc":
-            return cls("sc", level=int(doc["level"]),
-                       growth=str(doc.get("growth", "linear")),
-                       sparse=bool(doc.get("sparse", False)))
-        if kind == "pce":
-            return cls("pce", order=int(doc["order"]),
-                       growth=str(doc.get("growth", "linear")))
+        growth = str(doc.get("growth") or ("exp2" if doc.get("sparse") else "linear"))
+        try:
+            if kind == "mc":
+                return cls("mc", n=int(doc["n"]), seed=int(doc["seed"]))
+            if kind == "halton":
+                return cls("halton", n=int(doc["n"]), skip=int(doc.get("skip", 0)))
+            if kind == "sc":
+                return cls("sc", level=int(doc["level"]), growth=growth,
+                           sparse=bool(doc.get("sparse", False)))
+            if kind == "pce":
+                return cls("pce", order=int(doc["order"]), growth=growth)
+        except KeyError as exc:
+            raise SamplerError(f"{kind} sampler needs {exc}") from exc
         raise SamplerError(f"unknown sampler document {doc!r}")
 
 

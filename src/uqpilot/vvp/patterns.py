@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from uqpilot.vvp.distances import (
 )
 
 METRICS = ("hellinger", "jsd", "wasserstein1")
-AGGREGATORS = ("mean", "weighted_mean", "max")
+AGGREGATORS = ("mean", "max")
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,6 @@ def ensemble_validate(
     aggregator: str = "mean",
     qoi: str | None = None,
     reference: np.ndarray | None = None,
-    weights: dict[int, float] | None = None,
     run_ids: list[int] | None = None,
 ) -> EnsembleScore:
     """Score each collated run and aggregate.
@@ -171,17 +169,7 @@ def ensemble_validate(
         store.record_score(rid, scorer_name, score)
 
     values = np.array([per_run[rid] for rid in sorted(per_run)])
-    if aggregator == "mean":
-        aggregate = float(values.mean())
-    elif aggregator == "max":
-        aggregate = float(values.max())
-    else:
-        if weights is None:
-            raise DomainError("weighted_mean needs per-run weights")
-        w = np.array([weights[rid] for rid in sorted(per_run)], dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise DomainError("weights must be non-negative with positive sum")
-        aggregate = float(np.sum(w * values) / w.sum())
+    aggregate = float(values.mean() if aggregator == "mean" else values.max())
     return EnsembleScore(
         scorer=scorer_name, aggregator=aggregator, aggregate=aggregate, per_run=per_run
     )

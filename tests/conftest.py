@@ -4,8 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from uqpilot import errors
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMO_CONFIG = REPO_ROOT / "demo" / "covid-demo" / "config.json"
+
+# every toolkit error class, for the tests that pin each CLI's exit codes
+UQ_ERRORS = [cls for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.UqError)]
 
 _terminal = None
 

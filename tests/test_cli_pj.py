@@ -1,13 +1,19 @@
 """Smoke tests of the `pj` command, driven through ``uqpilot.cli.pj.main``."""
 
 import json
+import socket
 import stat
 import threading
 import time
 
+import pytest
+
+from tests.conftest import UQ_ERRORS
 from uqpilot.cli import pj
+from uqpilot.pilotjob.jobs import Allocation
 from uqpilot.pilotjob.manager import REPORT_FILENAME
-from uqpilot.pilotjob.protocol import SOCKET_FILENAME
+from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
+from uqpilot.pilotjob.scheduler import PilotManager
 
 
 def test_serve_batch_simulated(tmp_path, capsys):
@@ -87,3 +93,58 @@ def test_serve_refuses_a_workdir_with_a_socket_left_behind(tmp_path, capsys):
     assert code == pj.EXIT_USAGE
     assert f"cannot bind manager socket {tmp_path / SOCKET_FILENAME}" in capsys.readouterr().err
     assert (tmp_path / SOCKET_FILENAME).exists()
+
+
+def stale_socket(path):
+    """A socket file as a SIGKILLed manager leaves it: bound, then closed."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.bind(str(path))
+    sock.close()
+
+
+def test_clients_of_a_dead_manager_fail_cleanly(tmp_path, capsys):
+    stale_socket(tmp_path / SOCKET_FILENAME)
+    assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == f"pj: no manager listening at {tmp_path / SOCKET_FILENAME}\n"
+
+
+def test_serve_replaces_a_dead_managers_socket(tmp_path, capsys):
+    stale_socket(tmp_path / SOCKET_FILENAME)
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(pj.main(
+        ["serve", "--socket", "--workdir", str(tmp_path), "--allocation-cores", "1",
+         "--virtual"])), daemon=True)
+    server.start()
+    try:
+        deadline = time.time() + 10
+        while pj.main(["status", "--manager", str(tmp_path)]) != pj.EXIT_OK:
+            assert time.time() < deadline
+            time.sleep(0.05)
+        assert pj.main(["finish", "--manager", str(tmp_path)]) == pj.EXIT_OK
+    finally:
+        server.join(timeout=30)
+    assert not server.is_alive()
+    assert codes == [pj.EXIT_OK]
+    assert not (tmp_path / SOCKET_FILENAME).exists()
+
+
+def test_serve_refuses_a_live_managers_socket(tmp_path, capsys):
+    live = ManagerServer(PilotManager(Allocation.virtual(1), workdir=tmp_path)).start()
+    try:
+        code = pj.main(["serve", "--socket", "--workdir", str(tmp_path),
+                        "--allocation-cores", "1", "--virtual"])
+        assert code == pj.EXIT_USAGE
+        assert "cannot bind manager socket" in capsys.readouterr().err
+        assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_OK
+    finally:
+        live.stop()
+
+
+@pytest.mark.parametrize("error", UQ_ERRORS, ids=lambda cls: cls.__name__)
+def test_main_maps_every_error_to_a_usage_exit(monkeypatch, capsys, error):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setitem(pj.HANDLERS, "status", handler)
+    assert pj.main(["status"]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == "pj: boom\n"

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import uniform_param, write_config
-from uqpilot import executors
+from tests.conftest import UQ_ERRORS, uniform_param, write_config
+from uqpilot import errors, executors
 from uqpilot.campaign.ops import Campaign
 from uqpilot.cli import uq
 
@@ -52,6 +52,18 @@ def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
 def statuses(wd) -> dict[int, str]:
     with Campaign.open(wd) as campaign:
         return {row["run_id"]: row["status"] for row in campaign.store.runs()}
+
+
+class TestInit:
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_an_unreadable_config_is_a_usage_error(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        assert uq.main(["init", "--config", str(config),
+                        "--workdir", str(tmp_path / "camp")]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"uq: cannot read config file {config}: ")
+        assert not (tmp_path / "camp").exists()
 
 
 class TestRunCores:
@@ -149,6 +161,18 @@ class TestSample:
             (stage,) = campaign.store.stages()
             assert json.loads(stage["sampler_json"])["growth"] == "exp2"
             assert len(campaign.store.runs()) == 25
+
+
+class TestRun:
+    def test_a_placeholder_added_after_init_is_a_usage_error(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        (tmp_path / "input.template").write_text("y\n$a $b\n")
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("uq: ") and "'b'" in out.err
+        assert set(statuses(wd).values()) == {"NEW"}
 
 
 class TestStatusCollateResume:
@@ -251,6 +275,31 @@ class TestValidate:
         assert doc["aggregate"] == pytest.approx(expected, rel=1e-12)
         assert sorted(doc["per_run"]) == ["1", "2", "3", "4"]
 
+    def test_similarity_before_any_run_is_a_run_failure(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity",
+                        "--qoi", "y"]) == uq.EXIT_RUN_FAILURES
+        assert capsys.readouterr().err == "uq: no collated values for qoi 'y'\n"
+
+    @pytest.mark.parametrize("pattern", ["similarity", "ensemble"])
+    @pytest.mark.parametrize("content", [None, "y\nnot-a-number\n", "z,y\n1,2\n3\n"],
+                             ids=["missing", "unparsable", "short-row"])
+    def test_an_unreadable_reference_is_a_usage_error(self, tmp_path, capsys, pattern,
+                                                      content):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        ref = tmp_path / "ref.csv"
+        if content is not None:
+            ref.write_text(content)
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", pattern, "--qoi", "y",
+                        "--reference", str(ref)]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"uq: cannot read reference {ref}: ")
+        assert not (tmp_path / "camp" / "reports").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--pattern", "similarity", "--qoi", "y", "--metric", "cosine"], "unknown metric"),
         (["--pattern", "similarity"], "needs --qoi"),
@@ -262,3 +311,15 @@ class TestValidate:
         capsys.readouterr()
         assert uq.main(["validate", "--workdir", wd, *argv]) == uq.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", UQ_ERRORS, ids=lambda cls: cls.__name__)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
+    def handler(args):
+        raise error("boom")
+
+    monkeypatch.setitem(uq.HANDLERS, "status", handler)
+    code = uq.main(["status", "--workdir", "unused"])
+    expected = {errors.StoreCorrupt: (uq.EXIT_CORRUPT, " (store may need manual recovery)"),
+                errors.MissingRunError: (uq.EXIT_RUN_FAILURES, "")}.get(error, (uq.EXIT_USAGE, ""))
+    assert (code, capsys.readouterr().err) == (expected[0], f"uq: boom{expected[1]}\n")

@@ -136,3 +136,18 @@ class TestSpecValidation:
             SamplerSpec("pce", order=3, growth="exp2"),
         ):
             assert SamplerSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("doc", [
+        {"variant": "mc", "n": 10},
+        {"variant": "halton", "skip": 2},
+        {"variant": "sc", "growth": "exp2"},
+        {"variant": "pce"},
+    ], ids=["mc-seed", "halton-n", "sc-level", "pce-order"])
+    def test_a_missing_field_is_a_sampler_error(self, doc):
+        with pytest.raises(SamplerError, match=f"{doc['variant']} sampler needs"):
+            SamplerSpec.from_json(doc)
+
+    def test_growth_defaults_to_exp2_for_a_sparse_grid_only(self):
+        assert SamplerSpec.from_json({"variant": "sc", "level": 2, "sparse": True}).growth == "exp2"
+        assert SamplerSpec.from_json({"variant": "sc", "level": 2}).growth == "linear"
+        assert SamplerSpec.from_json({"variant": "pce", "order": 2, "growth": None}).growth == "linear"

@@ -205,15 +205,6 @@ class TestEnsemblePattern:
                                       reference=reference)
         assert max_score.aggregate == pytest.approx(3.0)
 
-    def test_weighted_mean(self, tmp_path):
-        store = self.store_with_scores(tmp_path, [[1.0], [3.0]])
-        reference = np.array([0.0])
-        score = ensemble_validate(
-            store, "mare", aggregator="weighted_mean", qoi="y",
-            reference=reference, weights={1: 0.75, 2: 0.25},
-        )
-        assert score.aggregate == pytest.approx(1.5)
-
     def test_aggregate_within_score_range(self, tmp_path):
         store = self.store_with_scores(tmp_path, [[2.0], [5.0], [11.0]])
         reference = np.array([1.0])

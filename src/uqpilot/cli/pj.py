@@ -1,10 +1,16 @@
 """The `pj` command: serve a pilot manager and talk to a running one.
 
+`serve --socket` serves an allocation of `--allocation-cores` cores
+(default: the detected cores); `serve --batch` takes its allocation from
+the batch file. A wall-clock manager refuses more cores than 4 times the
+detected ones (`PJ_VIRTUAL_CORES` raises that count); `--clock
+simulated` takes any count.
+
 Subcommands parse, call the manager and print; `main` alone maps errors
 to the exit codes: 0 success; 1 a served workload with jobs that did not
 succeed; 2 usage problems, which is every `UqError`: a bad batch file or
-job, a socket that cannot be bound, no manager listening at `--manager`,
-or a request the manager refused.
+job, a bad allocation, a socket that cannot be bound, no manager
+listening at `--manager`, or a request the manager refused.
 """
 
 from __future__ import annotations
@@ -33,9 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve the control protocol on <workdir>/pj.sock")
     p.add_argument("--workdir", default=".")
     p.add_argument("--clock", choices=["wall", "simulated"], default="wall")
-    p.add_argument("--allocation-cores", type=int, default=None)
-    p.add_argument("--virtual", action="store_true",
-                   help="virtual allocation (no hardware core cap)")
+    p.add_argument("--allocation-cores", type=int, default=None,
+                   help="socket allocation size (default: the detected cores)")
     p.add_argument("--report", default=None, help="report path (default pj-report.json)")
 
     for name in ("submit", "status", "cancel", "finish"):
@@ -58,16 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(args) -> int:
-    from uqpilot.pilotjob.jobs import Allocation
+    from uqpilot.pilotjob.jobs import detected_cores
     from uqpilot.pilotjob.manager import run_batch, serve_socket
 
     if args.batch:
+        if args.allocation_cores is not None:
+            return _fail("--allocation-cores does not apply to --batch; "
+                         "the batch file names its allocation")
         report = run_batch(args.batch, workdir=args.workdir, clock=args.clock,
                            report_path=args.report)
     elif args.socket:
-        cores = args.allocation_cores   # local() detects the cores when None
-        allocation = Allocation.virtual(cores) if args.virtual and cores else Allocation.local(cores)
-        report = serve_socket(allocation, workdir=args.workdir, clock=args.clock,
+        cores = detected_cores() if args.allocation_cores is None else args.allocation_cores
+        report = serve_socket(cores, workdir=args.workdir, clock=args.clock,
                               report_path=args.report)
     else:
         return _fail("serve needs --batch FILE or --socket")

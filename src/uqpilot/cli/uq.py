@@ -298,11 +298,14 @@ def _read_reference(path: str, qoi: str) -> list[float]:
 
     try:
         with open(path, newline="") as fh:
-            return [float(row[qoi]) for row in csv.DictReader(fh)]
+            values = [float(row[qoi]) for row in csv.DictReader(fh)]
     except KeyError as exc:
         raise ParseError(f"reference lacks column {qoi!r}") from exc
     except (OSError, csv.Error, TypeError, ValueError) as exc:
         raise ParseError(f"cannot read reference {path}: {exc}") from exc
+    if not values:
+        raise ParseError(f"cannot read reference {path}: no data rows")
+    return values
 
 
 def cmd_status(args) -> int:

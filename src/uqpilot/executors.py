@@ -32,7 +32,7 @@ from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
 from uqpilot.errors import ExecutorError
-from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, Allocation, JobSpec
+from uqpilot.pilotjob.jobs import EXECUTING, SUCCEEDED, JobSpec
 from uqpilot.pilotjob.scheduler import PilotManager
 
 
@@ -65,14 +65,14 @@ class RunSummary:
 
 def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     """Run the pending work of `plan.stage_id` (every stage if None) to
-    completion. One job per attempt on a manager with a virtual
-    allocation; a retry is named `<run_id>.<k>`, as the manager refuses a
-    duplicate name."""
+    completion. One job per attempt on a wall-clock manager of
+    `plan.cores` cores; a retry is named `<run_id>.<k>`, as the manager
+    refuses a duplicate name."""
     store = campaign.store
     app = campaign.app
     summary = RunSummary()
     events: queue.SimpleQueue = queue.SimpleQueue()
-    manager = PilotManager(Allocation.virtual(plan.cores), workdir=campaign.workdir, clock="wall",
+    manager = PilotManager(plan.cores, workdir=campaign.workdir, clock="wall",
                            on_task_event=lambda task: events.put((task.job, task.status)))
 
     def collate(run_id: int):

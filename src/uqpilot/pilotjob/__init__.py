@@ -1,4 +1,4 @@
-from uqpilot.pilotjob.jobs import Allocation, Job, JobSpec, Task
+from uqpilot.pilotjob.jobs import Job, JobSpec, Task
 from uqpilot.pilotjob.manager import (
     discover,
     load_batch,
@@ -10,7 +10,6 @@ from uqpilot.pilotjob.protocol import ManagerServer, PjClient
 from uqpilot.pilotjob.scheduler import PilotManager
 
 __all__ = [
-    "Allocation",
     "Job",
     "JobSpec",
     "ManagerServer",

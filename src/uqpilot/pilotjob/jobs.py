@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from uqpilot.errors import ParseError, ValidationError
 
@@ -22,60 +21,11 @@ LOCAL_CORE_MULTIPLE = 4
 
 
 def detected_cores() -> int:
+    """The host's cores, or `PJ_VIRTUAL_CORES` when set."""
     env = os.environ.get("PJ_VIRTUAL_CORES")
     if env:
         return max(1, int(env))
     return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class Allocation:
-    nodes: tuple[tuple[str, int], ...]      # (name, cores)
-    mode: str = "local"                     # local | virtual
-
-    def __post_init__(self):
-        if self.mode not in ("local", "virtual"):
-            raise ValidationError(f"allocation mode must be local or virtual, got {self.mode!r}")
-        if not self.nodes or any(c < 1 for _, c in self.nodes):
-            raise ValidationError("allocation needs at least one node with >= 1 core")
-        if self.mode == "local":
-            cap = LOCAL_CORE_MULTIPLE * detected_cores()
-            if self.total_cores > cap:
-                raise ValidationError(
-                    f"local allocation of {self.total_cores} cores exceeds "
-                    f"{LOCAL_CORE_MULTIPLE}x the {detected_cores()} detected cores"
-                )
-
-    @cached_property
-    def total_cores(self) -> int:
-        return sum(c for _, c in self.nodes)
-
-    @classmethod
-    def local(cls, cores: int | None = None) -> "Allocation":
-        return cls((("local", cores or detected_cores()),), mode="local")
-
-    @classmethod
-    def virtual(cls, cores: int, nodes: int = 1) -> "Allocation":
-        per, extra = divmod(cores, nodes)
-        spec = tuple(
-            (f"vnode{i}", per + (1 if i < extra else 0)) for i in range(nodes)
-        )
-        return cls(spec, mode="virtual")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Allocation":
-        if "nodes" not in doc:
-            raise ParseError("allocation document needs a 'nodes' list")
-        nodes = tuple(
-            (str(n["name"]), int(n["cores"])) for n in doc["nodes"]
-        )
-        return cls(nodes, mode=str(doc.get("mode", "local")))
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "nodes": [{"name": n, "cores": c} for n, c in self.nodes],
-        }
 
 
 @dataclass(frozen=True)
@@ -152,7 +102,6 @@ class Task:
     submit: float = 0.0
     start: float | None = None
     end: float | None = None
-    assigned: tuple[tuple[str, int], ...] = ()
     exit_code: int | None = None
     cancel_requested: bool = False
 

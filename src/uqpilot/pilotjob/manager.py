@@ -1,10 +1,13 @@
 """Manager entry points: batch file execution and socket service.
 
 Batch mode loads a JSON job file, runs the whole workload to completion,
-and writes the scheduler report. Socket mode serves the control protocol
-on a Unix socket, `pj.sock` in the manager workdir and readable only by
-its owner, until a finish command arrives; clients find the socket from
-the workdir alone.
+and writes the scheduler report. The file's allocation is one core
+count, the total of its `nodes[].cores`; every other key of the
+allocation and of its nodes is ignored, and a file without an allocation
+gets the detected cores. Socket mode serves the control protocol on a
+Unix socket, `pj.sock` in the manager workdir and readable only by its
+owner, on an allocation of the cores it is given, until a finish command
+arrives; clients find the socket from the workdir alone.
 """
 
 from __future__ import annotations
@@ -12,33 +15,41 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from uqpilot.errors import ParseError
-from uqpilot.pilotjob.jobs import Allocation, JobSpec
+from uqpilot.errors import ParseError, ValidationError
+from uqpilot.pilotjob.jobs import JobSpec, detected_cores
 from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
 from uqpilot.pilotjob.scheduler import PilotManager
 
 REPORT_FILENAME = "pj-report.json"
 
 
-def load_batch(path: str | Path) -> tuple[Allocation, list[JobSpec]]:
-    """Parse a batch document: {"allocation": {...}, "jobs": [...]}."""
+def load_batch(path: str | Path) -> tuple[int, list[JobSpec]]:
+    """Parse a batch document, {"allocation": {"nodes": [{"cores": N}, ...]},
+    "jobs": [...]}, into its allocation's cores and its jobs."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read batch file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "jobs" not in doc:
         raise ParseError(f"batch file {path} needs a 'jobs' list")
-    if "allocation" in doc:
-        allocation = Allocation.from_json(doc["allocation"])
-    else:
-        allocation = Allocation.local()
+    cores = _allocation_cores(doc["allocation"]) if "allocation" in doc else detected_cores()
     jobs = [JobSpec.from_json(j) for j in doc["jobs"]]
     seen: set[str] = set()
     for job in jobs:
         if job.name in seen:
             raise ParseError(f"duplicate job name {job.name!r} in batch file")
         seen.add(job.name)
-    return allocation, jobs
+    return cores, jobs
+
+
+def _allocation_cores(doc) -> int:
+    try:
+        nodes = [int(node["cores"]) for node in doc["nodes"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"allocation document needs a 'nodes' list with cores: {exc!r}") from exc
+    if not nodes or min(nodes) < 1:
+        raise ValidationError("allocation needs at least one node with >= 1 core")
+    return sum(nodes)
 
 
 def write_report(report: dict, path: str | Path):
@@ -52,10 +63,10 @@ def run_batch(
     report_path: str | Path | None = None,
 ) -> dict:
     """File-based interface: load, execute to completion, write the report."""
-    allocation, jobs = load_batch(batch_path)
+    cores, jobs = load_batch(batch_path)
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    manager = PilotManager(allocation, workdir=workdir, clock=clock)
+    manager = PilotManager(cores, workdir=workdir, clock=clock)
     for spec in jobs:
         manager.submit(spec)
     manager.drain()
@@ -65,7 +76,7 @@ def run_batch(
 
 
 def serve_socket(
-    allocation: Allocation,
+    cores: int,
     workdir: str | Path = ".",
     clock: str = "wall",
     report_path: str | Path | None = None,
@@ -73,7 +84,7 @@ def serve_socket(
     """Socket interface: serve requests until a finish command drains us."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    manager = PilotManager(allocation, workdir=workdir, clock=clock)
+    manager = PilotManager(cores, workdir=workdir, clock=clock)
     server = ManagerServer(manager)
     server.serve_until_finished()
     if server.report is not None:

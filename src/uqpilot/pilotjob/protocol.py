@@ -6,13 +6,14 @@ connect, and it is removed when the server closes. A manager killed
 before it could close leaves the socket behind; the next server replaces
 a socket that refuses connections, and refuses one a manager listens on.
 
-Requests:  {"id": ..., "cmd": "submit"|"status"|"cancel"|"resources"|"finish",
+Requests:  {"id": ..., "cmd": "submit"|"status"|"cancel"|"finish",
             "payload": {...}}
 Responses: {"id": ..., "ok": true, "data": {...}}
         or {"id": ..., "ok": false, "error": {"code": ..., "message": ...}}
 
-One response per request. Unknown commands answer ok=false with code
-"unknown-command".
+One response per request. `status` without a job name answers the job
+counts and the allocation's total, busy and free cores. Unknown
+commands answer ok=false with code "unknown-command".
 """
 
 from __future__ import annotations
@@ -150,8 +151,6 @@ class ManagerServer:
                 else:
                     data = self.manager.status_snapshot()
                 return {"id": req_id, "ok": True, "data": data}
-            if cmd == "resources":
-                return {"id": req_id, "ok": True, "data": self.manager.resources_snapshot()}
             if cmd == "cancel":
                 name = str(payload.get("name", ""))
                 self.manager.cancel(name)

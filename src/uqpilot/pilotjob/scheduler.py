@@ -1,5 +1,11 @@
 """Pilot manager core: FIFO scheduling with opportunistic backfill.
 
+The allocation is a plain count of cores; a task takes its cores from
+that count as it starts and gives them back as it ends. A wall-clock
+manager starts real processes, so it refuses an allocation above
+`LOCAL_CORE_MULTIPLE` times the detected cores (`PJ_VIRTUAL_CORES`
+raises the detected count); a simulated one takes any count.
+
 One lock serializes every state mutation; task execution runs in worker
 threads (wall clock) or through an event heap (simulated clock, declared
 durations). A task whose dependencies and previous sequential iteration
@@ -28,29 +34,37 @@ from uqpilot.pilotjob.jobs import (
     EXECUTING,
     FAILED,
     OMITTED,
+    LOCAL_CORE_MULTIPLE,
     QUEUED,
     SUCCEEDED,
-    Allocation,
     Job,
     JobSpec,
     Task,
+    detected_cores,
 )
 
 CANCEL_GRACE_SECONDS = 5.0
 
 
 class PilotManager:
-    """Schedules and executes sub-jobs inside one allocation.
+    """Schedules and executes sub-jobs inside an allocation of `cores` cores.
 
     `on_task_event(task)` is called, lock held, as each task starts and
     again as it ends.
     """
 
-    def __init__(self, allocation: Allocation, workdir: str | Path = ".",
+    def __init__(self, cores: int, workdir: str | Path = ".",
                  clock: str = "wall", on_task_event: Callable[[Task], None] | None = None):
         if clock not in ("wall", "simulated"):
             raise ValidationError(f"clock must be wall or simulated, got {clock!r}")
-        self.allocation = allocation
+        if cores < 1:
+            raise ValidationError(f"allocation needs at least 1 core, got {cores}")
+        if clock == "wall" and cores > LOCAL_CORE_MULTIPLE * detected_cores():
+            raise ValidationError(
+                f"allocation of {cores} cores exceeds {LOCAL_CORE_MULTIPLE}x the "
+                f"{detected_cores()} detected cores"
+            )
+        self.cores = cores
         self.workdir = Path(workdir)
         self.clock = clock
         self.on_task_event = on_task_event
@@ -60,7 +74,6 @@ class PilotManager:
         self._dependents: dict[str, list[str]] = {}  # job -> jobs listing it in `after`
         self._pending = 0                           # tasks not yet terminal
         self._task_seq = itertools.count()
-        self._free: dict[str, int] = {name: cores for name, cores in allocation.nodes}
         self._busy_cores = 0
         self._accepting = True
         self._epoch = time.monotonic()
@@ -89,10 +102,9 @@ class PilotManager:
             for dep in spec.after:
                 if dep not in self._jobs:
                     raise ValidationError(f"job {spec.name!r}: unknown dependency {dep!r}")
-            if spec.cores > self.allocation.total_cores:
+            if spec.cores > self.cores:
                 raise ValidationError(
-                    f"job {spec.name!r} wants {spec.cores} cores; allocation has "
-                    f"{self.allocation.total_cores}"
+                    f"job {spec.name!r} wants {spec.cores} cores; allocation has {self.cores}"
                 )
             if self.clock == "simulated" and spec.duration is None:
                 raise ValidationError(
@@ -137,28 +149,6 @@ class PilotManager:
     def _push(self, task: Task):
         heapq.heappush(self._ready.setdefault(task.cores, []), (task.seq, task))
 
-    def _allocate(self, cores: int) -> tuple[tuple[str, int], ...]:
-        """Take `cores` free cores, filling nodes in order (tasks may span nodes)."""
-        taken: list[tuple[str, int]] = []
-        need = cores
-        for name, _ in self.allocation.nodes:
-            grab = min(self._free[name], need)
-            if grab > 0:
-                taken.append((name, grab))
-                self._free[name] -= grab
-                need -= grab
-                if need == 0:
-                    break
-        assert need == 0
-        self._busy_cores += cores
-        return tuple(taken)
-
-    def _release(self, assigned: tuple[tuple[str, int], ...]):
-        for name, n in assigned:
-            self._free[name] += n
-        self._busy_cores -= sum(n for _, n in assigned)
-        assert self._busy_cores >= 0
-
     def _tick(self):
         """Start the lowest-numbered eligible task that fits, until none fits.
 
@@ -167,7 +157,7 @@ class PilotManager:
         eligible task fitting the cores left when it is reached.
         """
         while True:
-            free = self.allocation.total_cores - self._busy_cores
+            free = self.cores - self._busy_cores
             best = None
             for cores, heap in self._ready.items():
                 if cores > free:
@@ -181,7 +171,7 @@ class PilotManager:
             self._start(heapq.heappop(best)[1])
 
     def _start(self, task: Task):
-        task.assigned = self._allocate(task.cores)
+        self._busy_cores += task.cores
         task.status = EXECUTING
         task.start = self.now()
         self._trace.append((task.start, "start", task.job, task.iteration))
@@ -270,7 +260,7 @@ class PilotManager:
         self._trace.append((task.end, "end", task.job, task.iteration))
         task.status = status
         self._pending -= 1
-        self._release(task.assigned)
+        self._busy_cores -= task.cores
         if self.on_task_event is not None:
             self.on_task_event(task)
         job = self._jobs[task.job]
@@ -373,22 +363,10 @@ class PilotManager:
             return {
                 "jobs": len(self._jobs),
                 "status_counts": counts,
-                "total_cores": self.allocation.total_cores,
+                "total_cores": self.cores,
                 "busy_cores": self._busy_cores,
-                "free_cores": self.allocation.total_cores - self._busy_cores,
+                "free_cores": self.cores - self._busy_cores,
                 "time": self.now(),
-            }
-
-    def resources_snapshot(self) -> dict:
-        with self._cond:
-            return {
-                "mode": self.allocation.mode,
-                "total_cores": self.allocation.total_cores,
-                "free_cores": self.allocation.total_cores - self._busy_cores,
-                "nodes": [
-                    {"name": n, "cores": c, "free": self._free[n]}
-                    for n, c in self.allocation.nodes
-                ],
             }
 
     def dispatch_trace(self) -> list[tuple[float, str, str, int]]:
@@ -422,14 +400,14 @@ class PilotManager:
                 makespan = t1 - t0
                 core_seconds = sum(t.cores * (t.end - t.start) for t in executed)
                 longest = max(t.end - t.start for t in executed)
-                ideal = max(core_seconds / self.allocation.total_cores, longest)
+                ideal = max(core_seconds / self.cores, longest)
                 trace = self._utilization(executed, t0)
             else:
                 makespan = 0.0
                 ideal = 0.0
                 trace = []
             return {
-                "allocation": self.allocation.to_json(),
+                "cores": self.cores,
                 "clock": self.clock,
                 "makespan": makespan,
                 "ideal_lower_bound": ideal,

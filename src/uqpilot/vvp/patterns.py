@@ -127,7 +127,6 @@ def ensemble_validate(
     aggregator: str = "mean",
     qoi: str | None = None,
     reference: np.ndarray | None = None,
-    run_ids: list[int] | None = None,
 ) -> EnsembleScore:
     """Score each collated run and aggregate.
 
@@ -140,9 +139,6 @@ def ensemble_validate(
             f"unknown aggregator {aggregator!r}; choose from {', '.join(AGGREGATORS)}"
         )
     rows = store.runs(status="COLLATED")
-    if run_ids is not None:
-        wanted = set(run_ids)
-        rows = [r for r in rows if r["run_id"] in wanted]
     if not rows:
         raise EmptyInput("no collated runs to validate")
 

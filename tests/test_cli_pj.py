@@ -10,7 +10,6 @@ import pytest
 
 from tests.conftest import UQ_ERRORS
 from uqpilot.cli import pj
-from uqpilot.pilotjob.jobs import Allocation
 from uqpilot.pilotjob.manager import REPORT_FILENAME
 from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
 from uqpilot.pilotjob.scheduler import PilotManager
@@ -38,6 +37,39 @@ def test_serve_batch_simulated(tmp_path, capsys):
     assert report["makespan"] == 3.0
 
 
+def test_only_a_wall_clock_batch_is_capped_at_the_detected_cores(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setenv("PJ_VIRTUAL_CORES", "1")
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({
+        "allocation": {"mode": "virtual",
+                       "nodes": [{"name": f"n{i}", "cores": 8} for i in range(4)]},
+        "jobs": [{"name": "wide", "command": ["true"], "cores": 32, "duration": 1.0}],
+    }))
+    assert pj.main(["serve", "--batch", str(path), "--clock", "simulated",
+                    "--workdir", str(tmp_path / "sim")]) == pj.EXIT_OK
+    report = json.loads((tmp_path / "sim" / REPORT_FILENAME).read_text())
+    assert report["cores"] == 32
+    assert report["jobs"][0]["status"] == "SUCCEEDED"
+    capsys.readouterr()
+    assert pj.main(["serve", "--batch", str(path),
+                    "--workdir", str(tmp_path / "wall")]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pj: allocation of 32 cores exceeds 4x the 1 detected cores\n")
+    assert not (tmp_path / "wall" / REPORT_FILENAME).exists()
+
+
+def test_serve_batch_refuses_allocation_cores(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"jobs": [{"name": "a", "command": ["true"]}]}))
+    assert pj.main(["serve", "--batch", str(path), "--allocation-cores", "2",
+                    "--workdir", str(tmp_path)]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pj: --allocation-cores does not apply to --batch; the batch file names its "
+        "allocation\n")
+    assert not (tmp_path / REPORT_FILENAME).exists()
+
+
 def test_serve_batch_reports_failures_in_exit_code(tmp_path):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps({
@@ -54,7 +86,7 @@ def test_serve_socket_round_trip(tmp_path, capsys):
     wd = str(tmp_path)
     codes = []
     server = threading.Thread(target=lambda: codes.append(pj.main(
-        ["serve", "--socket", "--workdir", wd, "--allocation-cores", "2", "--virtual"])),
+        ["serve", "--socket", "--workdir", wd, "--allocation-cores", "2"])),
         daemon=True)
     server.start()
     deadline = time.time() + 10
@@ -89,10 +121,23 @@ def test_clients_without_a_manager_fail_cleanly(tmp_path, capsys):
 def test_serve_refuses_a_workdir_with_a_socket_left_behind(tmp_path, capsys):
     (tmp_path / SOCKET_FILENAME).write_text("")
     code = pj.main(["serve", "--socket", "--workdir", str(tmp_path),
-                    "--allocation-cores", "1", "--virtual"])
+                    "--allocation-cores", "1"])
     assert code == pj.EXIT_USAGE
     assert f"cannot bind manager socket {tmp_path / SOCKET_FILENAME}" in capsys.readouterr().err
     assert (tmp_path / SOCKET_FILENAME).exists()
+
+
+def test_serve_socket_refuses_an_allocation_without_cores(tmp_path, capsys):
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(pj.main(
+        ["serve", "--socket", "--workdir", str(tmp_path), "--allocation-cores", "0"])),
+        daemon=True)
+    server.start()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert codes == [pj.EXIT_USAGE]
+    assert capsys.readouterr().err == "pj: allocation needs at least 1 core, got 0\n"
+    assert not (tmp_path / SOCKET_FILENAME).exists()
 
 
 def stale_socket(path):
@@ -112,8 +157,8 @@ def test_serve_replaces_a_dead_managers_socket(tmp_path, capsys):
     stale_socket(tmp_path / SOCKET_FILENAME)
     codes = []
     server = threading.Thread(target=lambda: codes.append(pj.main(
-        ["serve", "--socket", "--workdir", str(tmp_path), "--allocation-cores", "1",
-         "--virtual"])), daemon=True)
+        ["serve", "--socket", "--workdir", str(tmp_path), "--allocation-cores", "1"])),
+        daemon=True)
     server.start()
     try:
         deadline = time.time() + 10
@@ -129,10 +174,10 @@ def test_serve_replaces_a_dead_managers_socket(tmp_path, capsys):
 
 
 def test_serve_refuses_a_live_managers_socket(tmp_path, capsys):
-    live = ManagerServer(PilotManager(Allocation.virtual(1), workdir=tmp_path)).start()
+    live = ManagerServer(PilotManager(1, workdir=tmp_path)).start()
     try:
         code = pj.main(["serve", "--socket", "--workdir", str(tmp_path),
-                        "--allocation-cores", "1", "--virtual"])
+                        "--allocation-cores", "1"])
         assert code == pj.EXIT_USAGE
         assert "cannot bind manager socket" in capsys.readouterr().err
         assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_OK

@@ -73,9 +73,12 @@ class TestRunCores:
         ["--allocation-cores", "2"],
         ["--cores-per-run", "0"],
         ["--retries", "-1"],
+        ["--executor", "pilotjob", "--allocation-cores", "5"],
     ], ids=["allocation-below-cores-per-run", "zero-allocation", "allocation-with-serial",
-            "zero-cores-per-run", "negative-retries"])
-    def test_bad_core_count_is_a_usage_error_before_encoding(self, tmp_path, capsys, argv):
+            "zero-cores-per-run", "negative-retries", "allocation-above-the-cap"])
+    def test_bad_core_count_is_a_usage_error_before_encoding(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        monkeypatch.setenv("PJ_VIRTUAL_CORES", "1")   # caps a wall-clock allocation at 4
         wd = make_campaign(tmp_path)
         capsys.readouterr()
         assert uq.main(["run", "--workdir", wd, *argv]) == uq.EXIT_USAGE
@@ -283,10 +286,12 @@ class TestValidate:
         assert capsys.readouterr().err == "uq: no collated values for qoi 'y'\n"
 
     @pytest.mark.parametrize("pattern", ["similarity", "ensemble"])
-    @pytest.mark.parametrize("content", [None, "y\nnot-a-number\n", "z,y\n1,2\n3\n"],
-                             ids=["missing", "unparsable", "short-row"])
+    @pytest.mark.parametrize("content, detail", [
+        (None, ""), ("y\nnot-a-number\n", ""), ("z,y\n1,2\n3\n", ""),
+        ("", "no data rows\n"), ("y\n", "no data rows\n"),
+    ], ids=["missing", "unparsable", "short-row", "empty", "header-only"])
     def test_an_unreadable_reference_is_a_usage_error(self, tmp_path, capsys, pattern,
-                                                      content):
+                                                      content, detail):
         wd = make_campaign(tmp_path)
         assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
         ref = tmp_path / "ref.csv"
@@ -297,7 +302,7 @@ class TestValidate:
                         "--reference", str(ref)]) == uq.EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith(f"uq: cannot read reference {ref}: ")
+        assert out.err.startswith(f"uq: cannot read reference {ref}: {detail}")
         assert not (tmp_path / "camp" / "reports").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -12,38 +12,54 @@ from uqpilot.errors import (
     ParseError,
     ValidationError,
 )
-from uqpilot.pilotjob.jobs import Allocation, JobSpec
+from uqpilot.pilotjob.jobs import JobSpec, detected_cores
 from uqpilot.pilotjob.manager import load_batch, run_batch
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
 from uqpilot.pilotjob.scheduler import PilotManager
 
 
 def sim_manager(cores: int, tmp_path) -> PilotManager:
-    return PilotManager(Allocation.virtual(cores), workdir=tmp_path, clock="simulated")
+    return PilotManager(cores, workdir=tmp_path, clock="simulated")
 
 
 def sim_job(name, duration=1.0, cores=1, **kw):
     return JobSpec(name=name, command=(), duration=duration, cores=cores, **kw)
 
 
-class TestAllocation:
-    def test_total_cores(self):
-        a = Allocation((("n0", 4), ("n1", 4)), mode="virtual")
-        assert a.total_cores == 8
+def batch_with_nodes(tmp_path, *cores):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({
+        "allocation": {"mode": "virtual",
+                       "nodes": [{"name": f"n{i}", "cores": c} for i, c in enumerate(cores)]},
+        "jobs": [],
+    }))
+    return batch
 
-    def test_local_cap(self, monkeypatch):
+
+class TestAllocation:
+    def test_total_cores(self, tmp_path):
+        assert load_batch(batch_with_nodes(tmp_path, 4, 4)) == (8, [])
+        assert sim_manager(8, tmp_path).status_snapshot()["total_cores"] == 8
+
+    def test_local_cap(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PJ_VIRTUAL_CORES", "2")
         with pytest.raises(ValidationError):
-            Allocation.local(9)   # cap is 4 x 2
-        assert Allocation.local(8).total_cores == 8
+            PilotManager(9, workdir=tmp_path, clock="wall")   # cap is 4 x 2
+        assert PilotManager(8, workdir=tmp_path, clock="wall").status_snapshot()["total_cores"] == 8
+        assert sim_manager(9, tmp_path).status_snapshot()["total_cores"] == 9
 
-    def test_env_override(self, monkeypatch):
+    def test_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PJ_VIRTUAL_CORES", "16")
-        assert Allocation.local().total_cores == 16
+        assert detected_cores() == 16
+        (tmp_path / "batch.json").write_text(json.dumps({"jobs": []}))
+        assert load_batch(tmp_path / "batch.json") == (16, [])
+        assert PilotManager(64, workdir=tmp_path, clock="wall").status_snapshot()["total_cores"] == 64
 
-    def test_needs_a_core(self):
+    def test_needs_a_core(self, tmp_path):
         with pytest.raises(ValidationError):
-            Allocation((("n0", 0),), mode="virtual")
+            sim_manager(0, tmp_path)
+        with pytest.raises(ValidationError):
+            load_batch(batch_with_nodes(tmp_path, 0))
 
 
 class TestSubmitValidation:
@@ -237,7 +253,7 @@ class TestCancel:
         assert m.job_snapshot("c")["iterations"][0]["start"] is None
 
     def test_cancel_executing_wall_clock(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="sleeper", command=("sleep", "30")))
         deadline = time.time() + 5
         while m.job_snapshot("sleeper")["status"] != "EXECUTING":
@@ -250,7 +266,7 @@ class TestCancel:
 
 class TestFailurePropagation:
     def test_failed_dependency_omits(self, tmp_path):
-        m = PilotManager(Allocation.virtual(2), workdir=tmp_path, clock="wall")
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="bad", command=("false",)))
         m.submit(JobSpec(name="child", command=("true",), after=("bad",)))
         m.submit(JobSpec(name="grandchild", command=("true",), after=("child",)))
@@ -260,7 +276,7 @@ class TestFailurePropagation:
         assert m.job_snapshot("grandchild")["status"] == "OMITTED"
 
     def test_failed_iteration_omits_rest(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="flaky", command=("false",), iterations=3))
         m.drain()
         its = m.job_snapshot("flaky")["iterations"]
@@ -270,7 +286,7 @@ class TestFailurePropagation:
         # iteration 0 fails (its stdout path is a directory), iteration 1
         # succeeds and ends last: the job is FAILED once both have ended
         (tmp_path / "out.0").mkdir()
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="p", command=("true",), iterations=2,
                          parallel_iterations=True, stdout="out"))
         m.submit(JobSpec(name="d", command=("true",), after=("p",)))
@@ -287,7 +303,7 @@ class TestFailurePropagation:
         # the log directory cannot be made: the task fails instead of
         # leaving drain() waiting on a worker thread that died
         (tmp_path / "afile").write_text("")
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="a", command=("true",), stdout="afile/out"))
         m.submit(JobSpec(name="b", command=("true",)))
         drainer = threading.Thread(target=m.drain, daemon=True)
@@ -302,7 +318,7 @@ class TestFailurePropagation:
     def test_submit_after_failed_dependency_drains(self, tmp_path):
         # the dependency has already ended FAILED when the dependent
         # arrives: it is omitted at once, so a wall-clock drain returns
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="bad", command=("false",)))
         deadline = time.time() + 10
         while m.job_snapshot("bad")["status"] != "FAILED":
@@ -390,7 +406,7 @@ class TestBatchMode:
 
 class TestSocketInterface:
     def test_submit_status_cancel_finish(self, tmp_path):
-        m = PilotManager(Allocation.virtual(2), workdir=tmp_path, clock="wall")
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path) as client:
@@ -401,15 +417,14 @@ class TestSocketInterface:
                 assert data["name"] == "a"
                 summary = client.call("status")
                 assert summary["jobs"] == 1
-                resources = client.call("resources")
-                assert resources["total_cores"] == 2
+                assert summary["total_cores"] == 2
                 finish = client.call("finish")
                 assert finish["finished"] is True
         finally:
             server.stop()
 
     def test_finish_waits_past_the_client_timeout(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path, timeout=0.5) as client:
@@ -423,7 +438,7 @@ class TestSocketInterface:
             server.stop()
 
     def test_unknown_command_code(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path) as client:
@@ -434,7 +449,7 @@ class TestSocketInterface:
             server.stop()
 
     def test_validation_error_code(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path) as client:
@@ -449,27 +464,27 @@ class TestSocketInterface:
             server.stop()
 
     def test_request_ids_echoed(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path) as client:
-                response = client.request("resources")
+                response = client.request("status")
                 assert response["id"] == 1
-                response = client.request("resources")
+                response = client.request("status")
                 assert response["id"] == 2
         finally:
             server.stop()
 
     def test_bind_error(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
-            m2 = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+            m2 = PilotManager(1, workdir=tmp_path, clock="wall")
             with pytest.raises(BindError, match=str(server.path)):
                 ManagerServer(m2)
             # the refused second server leaves the first one's socket alone
             with PjClient(server.path) as client:
-                assert client.call("resources")["total_cores"] == 1
+                assert client.call("status")["total_cores"] == 1
         finally:
             server.stop()
         assert not server.path.exists()
@@ -477,13 +492,13 @@ class TestSocketInterface:
     def test_socket_path_over_the_af_unix_limit(self, tmp_path):
         workdir = tmp_path / ("d" * 120)
         workdir.mkdir()
-        m = PilotManager(Allocation.virtual(1), workdir=workdir, clock="wall")
+        m = PilotManager(1, workdir=workdir, clock="wall")
         with pytest.raises(BindError, match="d" * 120):
             ManagerServer(m)
         assert not (workdir / "pj.sock").exists()
 
     def test_socket_is_private_while_served(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             mode = server.path.stat().st_mode
@@ -496,7 +511,7 @@ class TestSocketInterface:
         assert not server.path.exists()
 
     def test_no_submissions_after_finish(self, tmp_path):
-        m = PilotManager(Allocation.virtual(1), workdir=tmp_path, clock="wall")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
         server = ManagerServer(m).start()
         try:
             with PjClient(server.path) as client:
@@ -509,12 +524,12 @@ class TestSocketInterface:
 
 class TestWallClockMidRun:
     def test_free_cores_while_executing(self, tmp_path):
-        m = PilotManager(Allocation.virtual(4), workdir=tmp_path, clock="wall")
+        m = PilotManager(4, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="busy", command=("sleep", "1"), cores=2))
         deadline = time.time() + 5
         while m.job_snapshot("busy")["status"] != "EXECUTING":
             assert time.time() < deadline
             time.sleep(0.01)
-        assert m.resources_snapshot()["free_cores"] == 2
+        assert m.status_snapshot()["free_cores"] == 2
         m.drain()
-        assert m.resources_snapshot()["free_cores"] == 4
+        assert m.status_snapshot()["free_cores"] == 4

@@ -23,7 +23,6 @@ from uqpilot.pilotjob.jobs import (
     OMITTED,
     QUEUED,
     SUCCEEDED,
-    Allocation,
     JobSpec,
 )
 from uqpilot.pilotjob.scheduler import PilotManager
@@ -86,14 +85,14 @@ class FifoScan(FailingSim):
                         task.status = OMITTED
         for job in self._jobs.values():
             for task in job.tasks:
-                free = self.allocation.total_cores - self._busy_cores
+                free = self.cores - self._busy_cores
                 if task.status == QUEUED and self._eligible(task) and task.cores <= free:
                     self._start(task)
 
     def _end_task(self, task, status):
         self._trace.append((task.end, "end", task.job, task.iteration))
         task.status = status
-        self._release(task.assigned)
+        self._busy_cores -= task.cores
         job = self._jobs[task.job]
         if status in BROKEN and not job.spec.parallel_iterations:
             for later in job.tasks[task.iteration + 1:]:
@@ -119,7 +118,7 @@ def random_mix(seed: int, jobs: int = 120, nodes: int = 3, cores: int = 4,
     rng = random.Random(seed)
     clock = 0.0
     failing: set[tuple[str, int]] = set()
-    managers = [cls(Allocation.virtual(nodes * cores, nodes=nodes), clock="simulated")
+    managers = [cls(nodes * cores, clock="simulated")
                 for cls in (FailingSim, FifoScan)]
     for m in managers:
         m.failing = failing
@@ -200,16 +199,16 @@ def test_mixes_cover_every_path():
 
 def test_dispatch_work_is_linear_in_tasks(monkeypatch):
     calls = 0
-    allocate = PilotManager._allocate
+    start = PilotManager._start
 
-    def counted(self, cores):
+    def counted(self, task):
         nonlocal calls
         calls += 1
-        return allocate(self, cores)
+        return start(self, task)
 
-    monkeypatch.setattr(PilotManager, "_allocate", counted)
+    monkeypatch.setattr(PilotManager, "_start", counted)
     tasks = 15121
-    m = PilotManager(Allocation.virtual(8), clock="simulated")
+    m = PilotManager(8, clock="simulated")
     for i in range(tasks):
         m.submit(JobSpec(name=f"t{i}", command=(), duration=1.0 + i % 4))
     m.drain()

@@ -258,16 +258,6 @@ class TestEnsemblePattern:
             ensemble_validate(store, "mare", aggregator="median", qoi="y",
                               reference=np.array([1.0]))
 
-    def test_permutation_invariance(self, tmp_path):
-        store = self.store_with_scores(tmp_path, [[3.0], [1.0], [2.0]])
-        reference = np.array([0.0])
-        a = ensemble_validate(store, "mare", qoi="y", reference=reference)
-        b = ensemble_validate(
-            store, "mare", qoi="y", reference=reference,
-            run_ids=[3, 1, 2],
-        )
-        assert a.aggregate == b.aggregate
-
 
 class TestMare:
     def test_relative(self):

@@ -9,8 +9,12 @@ simulated` takes any count.
 Subcommands parse, call the manager and print; `main` alone maps errors
 to the exit codes: 0 success; 1 a served workload with jobs that did not
 succeed; 2 usage problems, which is every `UqError`: a bad batch file or
-job, a bad allocation, a socket that cannot be bound, no manager
-listening at `--manager`, or a request the manager refused.
+job (a job field of the wrong type, such as `"cores": "two"`, names the
+job and the field), a bad allocation, a `PJ_VIRTUAL_CORES` that is not a
+whole number, a `--report` whose directory does not exist (refused
+before any job starts) or a report that cannot be written, a socket that
+cannot be bound, no manager listening at `--manager`, or a request the
+manager refused.
 """
 
 from __future__ import annotations

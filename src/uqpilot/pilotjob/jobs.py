@@ -24,8 +24,51 @@ def detected_cores() -> int:
     """The host's cores, or `PJ_VIRTUAL_CORES` when set."""
     env = os.environ.get("PJ_VIRTUAL_CORES")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValidationError(
+                f"PJ_VIRTUAL_CORES must be a whole number of cores, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _command(value) -> tuple[str, ...]:
+    return tuple(value.split() if isinstance(value, str) else map(str, value))
+
+
+def _names(value) -> tuple[str, ...]:
+    if isinstance(value, str):      # iterating it would give one name per character
+        raise TypeError("expected a list of job names")
+    return tuple(map(str, value))
+
+
+def _env(value) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted((str(k), str(v)) for k, v in value.items()))
+
+
+def _path(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a path string")
+    return value
+
+
+def _duration(value) -> float | None:
+    return None if value is None else float(value)
+
+
+# converter of each optional job document field; other keys are ignored
+_FIELDS = {
+    "command": _command,
+    "cores": int,
+    "after": _names,
+    "iterations": int,
+    "env": _env,
+    "workdir": _path,
+    "stdout": _path,
+    "stderr": _path,
+    "duration": _duration,
+    "parallel_iterations": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -53,26 +96,22 @@ class JobSpec:
             raise ValidationError(f"job {self.name}: iterations must be >= 1")
 
     @classmethod
-    def from_json(cls, doc: dict) -> "JobSpec":
-        if "name" not in doc:
-            raise ParseError(f"job document needs a name: {doc!r}")
-        command = doc.get("command", [])
-        if isinstance(command, str):
-            command = command.split()
-        env = doc.get("env", {})
-        return cls(
-            name=str(doc["name"]),
-            command=tuple(str(c) for c in command),
-            cores=int(doc.get("cores", 1)),
-            after=tuple(str(a) for a in doc.get("after", [])),
-            iterations=int(doc.get("iterations", 1)),
-            env=tuple(sorted((str(k), str(v)) for k, v in env.items())),
-            workdir=doc.get("workdir"),
-            stdout=doc.get("stdout"),
-            stderr=doc.get("stderr"),
-            duration=None if doc.get("duration") is None else float(doc["duration"]),
-            parallel_iterations=bool(doc.get("parallel_iterations", False)),
-        )
+    def from_json(cls, doc) -> "JobSpec":
+        """A job from its JSON object; a malformed field is a `ParseError`
+        naming the job and the field."""
+        if not isinstance(doc, dict) or "name" not in doc:
+            raise ParseError(f"job document needs to be an object with a name: {doc!r}")
+        name = str(doc["name"])
+        fields = {"name": name, "command": ()}
+        for key, value in doc.items():
+            convert = _FIELDS.get(key)
+            if convert is None:
+                continue
+            try:
+                fields[key] = convert(value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ParseError(f"job {name!r}: bad {key!r} {value!r}: {exc}") from None
+        return cls(**fields)
 
     def to_json(self) -> dict:
         return {

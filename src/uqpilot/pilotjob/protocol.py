@@ -13,7 +13,9 @@ Responses: {"id": ..., "ok": true, "data": {...}}
 
 One response per request. `status` without a job name answers the job
 counts and the allocation's total, busy and free cores. Unknown
-commands answer ok=false with code "unknown-command".
+commands answer ok=false with code "unknown-command"; a request or
+payload that is not a JSON object, or a malformed job, answers ok=false
+with code "parse".
 """
 
 from __future__ import annotations
@@ -135,11 +137,17 @@ class ManagerServer:
     def handle_request(self, raw: bytes) -> dict:
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also bytes that are not UTF-8
             return _error_doc(None, ParseError(f"request is not valid JSON: {exc}"))
+        if not isinstance(doc, dict):
+            return _error_doc(None, ParseError(
+                f"request is not a JSON object: {type(doc).__name__}"))
         req_id = doc.get("id")
         cmd = doc.get("cmd")
         payload = doc.get("payload") or {}
+        if not isinstance(payload, dict):
+            return _error_doc(req_id, ParseError(
+                f"payload is not a JSON object: {type(payload).__name__}"))
         try:
             if cmd == "submit":
                 spec = JobSpec.from_json(payload)

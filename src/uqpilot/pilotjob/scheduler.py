@@ -25,6 +25,7 @@ import subprocess
 import threading
 import time
 import traceback
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -419,17 +420,19 @@ class PilotManager:
 
     @staticmethod
     def _utilization(tasks, t0: float) -> list[list[float]]:
-        events: list[tuple[float, int]] = []
-        for t in tasks:
-            events.append((t.start - t0, t.cores))
-            events.append((t.end - t0, -t.cores))
-        events.sort()
+        """[time, busy cores] steps; events less than 1e-12 after a step merge into it."""
+        events = [(t.start - t0, t.cores) for t in tasks]
+        events += [(t.end - t0, -t.cores) for t in tasks]
+        # by time alone: a step keeps the count after all of its events, in any order
+        events.sort(key=itemgetter(0))
         trace: list[list[float]] = []
+        step = [float("-inf"), 0]
         busy = 0
         for when, delta in events:
             busy += delta
-            if trace and abs(trace[-1][0] - when) < 1e-12:
-                trace[-1][1] = busy
+            if when - step[0] < 1e-12:
+                step[1] = busy
             else:
-                trace.append([when, busy])
+                step = [when, busy]
+                trace.append(step)
         return trace

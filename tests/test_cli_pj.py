@@ -70,6 +70,44 @@ def test_serve_batch_refuses_allocation_cores(tmp_path, capsys):
     assert not (tmp_path / REPORT_FILENAME).exists()
 
 
+def test_serve_batch_refuses_a_malformed_job(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"jobs": [{"name": "a", "command": ["true"], "cores": "two"}]}))
+    assert pj.main(["serve", "--batch", str(path), "--workdir", str(tmp_path)]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pj: job 'a': bad 'cores' 'two': invalid literal for int() with base 10: 'two'\n")
+    assert not (tmp_path / REPORT_FILENAME).exists()
+
+
+def test_serve_batch_refuses_a_malformed_virtual_core_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PJ_VIRTUAL_CORES", "abc")
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"jobs": [{"name": "a", "command": ["true"]}]}))
+    assert pj.main(["serve", "--batch", str(path), "--workdir", str(tmp_path)]) == pj.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "pj: PJ_VIRTUAL_CORES must be a whole number of cores, got 'abc'\n")
+    assert not (tmp_path / REPORT_FILENAME).exists()
+
+
+@pytest.mark.parametrize("mode", ["--batch", "--socket"])
+def test_serve_refuses_a_report_in_a_missing_directory(tmp_path, capsys, mode):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"jobs": [{"name": "a", "command": ["touch", "ran"]}]}))
+    report = tmp_path / "missing" / "r.json"
+    argv = ["serve", "--workdir", str(tmp_path), "--report", str(report)]
+    argv += ["--batch", str(path)] if mode == "--batch" else ["--socket"]
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(pj.main(argv)), daemon=True)
+    server.start()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert codes == [pj.EXIT_USAGE]
+    assert capsys.readouterr().err == (
+        f"pj: cannot write report {report}: no directory {report.parent}\n")
+    assert not (tmp_path / "ran").exists()     # refused before any job started
+    assert not (tmp_path / SOCKET_FILENAME).exists()
+
+
 def test_serve_batch_reports_failures_in_exit_code(tmp_path):
     path = tmp_path / "batch.json"
     path.write_text(json.dumps({

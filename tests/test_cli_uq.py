@@ -87,6 +87,17 @@ class TestRunCores:
         assert out.err.startswith("uq: ")
         assert set(statuses(wd).values()) == {"NEW"}
 
+    def test_a_malformed_virtual_core_count_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setenv("PJ_VIRTUAL_CORES", "abc")
+        wd = make_campaign(tmp_path)
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd, "--executor", "pilotjob"]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "uq: PJ_VIRTUAL_CORES must be a whole number of cores, got 'abc'\n"
+        assert set(statuses(wd).values()) == {"NEW"}
+
     @pytest.mark.parametrize("argv, cores, per_run", [
         ([], 1, 1),
         (["--cores-per-run", "2"], 2, 2),

@@ -1,19 +1,23 @@
 import json
+import socket
 import stat
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from tests.test_scheduler_equivalence import random_mix
 from uqpilot.errors import (
     AlreadyTerminal,
     BindError,
     JobNotFound,
     ParseError,
+    UqError,
     ValidationError,
 )
 from uqpilot.pilotjob.jobs import JobSpec, detected_cores
-from uqpilot.pilotjob.manager import load_batch, run_batch
+from uqpilot.pilotjob.manager import load_batch, run_batch, write_report
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
 from uqpilot.pilotjob.scheduler import PilotManager
 
@@ -60,6 +64,35 @@ class TestAllocation:
             sim_manager(0, tmp_path)
         with pytest.raises(ValidationError):
             load_batch(batch_with_nodes(tmp_path, 0))
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_env_override_must_be_a_whole_number(self, monkeypatch, value):
+        monkeypatch.setenv("PJ_VIRTUAL_CORES", value)
+        with pytest.raises(ValidationError, match=f"PJ_VIRTUAL_CORES .* got '{value}'"):
+            detected_cores()
+
+
+class TestJobDocument:
+    @pytest.mark.parametrize("field, value", [
+        ("cores", "two"),
+        ("iterations", None),
+        ("after", 5),
+        ("after", "a"),          # a string, not a list of names
+        ("env", []),
+        ("command", 5),
+        ("duration", "long"),
+        ("workdir", 5),
+    ])
+    def test_a_malformed_field_names_the_job_and_the_field(self, field, value):
+        with pytest.raises(ParseError, match=f"^job 'x': bad '{field}' "):
+            JobSpec.from_json({"name": "x", "command": ["true"], field: value})
+
+    def test_well_formed_fields(self):
+        spec = JobSpec.from_json({"name": "x", "command": "echo hi", "cores": "2",
+                                  "after": ["a"], "env": {"K": 1}, "duration": 3,
+                                  "workdir": None, "mode": "ignored"})
+        assert spec == JobSpec(name="x", command=("echo", "hi"), cores=2, after=("a",),
+                               env=(("K", "1"),), duration=3.0)
 
 
 class TestSubmitValidation:
@@ -371,6 +404,13 @@ class TestBatchMode:
         with pytest.raises(ParseError):
             load_batch(batch)
 
+    @pytest.mark.parametrize("jobs", [5, [5], [None]])
+    def test_a_batch_needs_a_list_of_job_objects(self, tmp_path, jobs):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"jobs": jobs}))
+        with pytest.raises(ParseError):
+            load_batch(batch)
+
     def test_utilization_integral_identity(self, tmp_path):
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps({
@@ -402,6 +442,74 @@ class TestBatchMode:
         runtime = report["jobs"][0]["iterations"][0]["end"] - report["jobs"][0]["iterations"][0]["start"]
         assert report["overhead"] == pytest.approx(report["makespan"] - runtime)
         assert report["overhead"] >= 0
+
+
+class TestReportFile:
+    @staticmethod
+    def written(report, tmp_path) -> str:
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        return path.read_text()
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_one_job_per_line_parses_back_to_the_report(self, tmp_path, seed):
+        report = random_mix(seed)[0].report()
+        text = self.written(report, tmp_path)
+        assert json.loads(text) == report == json.loads(json.dumps(report, indent=2))
+        head, *job_lines, tail = text.splitlines()
+        assert head.endswith('"jobs": [') and tail == "]}" and text.endswith("\n")
+        names = [job["name"] for job in report["jobs"]]
+        assert len(job_lines) == len(names)
+        for line, name in zip(job_lines, names):
+            assert [n for n in names if f'"name": "{n}"' in line] == [name]
+        # `grep FAILED` prints exactly the failed jobs' lines
+        failed = [line for line, job in zip(job_lines, report["jobs"])
+                  if job["status"] == "FAILED"]
+        assert failed
+        assert [line for line in text.splitlines() if "FAILED" in line] == failed
+
+    def test_a_manager_without_jobs(self, tmp_path):
+        m = sim_manager(2, tmp_path)
+        m.drain()
+        report = m.report()
+        text = self.written(report, tmp_path)
+        assert json.loads(text) == report == json.loads(json.dumps(report, indent=2))
+        assert text.endswith('"jobs": [\n]}\n')
+
+    @staticmethod
+    def reference_utilization(tasks, t0):
+        """The trace as a sort of (time, delta) pairs, ends first within a tie."""
+        events = []
+        for t in tasks:
+            events.append((t.start - t0, t.cores))
+            events.append((t.end - t0, -t.cores))
+        events.sort()
+        trace = []
+        busy = 0
+        for when, delta in events:
+            busy += delta
+            if trace and abs(trace[-1][0] - when) < 1e-12:
+                trace[-1][1] = busy
+            else:
+                trace.append([when, busy])
+        return trace
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_utilization_matches_the_reference(self, seed):
+        m = random_mix(seed)[0]
+        tasks = [t for job in m._jobs.values() for t in job.tasks if t.end is not None]
+        assert PilotManager._utilization(tasks, 0.5) == self.reference_utilization(tasks, 0.5)
+        # ties, and events within 1e-12 of a step's first event or only of its last
+        near = [SimpleNamespace(start=s, end=e, cores=c) for s, e, c in [
+            (0.0, 1.0, 2), (0.0, 1.0, 1), (1.0, 2.0, 3), (0.6e-12, 1.0 + 0.6e-12, 1),
+            (1.2e-12, 3.0, 4), (1.0 + 1.1e-12, 2.0, 1)]]
+        assert PilotManager._utilization(near, 0.0) == self.reference_utilization(near, 0.0)
+
+    def test_an_unwritable_path_is_a_toolkit_error(self, tmp_path):
+        m = sim_manager(2, tmp_path)
+        m.drain()
+        with pytest.raises(UqError, match=f"cannot write report {tmp_path}"):
+            write_report(m.report(), tmp_path)   # a directory
 
 
 class TestSocketInterface:
@@ -460,6 +568,37 @@ class TestSocketInterface:
                 assert response["error"]["code"] == "validation"
                 response = client.request("status", {"name": "nope"})
                 assert response["error"]["code"] == "not-found"
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'[1, 2]', "request is not a JSON object: list"),
+        (b'"status"', "request is not a JSON object: str"),
+        (b'null', "request is not a JSON object: NoneType"),
+        (b'\xff', "request is not valid JSON"),
+        (b'{"cmd": "status", "payload": [1]}', "payload is not a JSON object: list"),
+        (b'{"cmd": "cancel", "payload": "a"}', "payload is not a JSON object: str"),
+        (b'{"cmd": "submit", "payload": {"name": "a", "command": ["true"], "cores": "two"}}',
+         "job 'a': bad 'cores' 'two'"),
+        (b'{"cmd": "submit", "payload": {"name": "a", "command": ["true"], "env": []}}',
+         "job 'a': bad 'env' []"),
+    ])
+    def test_a_malformed_request_answers_a_parse_error(self, tmp_path, raw, message):
+        server = ManagerServer(PilotManager(1, workdir=tmp_path, clock="wall")).start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(10)
+                sock.connect(str(server.path))
+                with sock.makefile("rwb") as stream:
+                    for line in (raw, b'{"id": 7, "cmd": "status"}'):
+                        stream.write(line + b"\n")
+                        stream.flush()
+                    refusal, status = (json.loads(stream.readline()) for _ in range(2))
+            assert refusal["ok"] is False
+            assert refusal["error"]["code"] == "parse"
+            assert refusal["error"]["message"].startswith(message)
+            # the connection outlives the refusal, and nothing was submitted
+            assert status["id"] == 7 and status["data"]["jobs"] == 0
         finally:
             server.stop()
 

@@ -65,14 +65,6 @@ class ParameterDef:
     def coerce(self, value: float):
         return int(round(value)) if self.kind == "integer" else value
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "default": self.default,
-            "distribution": self.distribution.to_json(),
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "ParameterDef":
         for key in ("name", "kind", "default", "distribution"):
@@ -168,14 +160,6 @@ class CampaignConfig:
     name: str
     app: AppSpec
     parameters: tuple[ParameterDef, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "app": self.app.to_json(),
-            "parameters": [p.to_json() for p in self.parameters],
-        }
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> CampaignConfig:

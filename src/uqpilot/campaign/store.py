@@ -433,10 +433,3 @@ class CampaignStore:
                 "INSERT OR REPLACE INTO run_scores (run_id, scorer, score) VALUES (?, ?, ?)",
                 (run_id, scorer, score),
             )
-
-    # --- dumps -----------------------------------------------------------
-
-    def dump_runs(self, stage_id: int | None = None) -> bytes:
-        """Canonical serialization of run rows, for immutability checks."""
-        rows = [dict(r) for r in self.runs(stage_id=stage_id)]
-        return json.dumps(rows, sort_keys=True).encode()

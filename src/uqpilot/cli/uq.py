@@ -79,8 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, choices=["similarity", "ensemble"])
     p.add_argument("--qoi")
     p.add_argument("--metric", default="hellinger")
-    p.add_argument("--reference", help="reference CSV (column per qoi)")
-    p.add_argument("--at", default="final", help="time index, 'final', or 'flat'")
+    p.add_argument("--reference",
+                   help="CSV with a --qoi column: for similarity, samples of the observed or "
+                        "benchmark distribution; for the mare scorer, one reference vector")
+    p.add_argument("--at", default="final",
+                   help="similarity: time index into the vectors, 'final', or 'flat'")
     p.add_argument("--scorer", nargs="+", default=["mare"],
                    help="'mare' or an external command")
     p.add_argument("--aggregator", default="mean", choices=["mean", "max"])
@@ -257,25 +260,17 @@ def cmd_validate(args) -> int:
     import numpy as np
 
     from uqpilot.analysis.report import write_json
-    from uqpilot.vvp.distances import EmpiricalDist
-    from uqpilot.vvp.patterns import (
-        ensemble_distribution,
-        ensemble_validate,
-        validate_similarity,
-    )
+    from uqpilot.vvp.patterns import ensemble_validate, validate_similarity
 
-    if args.pattern == "similarity" and not args.qoi:
-        return _fail(EXIT_USAGE, "similarity validation needs --qoi")
+    if args.pattern == "similarity" and not (args.qoi and args.reference):
+        return _fail(EXIT_USAGE, "similarity validation needs --qoi and --reference")
     if args.pattern == "ensemble" and args.scorer == ["mare"] and not (args.qoi and args.reference):
         return _fail(EXIT_USAGE, "mare scorer needs --qoi and --reference")
     with Campaign.open(args.workdir) as campaign:
         store = campaign.store
         if args.pattern == "similarity":
-            if args.reference:
-                reference = EmpiricalDist.from_samples(_read_reference(args.reference, args.qoi))
-            else:
-                reference = ensemble_distribution(store, args.qoi, args.at)
-            result = validate_similarity(store, [args.qoi], reference, args.metric, at=args.at)
+            reference = _read_reference(args.reference, args.qoi)
+            result = validate_similarity(store, args.qoi, reference, args.metric, at=args.at)
             print(f"{result.metric} distance: {result.distance:.6g}")
         else:
             mare = args.scorer == ["mare"]

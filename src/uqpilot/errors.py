@@ -61,10 +61,6 @@ class EmptyInput(UqError):
 
 # --- vvp ----------------------------------------------------------------
 
-class BinningError(UqError):
-    """Histogram supports are not comparable (mismatched bin edges)."""
-
-
 class ScorerError(UqError):
     """A per-run scorer failed or produced unparsable output."""
 

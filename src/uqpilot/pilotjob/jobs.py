@@ -56,18 +56,30 @@ def _duration(value) -> float | None:
     return None if value is None else float(value)
 
 
+def _count(value) -> int:
+    if type(value) is not int:      # int() would truncate 2.7 and accept True or "2"
+        raise TypeError("expected a whole number")
+    return value
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:     # bool() would make "false" True
+        raise TypeError("expected true or false")
+    return value
+
+
 # converter of each optional job document field; other keys are ignored
 _FIELDS = {
     "command": _command,
-    "cores": int,
+    "cores": _count,
     "after": _names,
-    "iterations": int,
+    "iterations": _count,
     "env": _env,
     "workdir": _path,
     "stdout": _path,
     "stderr": _path,
     "duration": _duration,
-    "parallel_iterations": bool,
+    "parallel_iterations": _flag,
 }
 
 
@@ -112,21 +124,6 @@ class JobSpec:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ParseError(f"job {name!r}: bad {key!r} {value!r}: {exc}") from None
         return cls(**fields)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "command": list(self.command),
-            "cores": self.cores,
-            "after": list(self.after),
-            "iterations": self.iterations,
-            "env": dict(self.env),
-            "workdir": self.workdir,
-            "stdout": self.stdout,
-            "stderr": self.stderr,
-            "duration": self.duration,
-            "parallel_iterations": self.parallel_iterations,
-        }
 
 
 @dataclass

@@ -188,13 +188,12 @@ class PilotManager:
 
     def _io_path(self, spec: JobSpec, task: Task, kind: str) -> Path:
         configured = spec.stdout if kind == "stdout" else spec.stderr
-        if configured:
-            path = Path(configured)
-            if spec.iterations > 1:
-                path = path.with_name(f"{path.name}.{task.iteration}")
-        else:
+        if not configured:      # the logs dir already starts with the manager workdir
             suffix = f".{task.iteration}" if spec.iterations > 1 else ""
-            path = self._logs_dir() / f"{spec.name}{suffix}.{kind}"
+            return self._logs_dir() / f"{spec.name}{suffix}.{kind}"
+        path = Path(configured)
+        if spec.iterations > 1:
+            path = path.with_name(f"{path.name}.{task.iteration}")
         if not path.is_absolute():
             base = Path(spec.workdir) if spec.workdir else self.workdir
             path = base / path

@@ -1,5 +1,5 @@
 from uqpilot.vvp.distances import (
-    EmpiricalDist,
+    as_masses,
     fd_edges,
     hellinger,
     jensen_shannon_dist,
@@ -10,6 +10,7 @@ from uqpilot.vvp.patterns import (
     METRICS,
     EnsembleScore,
     SimilarityResult,
+    ensemble_samples,
     ensemble_validate,
     mare,
     validate_similarity,
@@ -17,10 +18,11 @@ from uqpilot.vvp.patterns import (
 
 __all__ = [
     "AGGREGATORS",
-    "EmpiricalDist",
     "EnsembleScore",
     "METRICS",
     "SimilarityResult",
+    "as_masses",
+    "ensemble_samples",
     "ensemble_validate",
     "fd_edges",
     "hellinger",

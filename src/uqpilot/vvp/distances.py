@@ -1,59 +1,29 @@
-"""Distribution distances: Hellinger, Jensen-Shannon, Wasserstein-1.
+"""Distances between two 1-D sample arrays: Hellinger, Jensen-Shannon, Wasserstein-1.
 
-Hellinger and JS operate on histograms over a shared support; sample
-inputs are first binned with Freedman-Diaconis widths computed on the
-pooled data so both sides see identical edges. JS uses base-2 logs, so
-both metrics live in [0, 1]. Wasserstein-1 works directly on samples
+Hellinger and JS compare mass vectors: `as_masses` bins both sample
+arrays on one set of Freedman-Diaconis edges computed on the pooled
+data, so both sides see identical bins. JS uses base-2 logs, so both
+metrics live in [0, 1]. Wasserstein-1 works directly on the samples
 through the quantile-function formulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from uqpilot.errors import BinningError, EmptyInput
+from uqpilot.errors import EmptyInput
 
-EDGE_TOL = 1e-12
 MAX_BINS = 512
 
 
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Sample form (raw draws) or histogram form (edges + masses)."""
-
-    samples: np.ndarray | None = None
-    edges: np.ndarray | None = None
-    masses: np.ndarray | None = None
-
-    @classmethod
-    def from_samples(cls, values) -> "EmpiricalDist":
-        x = np.asarray(values, dtype=float).ravel()
-        if x.size == 0:
-            raise EmptyInput("empirical distribution needs at least one sample")
-        if not np.all(np.isfinite(x)):
-            raise EmptyInput("samples must be finite")
-        return cls(samples=x)
-
-    @classmethod
-    def from_histogram(cls, edges, masses) -> "EmpiricalDist":
-        e = np.asarray(edges, dtype=float)
-        m = np.asarray(masses, dtype=float)
-        if e.ndim != 1 or len(e) != len(m) + 1 or len(m) < 1:
-            raise BinningError("histogram needs len(edges) == len(masses) + 1 >= 2")
-        if not np.all(np.diff(e) > 0):
-            raise BinningError("bin edges must be strictly increasing")
-        if np.any(m < 0):
-            raise BinningError("masses must be non-negative")
-        total = m.sum()
-        if total <= 0:
-            raise BinningError("histogram carries no mass")
-        return cls(edges=e, masses=m / total)
-
-    @property
-    def is_histogram(self) -> bool:
-        return self.edges is not None
+def samples(values) -> np.ndarray:
+    """`values` as a flat float array; empty or non-finite input is refused."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 0:
+        raise EmptyInput("a distance needs at least one sample on each side")
+    if not np.all(np.isfinite(x)):
+        raise EmptyInput("samples must be finite")
+    return x
 
 
 def fd_edges(pooled: np.ndarray) -> np.ndarray:
@@ -79,30 +49,23 @@ def _bin_samples(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / counts.sum()
 
 
-def as_masses(p: EmpiricalDist, q: EmpiricalDist) -> tuple[np.ndarray, np.ndarray]:
-    """Common-support mass vectors for two distributions."""
-    if p.is_histogram and q.is_histogram:
-        if len(p.edges) != len(q.edges) or np.any(np.abs(p.edges - q.edges) > EDGE_TOL):
-            raise BinningError("histogram bin edges do not match")
-        return p.masses, q.masses
-    if p.is_histogram:
-        return p.masses, _bin_samples(q.samples, p.edges)
-    if q.is_histogram:
-        return _bin_samples(p.samples, q.edges), q.masses
-    edges = fd_edges(np.concatenate([p.samples, q.samples]))
-    return _bin_samples(p.samples, edges), _bin_samples(q.samples, edges)
+def as_masses(p_samples, q_samples) -> tuple[np.ndarray, np.ndarray]:
+    """Mass vectors of two sample arrays on their shared FD bins."""
+    x, y = samples(p_samples), samples(q_samples)
+    edges = fd_edges(np.concatenate([x, y]))
+    return _bin_samples(x, edges), _bin_samples(y, edges)
 
 
-def hellinger(p: EmpiricalDist, q: EmpiricalDist) -> float:
-    """H(p, q) = sqrt(sum (sqrt(p_i) - sqrt(q_i))^2) / sqrt(2), in [0, 1]."""
-    pm, qm = as_masses(p, q)
+def hellinger(pm: np.ndarray, qm: np.ndarray) -> float:
+    """H(p, q) = sqrt(sum (sqrt(p_i) - sqrt(q_i))^2) / sqrt(2), in [0, 1],
+    for two mass vectors over the same bins."""
     h = np.sqrt(np.sum((np.sqrt(pm) - np.sqrt(qm)) ** 2) / 2.0)
     return float(min(h, 1.0))
 
 
-def jensen_shannon_dist(p: EmpiricalDist, q: EmpiricalDist) -> float:
-    """sqrt of the JS divergence against the even mixture, base-2 logs."""
-    pm, qm = as_masses(p, q)
+def jensen_shannon_dist(pm: np.ndarray, qm: np.ndarray) -> float:
+    """sqrt of the JS divergence against the even mixture, base-2 logs,
+    for two mass vectors over the same bins."""
     m = 0.5 * (pm + qm)
     div = 0.5 * _kl(pm, m) + 0.5 * _kl(qm, m)
     return float(min(np.sqrt(max(div, 0.0)), 1.0))
@@ -115,12 +78,8 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 
 def wasserstein1(p_samples, q_samples) -> float:
     """1-D earth mover's distance via the CDF-difference integral."""
-    x = np.sort(np.asarray(p_samples, dtype=float).ravel())
-    y = np.sort(np.asarray(q_samples, dtype=float).ravel())
-    if x.size == 0 or y.size == 0:
-        raise EmptyInput("wasserstein1 needs non-empty samples")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise EmptyInput("samples must be finite")
+    x = np.sort(samples(p_samples))
+    y = np.sort(samples(q_samples))
     if x.size == y.size:
         return float(np.mean(np.abs(x - y)))
     values = np.concatenate([x, y])

@@ -1,4 +1,10 @@
-"""Validation patterns: distribution similarity and per-run ensemble scoring."""
+"""Validation patterns: distribution similarity and per-run ensemble scoring.
+
+Similarity compares the distribution of one QoI over the campaign's draws
+from the inputs' distribution (the collated runs of its `mc` and `halton`
+stages, pooled) with a reference sample array. Quadrature (`sc`, `pce`)
+nodes are not such draws, so they are never scored.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from uqpilot.analysis.pipeline import stage_sampler
 from uqpilot.campaign.store import CampaignStore
-from uqpilot.errors import DomainError, EmptyInput, MissingRunError, ScorerError
-from uqpilot.vvp.distances import (
-    EmpiricalDist,
-    hellinger,
-    jensen_shannon_dist,
-    wasserstein1,
-)
+from uqpilot.errors import DomainError, EmptyInput, MissingRunError, SamplerError, ScorerError
+from uqpilot.vvp.distances import as_masses, hellinger, jensen_shannon_dist, wasserstein1
 
 METRICS = ("hellinger", "jsd", "wasserstein1")
 AGGREGATORS = ("mean", "max")
@@ -24,7 +26,6 @@ AGGREGATORS = ("mean", "max")
 class SimilarityResult:
     metric: str
     distance: float
-    per_qoi: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -35,50 +36,56 @@ class EnsembleScore:
     per_run: dict[int, float] = field(default_factory=dict)
 
 
-def metric_distance(metric: str, ensemble: EmpiricalDist, reference: EmpiricalDist) -> float:
+def metric_distance(metric: str, x, y) -> float:
+    """The named distance between two sample arrays."""
     if metric == "hellinger":
-        return hellinger(ensemble, reference)
+        return hellinger(*as_masses(x, y))
     if metric == "jsd":
-        return jensen_shannon_dist(ensemble, reference)
+        return jensen_shannon_dist(*as_masses(x, y))
     if metric == "wasserstein1":
-        if ensemble.is_histogram or reference.is_histogram:
-            raise DomainError("wasserstein1 takes sample-form distributions")
-        return wasserstein1(ensemble.samples, reference.samples)
+        return wasserstein1(x, y)
     raise DomainError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
 
 
-def ensemble_distribution(
-    store: CampaignStore, qoi: str, at: int | str = "final"
-) -> EmpiricalDist:
-    """Empirical distribution of a QoI over collated runs.
+def ensemble_samples(store: CampaignStore, qoi: str, at: int | str = "final") -> np.ndarray:
+    """The QoI's values over the collated runs of every `mc` and `halton`
+    stage, which all draw from the inputs' one distribution.
 
-    `at` picks a time index (int), "final" for the last point, or
-    "flat" to pool every time point of every run.
+    `at` picks a time index, "final" for the last point, or "flat" to pool
+    every time point of every run. A campaign whose collated values all
+    sit on quadrature nodes is refused: a node set is not a sample.
     """
-    _, rows = store.load_frame(qoi)
-    if not rows:
+    vectors, grid_stages = [], []
+    for stage in store.stages():
+        stage_id = stage["stage_id"]
+        rows = store.load_frame(qoi, stage_id=stage_id)[1]
+        spec = stage_sampler(store, stage_id)
+        if spec.is_quadrature:
+            grid_stages += [f"stage {stage_id} ({spec.variant})"] if rows else []
+        else:
+            vectors += [v for _, v in rows]
+    if not vectors and grid_stages:
+        raise SamplerError(
+            f"qoi {qoi!r} is collated only on quadrature nodes ({', '.join(grid_stages)}); "
+            "grid nodes are not draws from the inputs' distribution, so similarity "
+            "needs an mc or halton stage")
+    if not vectors:
         raise MissingRunError(f"no collated values for qoi {qoi!r}")
-    vectors = [np.asarray(v, dtype=float) for _, v in rows]
     if at == "flat":
-        return EmpiricalDist.from_samples(np.concatenate(vectors))
-    pos = -1 if at == "final" else int(at)
-    return EmpiricalDist.from_samples(np.array([v[pos] for v in vectors]))
+        return np.concatenate(vectors)
+    try:
+        pos = -1 if at == "final" else int(at)
+        return np.array([v[pos] for v in vectors])
+    except (ValueError, IndexError):
+        raise DomainError(f"at={at!r} is not 'final', 'flat' or an index into the "
+                          f"{len(vectors[0])}-point {qoi!r} vectors") from None
 
 
-def validate_similarity(
-    store: CampaignStore,
-    qois: list[str],
-    reference: EmpiricalDist | dict[str, EmpiricalDist],
-    metric: str,
-    at: int | str = "final",
-) -> SimilarityResult:
-    """Score the ensemble's QoI distribution(s) against a reference."""
-    per_qoi: dict[str, float] = {}
-    for qoi in qois:
-        ref = reference[qoi] if isinstance(reference, dict) else reference
-        per_qoi[qoi] = metric_distance(metric, ensemble_distribution(store, qoi, at), ref)
-    overall = per_qoi[qois[0]] if len(qois) == 1 else float(np.mean(list(per_qoi.values())))
-    return SimilarityResult(metric=metric, distance=overall, per_qoi=per_qoi)
+def validate_similarity(store: CampaignStore, qoi: str, reference, metric: str,
+                        at: int | str = "final") -> SimilarityResult:
+    """Score the ensemble's distribution of `qoi` against a reference sample array."""
+    distance = metric_distance(metric, ensemble_samples(store, qoi, at), reference)
+    return SimilarityResult(metric=metric, distance=distance)
 
 
 def mare(values: np.ndarray, reference: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import socket
 import stat
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +76,7 @@ def test_serve_batch_refuses_a_malformed_job(tmp_path, capsys):
     path.write_text(json.dumps({"jobs": [{"name": "a", "command": ["true"], "cores": "two"}]}))
     assert pj.main(["serve", "--batch", str(path), "--workdir", str(tmp_path)]) == pj.EXIT_USAGE
     assert capsys.readouterr().err == (
-        "pj: job 'a': bad 'cores' 'two': invalid literal for int() with base 10: 'two'\n")
+        "pj: job 'a': bad 'cores' 'two': expected a whole number\n")
     assert not (tmp_path / REPORT_FILENAME).exists()
 
 
@@ -118,6 +119,19 @@ def test_serve_batch_reports_failures_in_exit_code(tmp_path):
     assert pj.main(["serve", "--batch", str(path), "--workdir", str(tmp_path)]) == pj.EXIT_FAILURES
     report = json.loads((tmp_path / REPORT_FILENAME).read_text())
     assert [j["status"] for j in report["jobs"]] == ["FAILED", "OMITTED"]
+
+
+def test_serve_batch_logs_under_a_relative_workdir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("batch.json").write_text(json.dumps({
+        "allocation": {"nodes": [{"cores": 1}]},
+        "jobs": [{"name": "a", "command": ["echo", "hi"]},
+                 {"name": "b", "command": ["echo", "there"], "stdout": "b.out"}],
+    }))
+    assert pj.main(["serve", "--batch", "batch.json", "--workdir", "w4"]) == pj.EXIT_OK
+    assert Path("w4/pj-logs/a.stdout").read_text() == "hi\n"
+    assert Path("w4/b.out").read_text() == "there\n"     # a configured path, as before
+    assert not Path("w4/w4").exists()
 
 
 def test_serve_socket_round_trip(tmp_path, capsys):

@@ -10,6 +10,7 @@ from tests.conftest import UQ_ERRORS, uniform_param, write_config
 from uqpilot import errors, executors
 from uqpilot.campaign.ops import Campaign
 from uqpilot.cli import uq
+from uqpilot.vvp.patterns import metric_distance
 
 # run_000003 writes no `y` column, so its run ends COMPLETED and fails to decode
 ECHO_BUT_RUN_3_UNDECODABLE = """
@@ -259,19 +260,61 @@ class TestStatusCollateResume:
 
 
 class TestValidate:
-    def test_similarity_to_its_own_ensemble(self, tmp_path, capsys):
+    def test_similarity_against_a_reference(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)
         assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.25\n0.5\n0.75\n")
         capsys.readouterr()
         assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity",
-                        "--qoi", "y"]) == uq.EXIT_OK
+                        "--qoi", "y", "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_OK
         distance, report = capsys.readouterr().out.splitlines()
-        assert distance == "hellinger distance: 0"
+        with Campaign.open(wd) as campaign:
+            values = [v[-1] for _, v in campaign.store.load_frame("y")[1]]
+        expected = metric_distance("hellinger", values, [0.25, 0.5, 0.75])
+        assert distance == f"hellinger distance: {expected:.6g}"
         doc = json.loads(Path(report.removeprefix("report: ")).read_text())
-        assert doc["pattern"] == "similarity"
-        assert doc["per_qoi"] == {"y": 0.0}
+        assert doc == {"pattern": "similarity", "metric": "hellinger", "distance": expected}
         latest = tmp_path / "camp" / "reports" / "validation-similarity-latest.json"
         assert json.loads(latest.read_text()) == doc
+
+    @pytest.mark.parametrize("metric", ["hellinger", "jsd", "wasserstein1"])
+    def test_similarity_scores_the_mc_stage_not_the_sc_nodes(self, tmp_path, capsys, metric):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "2"]) == 0
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "6",
+                        "--seed", "3"]) == uq.EXIT_OK
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.1\n0.3\n0.35\n0.9\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity", "--qoi", "y",
+                        "--metric", metric, "--reference", str(tmp_path / "ref.csv")]) == 0
+        report = capsys.readouterr().out.splitlines()[-1].removeprefix("report: ")
+        with Campaign.open(wd) as campaign:
+            mc_values = [v[-1] for _, v in campaign.store.load_frame("y", stage_id=2)[1]]
+        assert len(mc_values) == 6
+        expected = metric_distance(metric, mc_values, [0.1, 0.3, 0.35, 0.9])
+        assert json.loads(Path(report).read_text())["distance"] == expected
+
+    def test_similarity_refuses_an_sc_only_campaign(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "1"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_USAGE
+        assert "stage 1 (sc)" in capsys.readouterr().err
+        assert not (tmp_path / "camp" / "reports").exists()
+
+    @pytest.mark.parametrize("at", ["foo", "7", "-2", "1.5"])
+    def test_an_at_outside_the_vectors_is_a_usage_error(self, tmp_path, capsys, at):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv"), "--at", at]) == uq.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"uq: at={at!r} is not 'final', 'flat'")
 
     def test_ensemble_mare_against_a_reference(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)
@@ -291,9 +334,10 @@ class TestValidate:
 
     def test_similarity_before_any_run_is_a_run_failure(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
         capsys.readouterr()
-        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity",
-                        "--qoi", "y"]) == uq.EXIT_RUN_FAILURES
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "similarity", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_RUN_FAILURES
         assert capsys.readouterr().err == "uq: no collated values for qoi 'y'\n"
 
     @pytest.mark.parametrize("pattern", ["similarity", "ensemble"])
@@ -317,13 +361,17 @@ class TestValidate:
         assert not (tmp_path / "camp" / "reports").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--pattern", "similarity", "--qoi", "y", "--metric", "cosine"], "unknown metric"),
+        (["--pattern", "similarity", "--qoi", "y", "--metric", "cosine", "--reference", "REF"],
+         "unknown metric"),
         (["--pattern", "similarity"], "needs --qoi"),
         (["--pattern", "ensemble", "--qoi", "y"], "needs --qoi and --reference"),
+        (["--pattern", "similarity", "--qoi", "y"], "needs --qoi and --reference"),
     ])
     def test_usage_errors(self, tmp_path, capsys, argv, message):
         wd = make_campaign(tmp_path)
         assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        argv = [str(tmp_path / "ref.csv") if a == "REF" else a for a in argv]
         capsys.readouterr()
         assert uq.main(["validate", "--workdir", wd, *argv]) == uq.EXIT_USAGE
         assert message in capsys.readouterr().err

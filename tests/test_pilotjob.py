@@ -82,17 +82,25 @@ class TestJobDocument:
         ("command", 5),
         ("duration", "long"),
         ("workdir", 5),
+        ("cores", 2.7),          # int() would truncate it to 2 cores
+        ("cores", "2"),
+        ("cores", True),
+        ("iterations", 2.0),
+        ("parallel_iterations", "false"),   # bool() would make it True
+        ("parallel_iterations", 1),
     ])
     def test_a_malformed_field_names_the_job_and_the_field(self, field, value):
         with pytest.raises(ParseError, match=f"^job 'x': bad '{field}' "):
             JobSpec.from_json({"name": "x", "command": ["true"], field: value})
 
     def test_well_formed_fields(self):
-        spec = JobSpec.from_json({"name": "x", "command": "echo hi", "cores": "2",
+        spec = JobSpec.from_json({"name": "x", "command": "echo hi", "cores": 2,
                                   "after": ["a"], "env": {"K": 1}, "duration": 3,
-                                  "workdir": None, "mode": "ignored"})
+                                  "workdir": None, "iterations": 3,
+                                  "parallel_iterations": True, "mode": "ignored"})
         assert spec == JobSpec(name="x", command=("echo", "hi"), cores=2, after=("a",),
-                               env=(("K", "1"),), duration=3.0)
+                               env=(("K", "1"),), duration=3.0, iterations=3,
+                               parallel_iterations=True)
 
 
 class TestSubmitValidation:

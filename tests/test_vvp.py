@@ -7,20 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import uniform_param, write_config
-from uqpilot.errors import BinningError, DomainError, EmptyInput, ScorerError
+from uqpilot.errors import DomainError, EmptyInput, ScorerError
 from uqpilot.vvp.distances import (
-    EmpiricalDist,
+    _bin_samples,
+    as_masses,
     hellinger,
     jensen_shannon_dist,
     wasserstein1,
 )
-from uqpilot.vvp.patterns import ensemble_validate, mare, validate_similarity
+from uqpilot.vvp.patterns import ensemble_validate, mare, metric_distance, validate_similarity
 
 
-def hist(masses, edges=None):
-    if edges is None:
-        edges = list(range(len(masses) + 1))
-    return EmpiricalDist.from_histogram(edges, masses)
+def masses(weights, n=None):
+    """`weights` padded with zeros to length `n`, normalised to sum to one."""
+    m = np.array([*weights, *([0.0] * ((n or len(weights)) - len(weights)))])
+    return m / m.sum()
 
 
 masses_strategy = st.lists(
@@ -30,13 +31,12 @@ masses_strategy = st.lists(
 
 class TestHellinger:
     def test_identity(self):
-        p = hist([0.25, 0.25, 0.5])
+        p = masses([0.25, 0.25, 0.5])
         assert hellinger(p, p) == 0.0
 
     def test_disjoint_supports(self):
-        p = hist([1.0, 0.0])
-        q = hist([0.0, 1.0])
-        assert hellinger(p, q) == pytest.approx(1.0, abs=1e-12)
+        assert hellinger(masses([1.0, 0.0]), masses([0.0, 1.0])) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_hand_arithmetic(self):
         # (1/sqrt 2) * sqrt((sqrt .5 - sqrt .9)^2 + (sqrt .5 - sqrt .1)^2)
@@ -45,22 +45,25 @@ class TestHellinger:
              + (math.sqrt(0.5) - math.sqrt(0.1)) ** 2) / 2
         )
         assert expected == pytest.approx(0.32492, abs=1e-5)
-        assert hellinger(hist([0.5, 0.5]), hist([0.9, 0.1])) == pytest.approx(
+        assert hellinger(masses([0.5, 0.5]), masses([0.9, 0.1])) == pytest.approx(
             expected, abs=1e-12
         )
 
-    def test_mismatched_edges(self):
-        with pytest.raises(BinningError):
-            hellinger(hist([1.0, 1.0], [0, 1, 2]), hist([1.0, 1.0], [0, 1, 3]))
+    def test_samples_on_shared_bins(self):
+        # pooled {0, 0, 1, 3}: IQR 1.5, FD width 1.5 * 4**(-1/3) -> 2 bins [0, 1.5, 3]
+        pm, qm = as_masses([0.0, 1.0], [0.0, 3.0])
+        assert list(pm) == [1.0, 0.0] and list(qm) == [0.5, 0.5]
+        assert metric_distance("hellinger", [0.0, 1.0], [0.0, 3.0]) == hellinger(
+            masses([1.0, 0.0]), masses([0.5, 0.5]))
 
 
 class TestJensenShannon:
     def test_identity(self):
-        p = hist([0.2, 0.8])
+        p = masses([0.2, 0.8])
         assert jensen_shannon_dist(p, p) == 0.0
 
     def test_disjoint_is_one_base2(self):
-        assert jensen_shannon_dist(hist([1.0, 0.0]), hist([0.0, 1.0])) == pytest.approx(
+        assert jensen_shannon_dist(masses([1.0, 0.0]), masses([0.0, 1.0])) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -68,7 +71,7 @@ class TestJensenShannon:
         # p=[1,0], q=[.5,.5]: JS = 3/2 - (3/4) log2 3, distance is its sqrt
         expected = math.sqrt(1.5 - 0.75 * math.log2(3.0))
         assert expected == pytest.approx(0.5579, abs=1e-4)
-        assert jensen_shannon_dist(hist([1.0, 0.0]), hist([0.5, 0.5])) == pytest.approx(
+        assert jensen_shannon_dist(masses([1.0, 0.0]), masses([0.5, 0.5])) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -78,8 +81,7 @@ class TestMetricAxioms:
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_bounds(self, m1, m2):
         n = max(len(m1), len(m2))
-        p = hist([*m1, *([0.0] * (n - len(m1)))], list(range(n + 1)))
-        q = hist([*m2, *([0.0] * (n - len(m2)))], list(range(n + 1)))
+        p, q = masses(m1, n), masses(m2, n)
         for metric in (hellinger, jensen_shannon_dist):
             d_pq = metric(p, q)
             d_qp = metric(q, p)
@@ -91,13 +93,21 @@ class TestMetricAxioms:
     @settings(max_examples=60, deadline=None)
     def test_triangle_inequality(self, m1, m2, m3):
         n = max(len(m1), len(m2), len(m3))
-        edges = list(range(n + 1))
-        dists = [
-            hist([*m, *([0.0] * (n - len(m)))], edges) for m in (m1, m2, m3)
-        ]
-        p, q, r = dists
+        p, q, r = (masses(m, n) for m in (m1, m2, m3))
         for metric in (hellinger, jensen_shannon_dist):
             assert metric(p, r) <= metric(p, q) + metric(q, r) + 1e-10
+
+    @given(
+        st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=20),
+        st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=17),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sample_arrays_symmetry_and_bounds(self, x, y):
+        for metric in ("hellinger", "jsd"):
+            d_xy = metric_distance(metric, x, y)
+            assert d_xy == pytest.approx(metric_distance(metric, y, x), abs=1e-12)
+            assert 0.0 <= d_xy <= 1.0
+            assert metric_distance(metric, x, x) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestWasserstein:
@@ -158,30 +168,24 @@ class TestSimilarityPattern:
             store.insert_qoi(rid, list(range(1, len(vec) + 1)), {"y": list(vec)})
         return store
 
-    def test_self_reference_is_zero(self, tmp_path):
-        store = self.collated_store(tmp_path, [[1.0, 2.0], [2.0, 3.0], [1.5, 2.5]])
-        from uqpilot.vvp.patterns import ensemble_distribution
-
-        reference = ensemble_distribution(store, "y", "final")
-        for metric in ("hellinger", "jsd", "wasserstein1"):
-            result = validate_similarity(store, ["y"], reference, metric)
-            assert result.distance == pytest.approx(0.0, abs=1e-12)
-
     def test_constant_ensemble_vs_point_mass(self, tmp_path):
         store = self.collated_store(tmp_path, [[4.0], [4.0], [4.0]])
-        reference = EmpiricalDist.from_samples([4.0, 4.0])
-        result = validate_similarity(store, ["y"], reference, "hellinger")
+        result = validate_similarity(store, "y", [4.0, 4.0], "hellinger")
         assert result.distance == pytest.approx(0.0, abs=1e-12)
 
-    def test_gaussian_ensemble_against_analytic_histogram(self, tmp_path):
+    def test_time_index_and_flat(self, tmp_path):
+        store = self.collated_store(tmp_path, [[1.0, 5.0], [2.0, 6.0]])
+        assert validate_similarity(store, "y", [1.0, 2.0], "wasserstein1", at="0").distance == 0
+        assert validate_similarity(store, "y", [1.0, 2.0, 5.0, 6.0], "wasserstein1",
+                                   at="flat").distance == 0
+
+    def test_gaussian_ensemble_against_analytic_histogram(self):
         rng = np.random.Generator(np.random.Philox(key=77))
         samples = rng.standard_normal(10_000)
         edges = np.linspace(-5, 5, 41)
         cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-        masses = [cdf(b) - cdf(a) for a, b in zip(edges, edges[1:])]
-        reference = EmpiricalDist.from_histogram(edges, masses)
-        ensemble = EmpiricalDist.from_samples(samples)
-        assert hellinger(ensemble, reference) <= 0.05
+        analytic = np.array([cdf(b) - cdf(a) for a, b in zip(edges, edges[1:])])
+        assert hellinger(_bin_samples(samples, edges), analytic / analytic.sum()) <= 0.05
 
 
 class TestEnsemblePattern:

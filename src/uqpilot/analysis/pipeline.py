@@ -1,17 +1,19 @@
 """Stage analysis: from collated QoI vectors to moments and Sobol reports.
 
-Quadrature stages (sc/pce) rebuild their grid from the stored sampler
-spec with ``stage_grid``, the one grid builder that sampling uses too,
-and match runs to grid points by run order. The grid's points go to
-physical space through ``to_physical``, as at sampling, and
-``project_sparse`` projects them; a tensor stage is its one-component
-case. MC/halton stages get sample moments and bootstrap intervals
-instead.
+``read_stage`` is the one read of a stage's runs, for analysis and for
+both validation patterns (``uqpilot.vvp.patterns``). Quadrature stages
+(sc/pce) rebuild their grid from the stored sampler spec with
+``stage_grid``, the one grid builder that sampling uses too, and match
+runs to grid points by run order. The grid's points go to physical space
+through ``to_physical``, as at sampling, and ``project_sparse`` projects
+them; a tensor stage is its one-component case. MC/halton stages get
+sample moments and bootstrap intervals instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -25,85 +27,82 @@ from uqpilot.sampling.sparse import smolyak_grid  # noqa: F401
 
 
 def stage_sampler(store: CampaignStore, stage_id: int) -> SamplerSpec:
-    import json
-
     return SamplerSpec.from_json(json.loads(store.stage(stage_id)["sampler_json"]))
 
 
-def check_stage_collated(store: CampaignStore, stage_id: int, allow_missing: bool):
-    """Quadrature stages must be fully collated; MC may opt out."""
-    spec = stage_sampler(store, stage_id)
-    missing = [
-        r["run_id"] for r in store.runs(stage_id=stage_id) if r["status"] != "COLLATED"
-    ]
-    if not missing:
-        return spec, []
-    if spec.is_quadrature or not allow_missing:
-        raise MissingRunError(
-            f"stage {stage_id} has {len(missing)} non-collated runs: "
-            f"{missing[:10]}{'...' if len(missing) > 10 else ''}",
-            run_ids=missing,
-        )
-    return spec, missing
+@dataclasses.dataclass(frozen=True)
+class StageRuns:
+    """A stage's collated runs, in run order, with one QoI's vector per run."""
+
+    stage_id: int
+    spec: SamplerSpec
+    runs: list                  # collated run rows
+    index: np.ndarray | None
+    values: np.ndarray          # one row per collated run; empty without a qoi
+    missing: list[int]          # ids of the stage's runs not collated
+
+    def check_collated(self, allow_missing: bool = False):
+        """Refuse runs not collated; only MC analysis may `allow_missing`."""
+        missing = self.missing
+        if missing and not allow_missing:
+            raise MissingRunError(
+                f"stage {self.stage_id} has {len(missing)} non-collated runs: "
+                f"{missing[:10]}{'...' if len(missing) > 10 else ''}", run_ids=missing)
 
 
-def _stage_values(store: CampaignStore, stage_id: int, qoi: str):
-    """(index, run_ids, value matrix) for the stage's collated runs."""
-    index, rows = store.load_frame(qoi, stage_id=stage_id)
-    if not rows:
-        raise MissingRunError(f"no collated values for qoi {qoi!r} in stage {stage_id}")
-    run_ids = [rid for rid, _ in rows]
-    values = np.array([v for _, v in rows], dtype=float)
-    return (None if index is None else np.asarray(index, dtype=float)), run_ids, values
+def read_stage(store: CampaignStore, stage_id: int, qoi: str | None) -> StageRuns:
+    """One `store.runs` and one `load_frame` call (none for `qoi=None`);
+    every collated run must carry the QoI, so `values[i]` is `runs[i]`'s."""
+    rows = store.runs(stage_id=stage_id)
+    runs = [r for r in rows if r["status"] == "COLLATED"]
+    index, frame = (None, []) if qoi is None else store.load_frame(qoi, stage_id=stage_id)
+    if qoi is not None and [rid for rid, _ in frame] != [r["run_id"] for r in runs]:
+        raise MissingRunError(f"stage {stage_id}: {len(frame)} of {len(runs)} collated "
+                              f"runs have values for qoi {qoi!r}")
+    return StageRuns(
+        stage_id=stage_id,
+        spec=stage_sampler(store, stage_id),
+        runs=runs,
+        index=None if index is None else np.asarray(index, dtype=float),
+        values=np.array([v for _, v in frame], dtype=float),
+        missing=[r["run_id"] for r in rows if r["status"] != "COLLATED"],
+    )
 
 
 def surrogate_for_stage(
     store: CampaignStore, stage_id: int, qoi: str
 ) -> SpectralSurrogate:
     """Project a fully collated quadrature stage into a spectral surrogate."""
-    spec, _ = check_stage_collated(store, stage_id, allow_missing=False)
-    if not spec.is_quadrature:
-        raise SamplerError(
-            f"stage {stage_id} used sampler {spec.variant!r}; spectral analysis "
-            "needs an sc or pce stage"
-        )
-    params = store.parameters()
-    active = [p for p in params if not p.distribution.is_constant]
+    stage = read_stage(store, stage_id, qoi)
+    stage.check_collated()
+    if not stage.spec.is_quadrature:
+        raise SamplerError(f"stage {stage_id} used sampler {stage.spec.variant!r}; "
+                           "spectral analysis needs an sc or pce stage")
+    active = [p for p in store.parameters() if not p.distribution.is_constant]
     names = [p.name for p in active]
     dists = [p.distribution for p in active]
-    index, run_ids, values = _stage_values(store, stage_id, qoi)
-
-    expected = store.stage(stage_id)["n_runs"]
-    if len(run_ids) != expected:
-        raise MissingRunError(
-            f"stage {stage_id}: {len(run_ids)} collated of {expected} runs"
-        )
-
-    grid = stage_grid(spec, dists)
+    grid = stage_grid(stage.spec, dists)
     physical = to_physical(grid.points, dists)
-    _check_points(store, stage_id, run_ids, physical, names)
+    _check_points(stage, physical, names)
     return project_sparse(
-        values, dataclasses.replace(grid, points=physical), dists, names,
-        qoi=qoi, index=index,
+        stage.values, dataclasses.replace(grid, points=physical), dists, names,
+        qoi=qoi, index=stage.index,
     )
 
 
-def _check_points(store, stage_id, run_ids, physical, names):
+def _check_points(stage: StageRuns, physical, names):
     """Stored run parameters must match the rebuilt grid, point for point."""
-    if len(run_ids) != len(physical):
+    if len(stage.runs) != len(physical):
         raise MissingRunError(
-            f"stage {stage_id}: {len(run_ids)} runs vs {len(physical)} grid points"
-        )
-    rows = {r["run_id"]: store.run_params(r) for r in store.runs(stage_id=stage_id)}
-    for rid, point in zip(run_ids, physical.tolist()):
-        params = rows[rid]
+            f"stage {stage.stage_id}: {len(stage.runs)} runs vs {len(physical)} grid points")
+    for row, point in zip(stage.runs, physical.tolist()):
+        params = json.loads(row["params_json"])
         for name, expect in zip(names, point):
             got = params[name]
             if abs(got - expect) > 1e-9 * max(1.0, abs(expect)):
                 raise MissingRunError(
-                    f"run {rid}: parameter {name}={got} does not match grid value "
-                    f"{expect}; store and sampler disagree"
-                )
+                    f"run {row['run_id']}: parameter {name}={got} does not match grid value "
+                    f"{expect}; store and sampler disagree")
 
 
 def analyze_quadrature_stage(store: CampaignStore, stage_id: int, qoi: str) -> SobolReport:
@@ -120,20 +119,23 @@ def analyze_mc_stage(
     seed: int = 0,
 ):
     """Sample moments plus bootstrap CIs per time point for an MC stage."""
-    spec, missing = check_stage_collated(store, stage_id, allow_missing)
-    if spec.is_quadrature:
+    stage = read_stage(store, stage_id, qoi)
+    stage.check_collated(allow_missing)
+    if stage.spec.is_quadrature:
         raise SamplerError(f"stage {stage_id} is a quadrature stage")
-    index, run_ids, values = _stage_values(store, stage_id, qoi)
+    values = stage.values
+    if not len(values):
+        raise MissingRunError(f"no collated values for qoi {qoi!r} in stage {stage_id}")
     mean = values.mean(axis=0)
-    var = values.var(axis=0, ddof=1) if len(run_ids) > 1 else np.zeros(values.shape[1])
+    var = values.var(axis=0, ddof=1) if len(values) > 1 else np.zeros(values.shape[1])
     cis: list[BootstrapCI] = [
         bootstrap(values[:, t], "mean", B=B, alpha=alpha, seed=seed + t)
         for t in range(values.shape[1])
     ]
     return {
-        "index": index,
-        "n_runs": len(run_ids),
-        "missing": missing,
+        "index": stage.index,
+        "n_runs": len(values),
+        "missing": stage.missing,
         "mean": mean,
         "variance": var,
         "mean_ci": cis,

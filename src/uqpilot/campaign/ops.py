@@ -62,6 +62,10 @@ class Campaign:
         space = [(p.name, p.distribution) for p in params]
         if spec.is_quadrature and all(p.distribution.is_constant for p in params):
             raise SamplerError("quadrature sampler over a constant-only space")
+        integers = [p.name for p in params if p.kind == "integer" and not p.distribution.is_constant]
+        if spec.is_quadrature and integers:   # rounded nodes are off the grid analysis rebuilds
+            raise SamplerError(f"quadrature sampler over integer parameters "
+                               f"{', '.join(integers)}; use mc or halton")
         sets, weights = draw(space, spec)
         by_name = {p.name: p for p in params}
         sets = [{k: by_name[k].coerce(v) for k, v in s.items()} for s in sets]

@@ -1,10 +1,11 @@
 """Newline-delimited JSON control protocol over the manager's Unix socket.
 
 The socket is `pj.sock` in the manager's workdir. It is made mode 0600
-before the server listens, so only the user who started the manager can
-connect, and it is removed when the server closes. A manager killed
-before it could close leaves the socket behind; the next server replaces
-a socket that refuses connections, and refuses one a manager listens on.
+and listening before it is linked there, so only the user who started
+the manager can connect, and it is removed when the server closes. A
+manager killed before it could close leaves the socket behind; the next
+server replaces a socket that refuses connections, and refuses one a
+manager listens on.
 
 Requests:  {"id": ..., "cmd": "submit"|"status"|"cancel"|"finish",
             "payload": {...}}
@@ -96,23 +97,28 @@ class ManagerServer:
 
         class Server(socketserver.ThreadingUnixStreamServer):
             daemon_threads = True
-            bound = False
+            linked = False
 
-            def server_bind(self):
-                super().server_bind()
-                self.bound = True
-                # before server_activate listens, so no one connects earlier
-                os.chmod(self.server_address, 0o600)
+            def server_activate(self):
+                # pj.sock appears only once the socket is 0600 and listening; link,
+                # unlike rename, fails rather than replace a live manager's socket
+                try:
+                    os.chmod(self.server_address, 0o600)
+                    super().server_activate()
+                    os.link(self.server_address, outer.path)
+                    self.linked = True
+                finally:
+                    os.unlink(self.server_address)
 
             def server_close(self):
                 super().server_close()
-                if self.bound:   # never remove a socket another manager bound
-                    os.unlink(self.server_address)
+                if self.linked:   # never remove a socket another manager bound
+                    outer.path.unlink()
 
         if _refuses_connections(self.path):
             self.path.unlink()
-        try:
-            self._server = Server(str(self.path), Handler)
+        try:   # bind a name of this process; server_activate links it to pj.sock
+            self._server = Server(f"{self.path}.{os.getpid()}", Handler)
         except OSError as exc:
             raise BindError(f"cannot bind manager socket {self.path}: {exc}") from exc
         self._thread: threading.Thread | None = None

@@ -10,9 +10,9 @@ from uqpilot.vvp.patterns import (
     METRICS,
     EnsembleScore,
     SimilarityResult,
-    ensemble_samples,
     ensemble_validate,
     mare,
+    sampled_runs,
     validate_similarity,
 )
 
@@ -22,12 +22,12 @@ __all__ = [
     "METRICS",
     "SimilarityResult",
     "as_masses",
-    "ensemble_samples",
     "ensemble_validate",
     "fd_edges",
     "hellinger",
     "jensen_shannon_dist",
     "mare",
+    "sampled_runs",
     "validate_similarity",
     "wasserstein1",
 ]

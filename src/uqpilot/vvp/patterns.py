@@ -1,9 +1,11 @@
 """Validation patterns: distribution similarity and per-run ensemble scoring.
 
-Similarity compares the distribution of one QoI over the campaign's draws
-from the inputs' distribution (the collated runs of its `mc` and `halton`
-stages, pooled) with a reference sample array. Quadrature (`sc`, `pce`)
-nodes are not such draws, so they are never scored.
+Both patterns score the campaign's draws from the inputs' distribution:
+the collated runs of its `mc` and `halton` stages, pooled and read stage by
+stage through ``read_stage`` (`sampled_runs`). Similarity compares the
+distribution of one QoI over them with a reference sample array; the
+ensemble pattern scores each of them and aggregates. Quadrature (`sc`,
+`pce`) nodes are not such draws, so they are never scored.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from uqpilot.analysis.pipeline import stage_sampler
+from uqpilot.analysis.pipeline import StageRuns, read_stage
 from uqpilot.campaign.store import CampaignStore
-from uqpilot.errors import DomainError, EmptyInput, MissingRunError, SamplerError, ScorerError
+from uqpilot.errors import DomainError, MissingRunError, SamplerError, ScorerError
 from uqpilot.vvp.distances import as_masses, hellinger, jensen_shannon_dist, wasserstein1
 
 METRICS = ("hellinger", "jsd", "wasserstein1")
@@ -47,45 +49,45 @@ def metric_distance(metric: str, x, y) -> float:
     raise DomainError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
 
 
-def ensemble_samples(store: CampaignStore, qoi: str, at: int | str = "final") -> np.ndarray:
-    """The QoI's values over the collated runs of every `mc` and `halton`
-    stage, which all draw from the inputs' one distribution.
+def sampled_runs(store: CampaignStore, qoi: str | None) -> list[StageRuns]:
+    """The collated runs of every `mc` and `halton` stage, which all draw
+    from the inputs' one distribution, with their `qoi` values.
 
-    `at` picks a time index, "final" for the last point, or "flat" to pool
-    every time point of every run. A campaign whose collated values all
-    sit on quadrature nodes is refused: a node set is not a sample.
+    A campaign whose collated runs all sit on quadrature nodes is refused:
+    a node set is not a sample.
     """
-    vectors, grid_stages = [], []
-    for stage in store.stages():
-        stage_id = stage["stage_id"]
-        rows = store.load_frame(qoi, stage_id=stage_id)[1]
-        spec = stage_sampler(store, stage_id)
-        if spec.is_quadrature:
-            grid_stages += [f"stage {stage_id} ({spec.variant})"] if rows else []
-        else:
-            vectors += [v for _, v in rows]
-    if not vectors and grid_stages:
+    stages = [read_stage(store, s["stage_id"], qoi) for s in store.stages()]
+    sampled = [s for s in stages if s.runs and not s.spec.is_quadrature]
+    grid_stages = [f"stage {s.stage_id} ({s.spec.variant})" for s in stages
+                   if s.runs and s.spec.is_quadrature]
+    if not sampled and grid_stages:
         raise SamplerError(
-            f"qoi {qoi!r} is collated only on quadrature nodes ({', '.join(grid_stages)}); "
-            "grid nodes are not draws from the inputs' distribution, so similarity "
+            f"the collated runs are all quadrature nodes ({', '.join(grid_stages)}); "
+            "grid nodes are not draws from the inputs' distribution, so validation "
             "needs an mc or halton stage")
-    if not vectors:
-        raise MissingRunError(f"no collated values for qoi {qoi!r}")
-    if at == "flat":
-        return np.concatenate(vectors)
-    try:
-        pos = -1 if at == "final" else int(at)
-        return np.array([v[pos] for v in vectors])
-    except (ValueError, IndexError):
-        raise DomainError(f"at={at!r} is not 'final', 'flat' or an index into the "
-                          f"{len(vectors[0])}-point {qoi!r} vectors") from None
+    if not sampled:
+        raise MissingRunError(f"no collated values for qoi {qoi!r}" if qoi
+                              else "no collated runs to validate")
+    return sampled
 
 
 def validate_similarity(store: CampaignStore, qoi: str, reference, metric: str,
                         at: int | str = "final") -> SimilarityResult:
-    """Score the ensemble's distribution of `qoi` against a reference sample array."""
-    distance = metric_distance(metric, ensemble_samples(store, qoi, at), reference)
-    return SimilarityResult(metric=metric, distance=distance)
+    """Score the sampled distribution of `qoi` against a reference sample array.
+
+    `at` picks a time index, "final" for the last point, or "flat" to pool
+    every time point of every run.
+    """
+    values = np.concatenate([s.values for s in sampled_runs(store, qoi)])
+    if at == "flat":
+        samples = values.ravel()
+    else:
+        try:
+            samples = values[:, -1 if at == "final" else int(at)]
+        except (ValueError, IndexError):
+            raise DomainError(f"at={at!r} is not 'final', 'flat' or an index into the "
+                              f"{values.shape[1]}-point {qoi!r} vectors") from None
+    return SimilarityResult(metric=metric, distance=metric_distance(metric, samples, reference))
 
 
 def mare(values: np.ndarray, reference: np.ndarray) -> float:
@@ -99,32 +101,21 @@ def mare(values: np.ndarray, reference: np.ndarray) -> float:
     return float(np.mean(np.abs(v - r) / denom))
 
 
-def _score_builtin(frame: dict, qoi: str, reference: np.ndarray, run_id: int) -> float:
-    if run_id not in frame:
-        raise ScorerError(f"run {run_id} has no collated {qoi!r} vector", run_id=run_id)
-    try:
-        return mare(np.asarray(frame[run_id]), reference)
-    except ScorerError as exc:
-        raise ScorerError(f"run {run_id}: {exc}", run_id=run_id) from exc
-
-
-def _score_external(command: list[str], run_dir: str, run_id: int) -> float:
+def _score_external(command: list[str], run_dir: str | None) -> float:
+    if not run_dir:
+        raise ScorerError("no run directory")
     proc = subprocess.run(
         [*command, run_dir], capture_output=True, text=True, timeout=300
     )
     if proc.returncode != 0:
-        raise ScorerError(
-            f"run {run_id}: scorer exited {proc.returncode}: {proc.stderr.strip()}",
-            run_id=run_id,
-        )
+        raise ScorerError(f"scorer exited {proc.returncode}: {proc.stderr.strip()}")
     out = proc.stdout.strip().split()
     try:
         (token,) = out
         return float(token)
     except ValueError as exc:
         raise ScorerError(
-            f"run {run_id}: scorer must print exactly one real, got {proc.stdout!r}",
-            run_id=run_id,
+            f"scorer must print exactly one real, got {proc.stdout!r}"
         ) from exc
 
 
@@ -135,20 +126,17 @@ def ensemble_validate(
     qoi: str | None = None,
     reference: np.ndarray | None = None,
 ) -> EnsembleScore:
-    """Score each collated run and aggregate.
+    """Score each collated run of the `mc` and `halton` stages and aggregate.
 
     `scorer` is "mare" (needs qoi + reference vector) or an external
-    command list invoked as `cmd <run_dir>` printing one real. Per-run
-    scores are recorded in the store.
+    command list invoked as `cmd <run_dir>` printing one real. Quadrature
+    nodes are not scored, as in `sampled_runs`. Per-run scores are
+    recorded in the store.
     """
     if aggregator not in AGGREGATORS:
         raise DomainError(
             f"unknown aggregator {aggregator!r}; choose from {', '.join(AGGREGATORS)}"
         )
-    rows = store.runs(status="COLLATED")
-    if not rows:
-        raise EmptyInput("no collated runs to validate")
-
     builtin = isinstance(scorer, str)
     if builtin and scorer != "mare":
         raise DomainError(f"unknown built-in scorer {scorer!r}")
@@ -156,20 +144,17 @@ def ensemble_validate(
         raise DomainError("mare scorer needs a qoi and a reference vector")
 
     scorer_name = scorer if builtin else " ".join(scorer)
-    if builtin:
-        frame = dict(store.load_frame(qoi)[1])
-        reference = np.asarray(reference, dtype=float)
     per_run: dict[int, float] = {}
-    for row in rows:
-        rid = row["run_id"]
-        if builtin:
-            score = _score_builtin(frame, qoi, reference, rid)
-        else:
-            if not row["run_dir"]:
-                raise ScorerError(f"run {rid} has no run directory", run_id=rid)
-            score = _score_external(list(scorer), row["run_dir"], rid)
-        per_run[rid] = score
-        store.record_score(rid, scorer_name, score)
+    for stage in sampled_runs(store, qoi if builtin else None):
+        for i, row in enumerate(stage.runs):
+            rid = row["run_id"]
+            try:
+                score = (mare(stage.values[i], reference) if builtin
+                         else _score_external(list(scorer), row["run_dir"]))
+            except ScorerError as exc:
+                raise ScorerError(f"run {rid}: {exc}", run_id=rid) from exc
+            per_run[rid] = score
+            store.record_score(rid, scorer_name, score)
 
     values = np.array([per_run[rid] for rid in sorted(per_run)])
     aggregate = float(values.mean() if aggregator == "mean" else values.max())

@@ -5,7 +5,7 @@ import pytest
 from tests.conftest import uniform_param, write_config
 from uqpilot.campaign.config import load_config
 from uqpilot.campaign.ops import Campaign
-from uqpilot.errors import ConfigError, DecodeError, TemplateError
+from uqpilot.errors import ConfigError, DecodeError, SamplerError, TemplateError
 from uqpilot.sampling.samplers import SamplerSpec
 
 TABLE_PARAMS = [
@@ -172,6 +172,29 @@ class TestStagesAndEncode:
         t1 = [c1.store.run_params(r) for r in c1.store.runs()]
         t2 = [c2.store.run_params(r) for r in c2.store.runs()]
         assert t1 == t2
+
+    @pytest.mark.parametrize("spec", [SamplerSpec("sc", level=1),
+                                      SamplerSpec("pce", order=2)], ids=["sc", "pce"])
+    def test_quadrature_over_an_integer_parameter_is_refused(self, tmp_path, spec):
+        param = {
+            "name": "n", "kind": "integer", "default": 5,
+            "distribution": {"type": "uniform", "args": [0, 10]},
+        }
+        cfg = write_config(tmp_path, [uniform_param("a", 0, 1), param], "$a $n\n", ["true"])
+        campaign = Campaign.create(cfg, tmp_path / "camp")
+        with pytest.raises(SamplerError, match="integer parameters n; use mc or halton"):
+            campaign.add_stage(spec)
+        assert campaign.store.runs() == [] and campaign.store.stages() == []
+
+    def test_quadrature_over_a_constant_integer_parameter(self, tmp_path):
+        param = {
+            "name": "n", "kind": "integer", "default": 5,
+            "distribution": {"type": "constant", "args": [5]},
+        }
+        cfg = write_config(tmp_path, [uniform_param("a", 0, 1), param], "$a $n\n", ["true"])
+        campaign = Campaign.create(cfg, tmp_path / "camp")
+        campaign.add_stage(SamplerSpec("sc", level=1))
+        assert {campaign.store.run_params(r)["n"] for r in campaign.store.runs()} == {5}
 
     def test_integer_kind_coerces(self, tmp_path):
         param = {

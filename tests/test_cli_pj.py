@@ -165,6 +165,28 @@ def test_serve_socket_round_trip(tmp_path, capsys):
     assert [j["status"] for j in report["jobs"]] == ["SUCCEEDED", "SUCCEEDED"]
 
 
+def test_socket_appears_only_once_listening_with_mode_0600(tmp_path, monkeypatch):
+    # clients poll for pj.sock, so it must not exist before the server listens
+    sock = tmp_path / SOCKET_FILENAME
+    seen_at_listen = []
+    listen = socket.socket.listen
+
+    def recording_listen(self, *args):
+        seen_at_listen.append(sock.exists())
+        return listen(self, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", recording_listen)
+    server = ManagerServer(PilotManager(1, workdir=tmp_path)).start()
+    try:
+        assert seen_at_listen == [False]
+        assert stat.S_IMODE(sock.stat().st_mode) == 0o600
+        assert [p.name for p in tmp_path.glob(f"{SOCKET_FILENAME}*")] == [SOCKET_FILENAME]
+        assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_OK
+    finally:
+        server.stop()
+    assert not sock.exists()
+
+
 def test_clients_without_a_manager_fail_cleanly(tmp_path, capsys):
     assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_USAGE
     assert f"no manager socket at {tmp_path / SOCKET_FILENAME}" in capsys.readouterr().err

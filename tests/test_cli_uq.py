@@ -9,8 +9,9 @@ import pytest
 from tests.conftest import UQ_ERRORS, uniform_param, write_config
 from uqpilot import errors, executors
 from uqpilot.campaign.ops import Campaign
+from uqpilot.campaign.store import CampaignStore
 from uqpilot.cli import uq
-from uqpilot.vvp.patterns import metric_distance
+from uqpilot.vvp.patterns import mare, metric_distance
 
 # run_000003 writes no `y` column, so its run ends COMPLETED and fails to decode
 ECHO_BUT_RUN_3_UNDECODABLE = """
@@ -53,6 +54,17 @@ def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
 def statuses(wd) -> dict[int, str]:
     with Campaign.open(wd) as campaign:
         return {row["run_id"]: row["status"] for row in campaign.store.runs()}
+
+
+def count_stage_reads(monkeypatch) -> dict[str, list]:
+    """The `stage_id` of each `CampaignStore.runs` and `load_frame` call from now on."""
+    calls = {"runs": [], "load_frame": []}
+    for name, record in calls.items():
+        def counted(self, *args, _read=getattr(CampaignStore, name), _record=record, **kwargs):
+            _record.append(kwargs.get("stage_id"))
+            return _read(self, *args, **kwargs)
+        monkeypatch.setattr(CampaignStore, name, counted)
+    return calls
 
 
 class TestInit:
@@ -163,6 +175,57 @@ class TestAnalyze:
         doc = json.loads(Path(report.removeprefix("report: ")).read_text())
         assert line == f"qoi 'y': n=4 final mean={doc['mean'][-1]!r}"
 
+    def test_mc_stage_with_a_failed_run_needs_allow_missing(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, script=FAIL_RUN_2)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_RUN_FAILURES
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "uq: stage 1 has 1 non-collated runs: [2]\n")
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y",
+                        "--allow-missing"]) == uq.EXIT_OK
+        out = capsys.readouterr()
+        assert out.err == "uq: warning: 1 runs missing from stage 1\n"
+        line, report = out.out.splitlines()
+        doc = json.loads(Path(report.removeprefix("report: ")).read_text())
+        with Campaign.open(wd) as campaign:
+            values = [v[0] for _, v in campaign.store.load_frame("y")[1]]
+        assert len(values) == doc["n_runs"] == 3
+        assert doc["mean"] == [pytest.approx(sum(values) / 3, rel=1e-12)]
+        assert line.startswith("qoi 'y': n=3 final mean=")
+
+    @pytest.mark.parametrize("argv", [[], ["--allow-missing"]], ids=["plain", "allow-missing"])
+    def test_sc_stage_with_a_failed_run_is_refused(self, tmp_path, capsys, argv):
+        wd = make_campaign(tmp_path, n_runs=0, script=FAIL_RUN_2)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "2"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_RUN_FAILURES
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y", *argv]) == uq.EXIT_RUN_FAILURES
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "uq: stage 1 has 1 non-collated runs: [2]\n")
+        assert not (tmp_path / "camp" / "reports").exists()
+
+    def test_a_parameter_off_its_grid_point_is_refused(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "2"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        with Campaign.open(wd) as campaign, campaign.store._txn() as conn:
+            conn.execute("UPDATE runs SET params_json=? WHERE run_id=2",
+                         (json.dumps({"a": 0.123}),))
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_RUN_FAILURES
+        err = capsys.readouterr().err
+        assert err.startswith("uq: run 2: parameter a=0.123 does not match grid value ")
+        assert err.endswith("; store and sampler disagree\n")
+
+    def test_a_quadrature_stage_is_read_once(self, tmp_path, monkeypatch, capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "2"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        calls = count_stage_reads(monkeypatch)
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_OK
+        assert calls == {"runs": [1], "load_frame": [1]}
+
 
 class TestSample:
     def test_pce_keeps_its_growth_rule(self, tmp_path, capsys):
@@ -176,6 +239,18 @@ class TestSample:
             (stage,) = campaign.store.stages()
             assert json.loads(stage["sampler_json"])["growth"] == "exp2"
             assert len(campaign.store.runs()) == 25
+
+    def test_sc_over_an_integer_parameter_is_a_usage_error(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0, parameters=[{
+            "name": "a", "kind": "integer", "default": 1,
+            "distribution": {"type": "uniform", "args": [0, 3]}}])
+        capsys.readouterr()
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc",
+                        "--level", "2"]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "uq: quadrature sampler over integer parameters a; use mc or halton\n")
+        assert statuses(wd) == {}
 
 
 class TestRun:
@@ -331,6 +406,56 @@ class TestValidate:
         doc = json.loads(Path(report.removeprefix("report: ")).read_text())
         assert doc["aggregate"] == pytest.approx(expected, rel=1e-12)
         assert sorted(doc["per_run"]) == ["1", "2", "3", "4"]
+
+    def test_ensemble_scores_the_mc_stage_not_the_sc_nodes(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "2"]) == 0
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "6",
+                        "--seed", "3"]) == uq.EXIT_OK
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "ensemble", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_OK
+        report = capsys.readouterr().out.splitlines()[-1].removeprefix("report: ")
+        doc = json.loads(Path(report).read_text())
+        with Campaign.open(wd) as campaign:
+            mc_rows = campaign.store.load_frame("y", stage_id=2)[1]
+        assert sorted(int(rid) for rid in doc["per_run"]) == [rid for rid, _ in mc_rows]
+        scores = [mare(v, [0.5]) for _, v in mc_rows]
+        assert len(scores) == 6
+        assert doc["aggregate"] == pytest.approx(sum(scores) / 6, rel=1e-12)
+
+    def test_ensemble_refuses_an_sc_only_campaign(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "1"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "ensemble", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_USAGE
+        assert "stage 1 (sc)" in capsys.readouterr().err
+        assert not (tmp_path / "camp" / "reports").exists()
+
+    def test_ensemble_before_any_run_is_a_run_failure(self, tmp_path, capsys):
+        wd = make_campaign(tmp_path)
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", "ensemble", "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_RUN_FAILURES
+        assert capsys.readouterr().err == "uq: no collated values for qoi 'y'\n"
+
+    @pytest.mark.parametrize("pattern", ["similarity", "ensemble"])
+    def test_each_stage_is_read_once(self, tmp_path, monkeypatch, capsys, pattern):
+        wd = make_campaign(tmp_path, n_runs=0)
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--level", "1"]) == 0
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "5"]) == 0
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("y\n0.5\n")
+        calls = count_stage_reads(monkeypatch)
+        assert uq.main(["validate", "--workdir", wd, "--pattern", pattern, "--qoi", "y",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_OK
+        assert calls == {"runs": [1, 2], "load_frame": [1, 2]}
 
     def test_similarity_before_any_run_is_a_run_failure(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)

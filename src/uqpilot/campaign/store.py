@@ -427,9 +427,10 @@ class CampaignStore:
 
     # --- scores ---------------------------------------------------------
 
-    def record_score(self, run_id: int, scorer: str, score: float):
+    def record_scores(self, scorer: str, scores: dict[int, float]):
+        """Record `scores` (run id -> score) of one scorer in one transaction."""
         with self._txn():
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO run_scores (run_id, scorer, score) VALUES (?, ?, ?)",
-                (run_id, scorer, score),
+                [(run_id, scorer, score) for run_id, score in scores.items()],
             )

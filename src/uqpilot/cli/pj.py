@@ -14,7 +14,9 @@ job and the field), a bad allocation, a `PJ_VIRTUAL_CORES` that is not a
 whole number, a `--report` whose directory does not exist (refused
 before any job starts) or a report that cannot be written, a socket that
 cannot be bound, no manager listening at `--manager`, or a request the
-manager refused.
+manager refused. A SIGTERM or SIGHUP ends `serve` as Ctrl-C does,
+stopping the jobs in flight, and then exits 128 + the signal number
+(143, 129).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from uqpilot.cli import stop_on_termination
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -74,12 +78,14 @@ def cmd_serve(args) -> int:
         if args.allocation_cores is not None:
             return _fail("--allocation-cores does not apply to --batch; "
                          "the batch file names its allocation")
-        report = run_batch(args.batch, workdir=args.workdir, clock=args.clock,
-                           report_path=args.report)
+        with stop_on_termination():
+            report = run_batch(args.batch, workdir=args.workdir, clock=args.clock,
+                               report_path=args.report)
     elif args.socket:
         cores = detected_cores() if args.allocation_cores is None else args.allocation_cores
-        report = serve_socket(cores, workdir=args.workdir, clock=args.clock,
-                              report_path=args.report)
+        with stop_on_termination():
+            report = serve_socket(cores, workdir=args.workdir, clock=args.clock,
+                                  report_path=args.report)
     else:
         return _fail("serve needs --batch FILE or --socket")
     if report is None:

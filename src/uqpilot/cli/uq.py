@@ -4,7 +4,9 @@ Subcommands parse, call the library and print; `main` alone maps errors
 to the published exit codes: 0 success; 1 run failures, including
 `MissingRunError` (analysis or validation over runs not collated); 2
 usage and configuration problems, which is every other `UqError`; 3
-refusals (`init` into a non-empty workdir); 4 `StoreCorrupt`.
+refusals (`init` into a non-empty workdir); 4 `StoreCorrupt`. A SIGTERM
+or SIGHUP ends `uq run` as Ctrl-C does, stopping the runs in flight, and
+then exits 128 + the signal number (143, 129).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
+from uqpilot.cli import stop_on_termination
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
@@ -179,7 +182,8 @@ def cmd_run(args) -> int:
     with Campaign.open(args.workdir) as campaign:
         if _unknown_stage(campaign.store, args.stage):
             return _fail(EXIT_USAGE, f"no stage {args.stage}")
-        summary = execute_campaign(campaign, plan)
+        with stop_on_termination():
+            summary = execute_campaign(campaign, plan)
         counts = campaign.store.status_counts()
     print(
         f"executed={summary.executed} completed={summary.completed} "
@@ -268,6 +272,9 @@ def cmd_validate(args) -> int:
         return _fail(EXIT_USAGE, "mare scorer needs --qoi and --reference")
     with Campaign.open(args.workdir) as campaign:
         store = campaign.store
+        qois = campaign.app.decoder.qoi_columns   # all that collation can ever store
+        if args.qoi is not None and args.qoi not in qois:
+            return _fail(EXIT_USAGE, f"unknown qoi {args.qoi!r}; available: {', '.join(qois)}")
         if args.pattern == "similarity":
             reference = _read_reference(args.reference, args.qoi)
             result = validate_similarity(store, args.qoi, reference, args.metric, at=args.at)

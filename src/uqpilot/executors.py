@@ -3,7 +3,12 @@
 No socket is involved; only `pj serve --socket` serves a manager, on a
 Unix socket in its workdir. `RunPlan.cores` is the allocation's size and
 `cores_per_run` each run's share of it, so `cores // cores_per_run` runs
-execute at once.
+execute at once. The manager starts each run in a process group of its own; an
+app command of the form `[sys.executable, "-m", module, ...]` starts warm,
+forked from the manager's launcher, and any other is executed (see
+`uqpilot.pilotjob.scheduler`). The manager is drained before
+`execute_campaign` returns, so every run, and the launcher, has been
+reaped and its CPU time counted in this process's `RUSAGE_CHILDREN`.
 
 `execute_campaign` makes one pass over the runs of its stage and no
 other. Each run first goes through `Campaign.recover`: a run that an

@@ -21,6 +21,10 @@ list; each job then takes one line of its own, and `]}` closes the file:
 
 so `grep FAILED pj-report.json` prints the failed jobs. A report path
 whose directory does not exist is refused before any job starts.
+
+Any exception, `KeyboardInterrupt` and `SystemExit` included, cancels
+and drains the manager's jobs before it propagates: each run is in a
+process group of its own, which a signal to the manager's group misses.
 """
 
 from __future__ import annotations
@@ -103,9 +107,14 @@ def run_batch(
     workdir.mkdir(parents=True, exist_ok=True)
     report_path = _report_path(workdir, report_path)
     manager = PilotManager(cores, workdir=workdir, clock=clock)
-    for spec in jobs:
-        manager.submit(spec)
-    manager.drain()
+    try:
+        for spec in jobs:
+            manager.submit(spec)
+        manager.drain()
+    except BaseException:
+        manager.cancel_all()
+        manager.drain()
+        raise
     report = manager.report()
     write_report(report, report_path)
     return report
@@ -123,7 +132,12 @@ def serve_socket(
     report_path = _report_path(workdir, report_path)
     manager = PilotManager(cores, workdir=workdir, clock=clock)
     server = ManagerServer(manager)
-    server.serve_until_finished()
+    try:
+        server.serve_until_finished()
+    except BaseException:
+        manager.cancel_all()
+        manager.drain()
+        raise
     if server.report is not None:
         write_report(server.report, report_path)
     return server.report

@@ -130,8 +130,9 @@ def ensemble_validate(
 
     `scorer` is "mare" (needs qoi + reference vector) or an external
     command list invoked as `cmd <run_dir>` printing one real. Quadrature
-    nodes are not scored, as in `sampled_runs`. Per-run scores are
-    recorded in the store.
+    nodes are not scored, as in `sampled_runs`. The per-run scores are
+    recorded in the store in one transaction once every run is scored, so
+    a run whose scorer fails leaves no score of this call recorded.
     """
     if aggregator not in AGGREGATORS:
         raise DomainError(
@@ -154,7 +155,7 @@ def ensemble_validate(
             except ScorerError as exc:
                 raise ScorerError(f"run {rid}: {exc}", run_id=rid) from exc
             per_run[rid] = score
-            store.record_score(rid, scorer_name, score)
+    store.record_scores(scorer_name, per_run)
 
     values = np.array([per_run[rid] for rid in sorted(per_run)])
     aggregate = float(values.mean() if aggregator == "mean" else values.max())

@@ -1,8 +1,12 @@
 """Smoke tests of the `pj` command, driven through ``uqpilot.cli.pj.main``."""
 
 import json
+import os
+import signal
 import socket
 import stat
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import UQ_ERRORS
+from tests.test_pilotjob import SH_SLEEP, running, sleep_of, wait_for
 from uqpilot.cli import pj
 from uqpilot.pilotjob.manager import REPORT_FILENAME
 from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
@@ -267,3 +272,40 @@ def test_main_maps_every_error_to_a_usage_exit(monkeypatch, capsys, error):
     monkeypatch.setitem(pj.HANDLERS, "status", handler)
     assert pj.main(["status"]) == pj.EXIT_USAGE
     assert capsys.readouterr().err == "pj: boom\n"
+
+
+@pytest.mark.parametrize("target", ["process", "group"])
+@pytest.mark.parametrize("mode", ["batch", "socket"])
+def test_sigterm_stops_the_jobs_in_flight(tmp_path, child_env, mode, target):
+    # a SIGTERM to `pj serve` alone, or to its process group as `timeout`
+    # sends it: the jobs' own groups are canceled before it exits
+    job_dir, wd = tmp_path / "job", tmp_path / "wd"
+    job_dir.mkdir()
+    if mode == "batch":
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({
+            "allocation": {"nodes": [{"cores": 1}]},
+            "jobs": [{"name": "sh", "command": ["sh", "-c", SH_SLEEP], "workdir": str(job_dir)}],
+        }))
+        serve = ["--batch", str(batch)]
+    else:
+        serve = ["--socket", "--allocation-cores", "1"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uqpilot.cli.pj", "serve", "--workdir", str(wd), *serve],
+        env=child_env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        if mode == "socket":
+            wait_for((wd / SOCKET_FILENAME).exists)
+            assert pj.main(["submit", "--manager", str(wd), "--name", "sh", "--job-workdir",
+                            str(job_dir), "--", "sh", "-c", SH_SLEEP]) == pj.EXIT_OK
+        sleep = sleep_of(job_dir)
+        if target == "process":
+            proc.send_signal(signal.SIGTERM)
+        else:
+            os.killpg(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    wait_for(lambda: not running(sleep), timeout=5)

@@ -1,12 +1,16 @@
 """The `uq` subcommands driven through ``uqpilot.cli.uq.main``."""
 
 import json
+import os
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from tests.conftest import UQ_ERRORS, uniform_param, write_config
+from tests.test_pilotjob import SH_SLEEP, running, sleep_of, wait_for
 from uqpilot import errors, executors
 from uqpilot.campaign.ops import Campaign
 from uqpilot.campaign.store import CampaignStore
@@ -264,6 +268,33 @@ class TestRun:
         assert out.err.startswith("uq: ") and "'b'" in out.err
         assert set(statuses(wd).values()) == {"NEW"}
 
+    @pytest.mark.parametrize("target", ["process", "group"])
+    def test_sigterm_stops_the_runs_in_flight(self, tmp_path, child_env, target):
+        # a SIGTERM to `uq run` alone, or to its process group as `timeout`
+        # sends it: the runs' own groups are canceled before it exits
+        cfg = write_config(tmp_path, [uniform_param("a", 0.0, 1.0)], "y\n$a\n",
+                           ["sh", "-c", SH_SLEEP])
+        wd = str(tmp_path / "camp")
+        assert uq.main(["init", "--config", str(cfg), "--workdir", wd]) == uq.EXIT_OK
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "2"]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "uqpilot.cli.uq", "run", "--workdir", wd,
+             "--executor", "pilotjob", "--allocation-cores", "2"],
+            env=child_env, start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            sleeps = [sleep_of(Path(wd) / "runs" / f"run_00000{k}") for k in (1, 2)]
+            if target == "process":
+                proc.send_signal(signal.SIGTERM)
+            else:
+                os.killpg(proc.pid, signal.SIGTERM)
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+            proc.wait()
+        wait_for(lambda: not any(running(pid) for pid in sleeps), timeout=5)
+        assert statuses(wd) == {1: "SUBMITTED", 2: "SUBMITTED"}
+
 
 class TestStatusCollateResume:
     def test_status_counts_per_stage(self, tmp_path, capsys):
@@ -456,6 +487,16 @@ class TestValidate:
         assert uq.main(["validate", "--workdir", wd, "--pattern", pattern, "--qoi", "y",
                         "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_OK
         assert calls == {"runs": [1, 2], "load_frame": [1, 2]}
+
+    @pytest.mark.parametrize("pattern", ["similarity", "ensemble"])
+    def test_an_unknown_qoi_is_a_usage_error(self, tmp_path, capsys, pattern):
+        wd = make_campaign(tmp_path)
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_OK
+        (tmp_path / "ref.csv").write_text("nope\n0.5\n")
+        capsys.readouterr()
+        assert uq.main(["validate", "--workdir", wd, "--pattern", pattern, "--qoi", "nope",
+                        "--reference", str(tmp_path / "ref.csv")]) == uq.EXIT_USAGE
+        assert capsys.readouterr().err == "uq: unknown qoi 'nope'; available: y\n"
 
     def test_similarity_before_any_run_is_a_run_failure(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)

@@ -359,8 +359,16 @@ def record_popen(monkeypatch) -> list[subprocess.Popen]:
     return started
 
 
+def qoi_frame(campaign: Campaign) -> str:
+    rows = campaign.store._conn.execute(
+        "SELECT run_id, qoi, values_json FROM qoi_values ORDER BY run_id, qoi"
+    ).fetchall()
+    return json.dumps([tuple(r) for r in rows])
+
+
 class TestExecutorEquivalence:
-    def test_qoi_frames_bitwise_identical(self, tmp_path):
+    def test_qoi_frames_bitwise_identical(self, tmp_path, demo_config_path, warm_pythonpath,
+                                          monkeypatch):
         frames = {}
         for cores in (1, 3, 4):
             base = tmp_path / f"cores{cores}"
@@ -368,8 +376,28 @@ class TestExecutorEquivalence:
             campaign = echo_campaign(base, workdir_name="camp")
             summary = execute_campaign(campaign, RunPlan(cores=cores))
             assert summary.ok
-            rows = campaign.store._conn.execute(
-                "SELECT run_id, qoi, values_json FROM qoi_values ORDER BY run_id, qoi"
-            ).fetchall()
-            frames[cores] = json.dumps([tuple(r) for r in rows])
+            frames[cores] = qoi_frame(campaign)
         assert frames[1] == frames[3] == frames[4]
+
+        # the toy started warm by `python -m`, and executed through `-c`
+        started = record_popen(monkeypatch)
+        commands = {
+            "warm": [sys.executable, "-m", "uqpilot.toy", "input.json"],
+            "exec": [sys.executable, "-c", "import sys, uqpilot.toy as t; sys.exit(t.main())",
+                     "input.json"],
+        }
+        toy_frames, launches = {}, {}
+        for name, command in commands.items():
+            doc = json.loads(demo_config_path.read_text())
+            doc["app"]["command"] = command
+            config = demo_config_path.with_name(f"{name}.json")
+            config.write_text(json.dumps(doc))
+            campaign = Campaign.create(config, tmp_path / name)
+            campaign.add_stage(SamplerSpec("mc", n=8, seed=31))
+            before = len(started)
+            assert execute_campaign(campaign, RunPlan(cores=2)).ok
+            launches[name] = len(started) - before
+            toy_frames[name] = qoi_frame(campaign)
+        assert launches == {"warm": 1, "exec": 8}   # one launcher, or one process per run
+        assert toy_frames["warm"] == toy_frames["exec"]
+        assert len(json.loads(toy_frames["warm"])) == 8

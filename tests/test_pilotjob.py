@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import signal
 import socket
 import stat
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,10 +22,11 @@ from uqpilot.errors import (
     UqError,
     ValidationError,
 )
+from uqpilot.pilotjob import scheduler
 from uqpilot.pilotjob.jobs import JobSpec, detected_cores
 from uqpilot.pilotjob.manager import load_batch, run_batch, write_report
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
-from uqpilot.pilotjob.scheduler import PilotManager
+from uqpilot.pilotjob.scheduler import PilotManager, runs_this_python_module
 
 
 def sim_manager(cores: int, tmp_path) -> PilotManager:
@@ -680,3 +687,296 @@ class TestWallClockMidRun:
         assert m.status_snapshot()["free_cores"] == 2
         m.drain()
         assert m.status_snapshot()["free_cores"] == 4
+
+
+# --- process groups and warm starts ------------------------------------------------
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.time() + timeout
+    while not predicate():
+        assert time.time() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def child_pids(pid: int) -> list[int]:
+    try:
+        return [int(p) for p in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+    except FileNotFoundError:
+        return []
+
+
+def running(pid: int) -> bool:
+    """Alive and not a zombie."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def sleep_of(directory: Path) -> int:
+    """The `sleep` that a `sh -c 'echo $$ > sh.pid; sleep 30; ...'` in `directory` runs."""
+    pid_file = directory / "sh.pid"
+    wait_for(lambda: pid_file.exists() and pid_file.read_text().strip())
+    sh = int(pid_file.read_text())
+    wait_for(lambda: child_pids(sh))
+    return child_pids(sh)[0]
+
+
+SH_SLEEP = "echo $$ > sh.pid; sleep 30; echo done"
+
+WARM_MODULE = """
+import os, subprocess, sys, time
+mode = sys.argv[1]
+with open("ppid", "w") as fh:
+    fh.write(str(os.getppid()))
+print(sys.argv, sys.orig_argv, sys.path, __name__, repr(sys.stdin.read()))
+print(sorted(globals()))
+print("to stderr", file=sys.stderr)
+if mode == "exit3":
+    sys.exit(3)
+if mode == "message":
+    sys.exit("stopped with a message")
+if mode == "raise":
+    raise ValueError("raised")
+if mode == "os-exit":
+    sys.stdout.flush()
+    os._exit(5)
+if mode == "sleep":
+    open("ready", "w").close()
+    time.sleep(30)
+if mode == "sh-sleep":
+    subprocess.run(["sh", "-c", %r])
+if mode == "burn":
+    start = time.process_time()
+    while time.process_time() - start < 0.25:
+        pass
+""" % SH_SLEEP
+
+
+def warm_command(*args) -> tuple[str, ...]:
+    return (sys.executable, "-m", "warmmod", *args)
+
+
+def warm_job(directory: Path, name="w", *args, **kw) -> JobSpec:
+    """A job running WARM_MODULE from `directory`, with its logs there."""
+    directory.mkdir(exist_ok=True)
+    (directory / "warmmod.py").write_text(WARM_MODULE)
+    return JobSpec(name=name, command=warm_command(*args), workdir=str(directory),
+                   stdout="out", stderr="err", **kw)
+
+
+def forked_by_launcher(directory: Path) -> bool:
+    return int((directory / "ppid").read_text()) != os.getpid()
+
+
+class TestProcessGroups:
+    def test_cancel_kills_the_whole_group(self, tmp_path):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="sh", command=("sh", "-c", SH_SLEEP), workdir=str(tmp_path)))
+        sleep = sleep_of(tmp_path)
+        m.cancel("sh")
+        m.drain()
+        assert m.job_snapshot("sh")["status"] == "CANCELED"
+        wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_cancel_kills_the_group_of_a_warm_run(self, tmp_path, warm_pythonpath):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "sh-sleep"))
+        sleep = sleep_of(tmp_path)
+        assert forked_by_launcher(tmp_path)
+        m.cancel("w")
+        m.drain()
+        assert m.job_snapshot("w")["iterations"][0]["exit_code"] == -signal.SIGTERM
+        wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_no_warm_run_outlives_its_manager(self, tmp_path, warm_pythonpath):
+        # the manager's process dies without draining: the launcher sees
+        # its requests end and SIGKILLs the run's group
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from uqpilot.pilotjob.jobs import JobSpec\n"
+            "from uqpilot.pilotjob.scheduler import PilotManager\n"
+            "d = Path(sys.argv[1])\n"
+            "m = PilotManager(1, workdir=d, clock='wall')\n"
+            f"m.submit(JobSpec(name='w', command={warm_command('sh-sleep')!r}, workdir=str(d)))\n"
+            "while not (d / 'sh.pid').exists(): time.sleep(0.01)\n"
+            "time.sleep(30)\n"
+        )
+        (tmp_path / "warmmod.py").write_text(WARM_MODULE)
+        manager = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
+        try:
+            sleep = sleep_of(tmp_path)
+            assert running(sleep)
+        finally:
+            manager.kill()
+            manager.wait(timeout=10)
+        wait_for(lambda: not running(sleep), timeout=5)
+
+
+class TestWarmLaunch:
+    def run_one(self, tmp_path, *args):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", *args))
+        m.drain()
+        assert forked_by_launcher(tmp_path)
+        code = m.job_snapshot("w")["iterations"][0]["exit_code"]
+        return code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["return", "exit3", "message", "raise", "os-exit"])
+    def test_exit_and_output_equal_an_executed_run(self, tmp_path, warm_pythonpath, mode):
+        warm = self.run_one(tmp_path, mode)
+        ref = subprocess.run(warm_command(mode), cwd=tmp_path, stdin=subprocess.DEVNULL,
+                             capture_output=True)
+        assert warm == (ref.returncode, ref.stdout, ref.stderr)
+        assert warm[0] == {"return": 0, "exit3": 3, "message": 1, "raise": 1, "os-exit": 5}[mode]
+
+    def test_argv_path_name_and_stdin_are_those_of_python_m(self, tmp_path, warm_pythonpath):
+        _, out, _ = self.run_one(tmp_path, "return")
+        cwd = os.getcwd()
+        try:
+            os.chdir(tmp_path)
+            directory = os.getcwd()
+        finally:
+            os.chdir(cwd)
+        argv, orig_argv, path = [str(Path(directory) / "warmmod.py"), "return"], \
+            list(warm_command("return")), directory
+        assert out.decode().startswith(f"{argv} {orig_argv} [{path!r}, ")
+        assert out.decode().splitlines()[0].endswith("] __main__ ''")
+
+    def test_sigterm_on_cancel_equals_an_executed_run(self, tmp_path, warm_pythonpath):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "sleep"))
+        wait_for((tmp_path / "ready").exists)
+        m.cancel("w")
+        m.drain()
+        assert forked_by_launcher(tmp_path)
+        warm = (m.job_snapshot("w")["iterations"][0]["exit_code"],
+                (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
+        (tmp_path / "ready").unlink()
+        proc = subprocess.Popen(warm_command("sleep"), cwd=tmp_path, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        wait_for((tmp_path / "ready").exists)
+        proc.terminate()
+        out, err = proc.communicate(timeout=10)
+        assert warm == (proc.returncode, out, err)
+        assert warm[0] == -signal.SIGTERM
+
+    def test_job_env_runs_executed(self, tmp_path, warm_pythonpath):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "return", env=(("WARM_TEST", "1"),)))
+        m.drain()
+        assert m.job_snapshot("w")["status"] == "SUCCEEDED"
+        assert not forked_by_launcher(tmp_path)
+
+    def test_changed_environment_runs_executed(self, tmp_path, warm_pythonpath, monkeypatch):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path / "a", "a", "return"))
+        wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
+        monkeypatch.setenv("WARM_TEST", "1")
+        m.submit(warm_job(tmp_path / "b", "b", "return"))
+        m.drain()
+        assert m.job_snapshot("b")["status"] == "SUCCEEDED"
+        assert forked_by_launcher(tmp_path / "a")
+        assert not forked_by_launcher(tmp_path / "b")
+
+    def test_relative_pythonpath_runs_executed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", "src")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "return"))
+        m.drain()
+        assert m.job_snapshot("w")["status"] == "SUCCEEDED"
+        assert not forked_by_launcher(tmp_path)
+
+    def test_runs_cpu_reaches_rusage_children_after_drain(self, tmp_path, warm_pythonpath):
+        def children_cpu():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        before = children_cpu()
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        for name in ("a", "b"):
+            m.submit(warm_job(tmp_path / name, name, "burn"))
+        m.drain()
+        assert all(forked_by_launcher(tmp_path / name) for name in ("a", "b"))
+        assert children_cpu() - before >= 0.5
+
+    def test_which_commands_start_warm(self, tmp_path, monkeypatch):
+        exe = Path(sys.executable)
+        assert runs_this_python_module((str(exe), "-m", "mod", "arg"))
+        assert not runs_this_python_module((str(exe), "-u", "-m", "mod"))
+        assert not runs_this_python_module((str(exe), "-m"))
+        assert not runs_this_python_module((str(exe), "script.py", "-m", "mod"))
+        monkeypatch.setenv("PATH", str(exe.parent))
+        assert runs_this_python_module((exe.name, "-m", "mod"))
+        (tmp_path / "python").symlink_to(exe)   # the same file, not the same path
+        assert not runs_this_python_module((str(tmp_path / "python"), "-m", "mod"))
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert not runs_this_python_module((exe.name, "-m", "mod"))
+
+
+def drained(m: PilotManager, timeout=10.0):
+    """Drain `m`, failing the test rather than hanging if it never ends."""
+    drainer = threading.Thread(target=m.drain, daemon=True)
+    drainer.start()
+    drainer.join(timeout)
+    assert not drainer.is_alive(), "drain did not return"
+
+
+class TestLauncherFaults:
+    def test_a_run_that_cannot_fork_exits_127(self, tmp_path, warm_pythonpath, monkeypatch):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(
+            "import errno, os\n"
+            "def fork():\n"
+            "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
+            "os.fork = fork\n")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), warm_pythonpath]))
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path / "w", "w", "return"))
+        drained(m)
+        assert m.job_snapshot("w")["iterations"][0]["exit_code"] == 127
+        assert not (tmp_path / "w" / "ppid").exists()
+        assert m._launcher.proc.returncode == 0
+
+    def test_an_error_in_the_launcher_kills_its_runs(self, tmp_path, warm_pythonpath):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "sh-sleep"))
+        sleep = sleep_of(tmp_path)
+        assert forked_by_launcher(tmp_path)
+        os.write(m._launcher._requests, (1).to_bytes(4, "little") + b"\xff")  # not marshal
+        drained(m)
+        assert m._launcher.proc.returncode == 1
+        assert m.job_snapshot("w")["iterations"][0]["exit_code"] is None
+        wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_an_interrupt_before_the_run_request_leaves_a_task_cancel_ends(
+            self, tmp_path, warm_pythonpath, monkeypatch):
+        send = scheduler._Launcher.send
+
+        def interrupted(launcher, request):
+            if request[0] == "run":
+                raise KeyboardInterrupt
+            return send(launcher, request)
+
+        monkeypatch.setattr(scheduler._Launcher, "send", interrupted)
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        with pytest.raises(KeyboardInterrupt):
+            m.submit(warm_job(tmp_path, "w", "return"))
+        m.cancel_all()
+        drained(m)
+        assert m.job_snapshot("w")["status"] == "CANCELED"
+        assert not (tmp_path / "ppid").exists()
+
+    def test_a_signal_to_an_ended_run_is_ignored(self, tmp_path, warm_pythonpath):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path / "a", "a", "return"))
+        wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
+        assert m._launcher.send(("signal", 0, int(signal.SIGKILL)))   # a's task
+        m.submit(warm_job(tmp_path / "b", "b", "return"))
+        drained(m)
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [0, 0]
+        assert forked_by_launcher(tmp_path / "b")

@@ -238,6 +238,29 @@ class TestEnsemblePattern:
         rows = store._conn.execute("SELECT run_id, score FROM run_scores").fetchall()
         assert len(rows) == 2
 
+    def test_scores_recorded_in_one_transaction(self, tmp_path, monkeypatch):
+        store = self.store_with_scores(tmp_path, [[1.0], [2.0], [4.0], [8.0]])
+        txn = type(store)._txn
+        calls = []
+
+        def counted_txn(self):
+            calls.append(1)
+            return txn(self)
+
+        monkeypatch.setattr(type(store), "_txn", counted_txn)
+        ensemble_validate(store, "mare", qoi="y", reference=np.array([2.0]))
+        assert len(calls) == 1
+
+    def test_a_failing_scorer_records_no_score(self, tmp_path):
+        store = self.store_with_scores(tmp_path, [[1.0], [2.0], [4.0]])
+        marker = tmp_path / "scored"
+        scorer = [sys.executable, "-c",
+                  f"import os, sys\nif os.path.exists({str(marker)!r}): sys.exit(3)\n"
+                  f"open({str(marker)!r}, 'w').close(); print(0.5)"]
+        with pytest.raises(ScorerError, match="run 2"):
+            ensemble_validate(store, scorer)
+        assert store._conn.execute("SELECT COUNT(*) FROM run_scores").fetchone()[0] == 0
+
     def test_external_scorer(self, tmp_path):
         store = self.store_with_scores(tmp_path, [[1.0], [2.0]])
         scorer = [sys.executable, "-c", "import sys; print(0.25)"]

@@ -25,9 +25,10 @@ from uqpilot.campaign.config import (
     ParameterDef,
     SCHEMA_VERSION,
 )
-from uqpilot.errors import DecodeError, StoreCorrupt
+from uqpilot.errors import DecodeError, StoreCorrupt, StoreLocked
 
 DB_FILENAME = "campaign.db"
+BUSY_TIMEOUT_SECONDS = 30.0   # how long a write waits for another writer's lock
 
 STATUSES = ("NEW", "ENCODED", "SUBMITTED", "COMPLETED", "FAILED", "COLLATED")
 
@@ -108,9 +109,18 @@ class CampaignStore:
 
     @contextmanager
     def _txn(self):
+        """One transaction; a database error in it or at its commit rolls it
+        back and ends as `StoreLocked` (another writer's lock) or `StoreCorrupt`."""
         with self._lock:
-            with self._conn:
-                yield self._conn
+            try:
+                with self._conn:
+                    yield self._conn
+            except (sqlite3.ProgrammingError, sqlite3.InterfaceError):
+                raise   # a misuse of the sqlite API: a fault of the code, not the store
+            except sqlite3.Error as exc:
+                if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
+                    raise StoreLocked(f"{self.path}: {exc} by another writer") from exc
+                raise StoreCorrupt(f"{self.path}: {exc}") from exc
 
     # --- lifecycle --------------------------------------------------
 
@@ -163,7 +173,8 @@ class CampaignStore:
     @staticmethod
     def _connect(path: Path) -> sqlite3.Connection:
         try:
-            conn = sqlite3.connect(str(path), timeout=30.0, check_same_thread=False)
+            conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_SECONDS,
+                                   check_same_thread=False)
             conn.row_factory = sqlite3.Row
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")

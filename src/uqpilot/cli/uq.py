@@ -4,9 +4,11 @@ Subcommands parse, call the library and print; `main` alone maps errors
 to the published exit codes: 0 success; 1 run failures, including
 `MissingRunError` (analysis or validation over runs not collated); 2
 usage and configuration problems, which is every other `UqError`; 3
-refusals (`init` into a non-empty workdir); 4 `StoreCorrupt`. A SIGTERM
-or SIGHUP ends `uq run` as Ctrl-C does, stopping the runs in flight, and
-then exits 128 + the signal number (143, 129).
+refusals (`init` into a non-empty workdir, `StoreLocked` from another
+writer's lock); 4 `StoreCorrupt`, which includes a database error in any
+store transaction. A SIGTERM or SIGHUP ends `uq run` as Ctrl-C does,
+stopping the runs in flight, and then exits 128 + the signal number (143,
+129).
 """
 
 from __future__ import annotations
@@ -345,13 +347,15 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from uqpilot.errors import MissingRunError, StoreCorrupt, UqError
+    from uqpilot.errors import MissingRunError, StoreCorrupt, StoreLocked, UqError
 
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
     except StoreCorrupt as exc:
         return _fail(EXIT_CORRUPT, f"{exc} (store may need manual recovery)")
+    except StoreLocked as exc:
+        return _fail(EXIT_REFUSED, str(exc))
     except MissingRunError as exc:
         return _fail(EXIT_RUN_FAILURES, str(exc))
     except UqError as exc:

@@ -26,7 +26,11 @@ class DecodeError(UqError):
 
 
 class StoreCorrupt(UqError):
-    """Campaign store failed its load-time consistency checks."""
+    """Campaign store failed its load-time checks, or a database error ended a transaction."""
+
+
+class StoreLocked(UqError):
+    """Another connection held the campaign store's write lock past the busy timeout."""
 
 
 class SamplerError(UqError):

@@ -1,44 +1,42 @@
-"""Warm launcher: fork `python -m module args` runs from one started interpreter.
+"""Launcher: start, signal and reap every run of one wall-clock `PilotManager`.
 
     python launcher.py REQUEST_FD REPORT_FD
 
-A `PilotManager` starts this script with the interpreter a task's command
-names, and the environment that task would get. The script imports
-nothing from `uqpilot`, starts no thread, and then waits for requests on
-REQUEST_FD, each a 4-byte little-endian length and a marshalled tuple:
+The manager starts this script with its own interpreter and environment.
+It imports nothing from `uqpilot`, starts no thread, and reads requests
+on REQUEST_FD, each a 4-byte little-endian length and a marshalled tuple:
 
-    ("run", task, cwd, stdout, stderr, command)   fork a child for task
-    ("signal", task, signum)                      signal the task's group
+    ("run", task, warm, cwd, stdout, stderr, command, env)   start task
+    ("signal", task, signum)                                 signal its group
 
-A signal for a task it does not run (never received, or already reaped)
-is answered with a report that the task ended by that signal. The manager
-so ends a task whose run request an interrupt kept from being written,
-and ignores the report for a task that has already ended.
+Every run gets a process group of its own, stdin from /dev/null (the
+launcher's own), stdout and stderr truncated onto the given absolute paths
+(parent directories made), and `cwd`, which the launcher enters just
+before the start. A run that cannot get them or cannot start (a NUL byte
+or a bad env name included) exits 127 unseen. It starts one of two ways:
 
-For each run it forks a child that does what executing `command`, which is
-`[python, "-m", module, *args]`, would do from the fork on. The child
-starts its own process group, takes stdin from /dev/null (the launcher's own),
-opens stdout and stderr on the given paths (parent directories made) and
-changes into `cwd`; if any of that fails it exits 127 unseen. Then it runs
-`module` as `__main__` in a fresh module, with `sys.argv`, `sys.orig_argv`
-and `sys.path[0]` set as `-m` sets them; the rest of `sys.path` does not
-depend on the directory an interpreter starts in, as the manager sends no
-run while `PYTHONPATH` holds a relative entry. Its exit code is the one the
-interpreter gives for a return, `sys.exit`, an uncaught exception or a
-signal, and a traceback omits the launcher's own frames. What it shares
-with its siblings is the launcher's start-up: the imported standard
-modules and the string hash seed. The launcher's objects are frozen out of
-the garbage collector (`gc.freeze`) before each fork, so that collections
-in a child do not copy the memory pages they sit on.
+- **executed** (`warm` false): `os.posix_spawn`, as `subprocess` starts
+  it: SIGPIPE, SIGXFSZ and SIGCHLD back to their defaults, `command[0]`
+  looked up on the PATH of `env` (None: the launcher's environment).
+  glibc's `posix_spawn` leaves its two internal signals (32, 33) ignored,
+  which no program on glibc can handle.
+- **warm** (`warm` true, `env` None): `command` is `[python, "-m", module,
+  *args]` naming this interpreter. A forked child runs `module` as
+  `__main__` in a fresh module, `sys.argv`, `sys.orig_argv` and
+  `sys.path[0]` set as `-m` sets them (no warm run comes while
+  `PYTHONPATH` holds a relative entry). Its exit code is the
+  interpreter's, and a traceback omits the launcher's frames. It shares
+  the launcher's modules and hash seed; `gc.freeze` before each fork keeps
+  its collections from copying the launcher's pages.
 
-The launcher reaps every child and writes `"<task> <code>\\n"` to
-REPORT_FD, the code negative for a signal, as `subprocess` gives it, and
-127 for a run it could not fork. At EOF on REQUEST_FD, it SIGKILLs the
-group of every child still running, reaps them and exits: either the
-manager drained and none is left, or the manager died and none should
-outlive it. An error in the launcher itself kills and reaps them too
-before it exits, so the manager sees its reports end only once no run of
-it is left.
+REPORT_FD gets a line `"<task> pid <pid>"` as a run starts, so that the
+manager can kill its group should the launcher be killed, and `"<task>
+<code>"` as it is reaped, the code negative for a signal, as `subprocess`
+gives it. A signal for a task not running is answered with that signal's
+report: it ends a task whose run request an interrupt kept from being
+written, and the manager ignores it for a task already ended. At EOF on
+REQUEST_FD, or on an error of its own, the launcher SIGKILLs every run's
+group, reaps them and exits, so no run outlives the manager.
 """
 
 import gc
@@ -46,34 +44,49 @@ import marshal
 import os
 import runpy
 import select
+import shutil
 import signal
 import sys
+
+_TRUNCATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+_DEFAULT_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ, signal.SIGCHLD)
 
 
 def _signal_group(pid: int, signum: int):
     try:
         os.killpg(pid, signum)
-    except ProcessLookupError:   # the child has not called setpgid yet
+    except ProcessLookupError:   # a forked child has not called setpgid yet
         try:
             os.kill(pid, signum)
         except ProcessLookupError:
             pass
 
 
-def _enter_task(cwd: str, stdout: str, stderr: str):
-    """In a fresh child: the process group, files and directory of the task."""
+def _enter_task(stdout: str, stderr: str):
+    """In a fresh warm child: the process group and files of the task."""
     os.setpgid(0, 0)
     for fd, path in ((1, stdout), (2, stderr)):
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        opened = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        opened = os.open(path, _TRUNCATE, 0o666)
         os.dup2(opened, fd)
         os.close(opened)
-    os.chdir(cwd)
 
 
-def _report(reports: int, task: int, code: int):
+def _spawn(stdout: str, stderr: str, command, env) -> int:
+    """Start `command` executed; the pid, or an OSError or ValueError."""
+    env = os.environ if env is None else env
+    name = command[0]
+    path = name if os.sep in name else \
+        shutil.which(name, path=os.pathsep.join(os.get_exec_path(env)))
+    if path is None:
+        raise FileNotFoundError(name)
+    return os.posix_spawn(path, command, env, setpgroup=0, setsigdef=_DEFAULT_SIGNALS,
+                          file_actions=[(os.POSIX_SPAWN_OPEN, 1, stdout, _TRUNCATE, 0o666),
+                                        (os.POSIX_SPAWN_OPEN, 2, stderr, _TRUNCATE, 0o666)])
+
+
+def _report(reports: int, line: bytes):
     try:
-        os.write(reports, b"%d %d\n" % (task, code))
+        os.write(reports, line)
     except BrokenPipeError:   # the manager is gone
         pass
 
@@ -81,7 +94,7 @@ def _report(reports: int, task: int, code: int):
 def serve(requests: int, reports: int):
     """Start, signal and reap children until EOF on `requests`.
 
-    Returns None in the launcher, and the command to run in a child.
+    Returns None in the launcher, and the command to run in a warm child.
     Whatever ends the launcher, no child outlives it.
     """
     tasks: dict[int, int] = {}        # pid -> task
@@ -98,11 +111,12 @@ def serve(requests: int, reports: int):
 
 def _serve(requests: int, reports: int, tasks: dict[int, int]):
     gc.disable()    # children enable it; the launcher allocates next to nothing
+    for fd in (requests, reports):
+        os.set_inheritable(fd, False)   # no executed run holds the manager's pipes
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
     signal.set_wakeup_fd(wake_w)    # a child's exit wakes the select below
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
-    pids: dict[int, int] = {}         # task -> pid
     pending = b""
     open_ = True
     while open_ or tasks:
@@ -113,9 +127,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             pid, status = os.waitpid(-1, os.WNOHANG)
             if pid == 0:
                 break
-            task = tasks.pop(pid)
-            del pids[task]
-            _report(reports, task, os.waitstatus_to_exitcode(status))
+            _report(reports, b"%d %d\n" % (tasks.pop(pid), os.waitstatus_to_exitcode(status)))
         if requests not in ready:
             continue
         data = os.read(requests, 65536)
@@ -132,22 +144,29 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             request = marshal.loads(pending[4:4 + size])
             pending = pending[4 + size:]
             if request[0] == "signal":
-                _, task, signum = request
-                if task in pids:
-                    _signal_group(pids[task], signum)
+                _, task, signum = request   # few run at once: a scan finds the pid
+                pid = next((p for p, t in tasks.items() if t == task), None)
+                if pid is not None:
+                    _signal_group(pid, signum)
                 else:
-                    _report(reports, task, -signum)
+                    _report(reports, b"%d %d\n" % (task, -signum))
                 continue
-            _, task, cwd, stdout, stderr, command = request
-            gc.freeze()
+            _, task, warm, cwd, stdout, stderr, command, env = request
             try:
-                pid = os.fork()
-            except OSError:
-                _report(reports, task, 127)   # as for a command that cannot start
+                for path in (stdout, stderr):
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                os.chdir(cwd)   # the child's; nothing else in the launcher is relative
+                if warm:
+                    gc.freeze()
+                    pid = os.fork()
+                else:
+                    pid = _spawn(stdout, stderr, command, env)
+            except (OSError, ValueError):   # ValueError: a NUL byte, a bad env name
+                _report(reports, b"%d 127\n" % task)   # as for a command that cannot start
                 continue
             if pid:
                 tasks[pid] = task
-                pids[task] = pid
+                _report(reports, b"%d pid %d\n" % (task, pid))
                 continue
             tasks.clear()
             gc.enable()
@@ -156,8 +175,8 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             for fd in (requests, reports, wake_r, wake_w):
                 os.close(fd)
             try:
-                _enter_task(cwd, stdout, stderr)
-            except OSError:
+                _enter_task(stdout, stderr)
+            except (OSError, ValueError):
                 os._exit(127)
             return command
     return None

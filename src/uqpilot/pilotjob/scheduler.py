@@ -15,31 +15,27 @@ counters and a reverse map keep each state change at O(log n) instead of
 a scan of the queue.
 
 A simulated clock ends tasks through an event heap of their declared
-durations. On the wall clock, every task runs in a process group of its
-own with /dev/null as stdin, and cancel signals that whole group: SIGTERM,
-then SIGKILL after a grace period. It is a group and not a session because
-`setsid` creates a scheduler autogroup per run on kernels with autogroups
-(0.36 ms more per `cp` run on a 2-vCPU Linux VM); only Python 3.10, whose
-`subprocess` cannot make a group, makes a session. A task starts one of
-two ways, chosen from its command:
-
-- **warm**: `[python, "-m", module, *args]`, where `python` is this
-  interpreter's `sys.executable` (as given or found on PATH), with no job
-  `env`, while every `PYTHONPATH` entry is absolute and `os.environ` is as
-  it was when the launcher started. A launcher process (`launcher.py`,
-  started with the first such task) forks the run from its one started
-  interpreter, which saves an interpreter start-up per run; one reader
-  thread ends each task from the launcher's exit reports.
-- **exec**: every other command, through `subprocess` from a worker
-  thread of its own.
-
-`drain` waits for the launcher to exit, so the runs' CPU time reaches the
-caller's `RUSAGE_CHILDREN` and no run outlives the manager.
+durations. On the wall clock, one launcher process (`launcher.py`),
+started with the first task, starts, signals and reaps every task, each
+in a process group of its own with /dev/null as stdin (a group, not a
+session: `setsid` makes a scheduler autogroup per run, 0.36 ms more per
+`cp` run on a 2-vCPU Linux VM), and a reader thread ends each task from
+its reports. Cancel signals the group: SIGTERM, SIGKILL after a grace
+period. A task runs warm, forked from the launcher's started interpreter,
+when its command is `[python, "-m", module, *args]` with `python` this
+`sys.executable` (as given or found on PATH), the job has no `env`,
+every `PYTHONPATH` entry is absolute and `os.environ` is as it was when
+the launcher started. Any other task is spawned, in `os.environ` with
+the job's `env` over it when either is set or changed. A task that
+cannot start ends with exit 127. A launcher that exits fails the tasks
+it held, once the reader has SIGKILLed the group of each run it left,
+and the next task starts a new one. `drain` waits for the launcher to
+exit, so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN` and
+no run outlives the manager.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import marshal
@@ -50,7 +46,6 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -72,7 +67,6 @@ from uqpilot.pilotjob.jobs import (
 
 CANCEL_GRACE_SECONDS = 5.0
 LAUNCHER = Path(__file__).with_name("launcher.py")
-_OWN_GROUP = {"process_group": 0} if sys.version_info >= (3, 11) else {"start_new_session": True}
 
 
 def runs_this_python_module(command) -> bool:
@@ -94,22 +88,14 @@ def _pythonpath_is_absolute() -> bool:
     return not paths or all(os.path.isabs(p) for p in paths.split(os.pathsep))
 
 
-def _signal_group(proc: subprocess.Popen, signum: int):
-    """Signal the process group `proc` leads, unless `proc` has been reaped."""
-    if proc.poll() is None:
-        try:
-            os.killpg(proc.pid, signum)
-        except ProcessLookupError:
-            pass
-
-
 class _Launcher:
-    """The manager's end of a warm launcher process (see `launcher.py`).
+    """The manager's end of a launcher process (see `launcher.py`).
 
     `on_report(seq, code)` is called from a reader thread for each exit
-    the launcher reports, and `on_report(None, None)` once it has exited.
-    Requests in flight are bounded by the allocation's tasks, far below
-    what the pipes hold, so a write never waits on the reader.
+    the launcher reports, and `on_report(None, None)` once it has exited,
+    been reaped and had the group of every run it left SIGKILLed. Requests
+    in flight are bounded by the allocation's tasks, far below what the
+    pipes hold, so a write never waits on the reader.
     """
 
     def __init__(self, on_report: Callable[[int | None, int | None], None]):
@@ -134,12 +120,26 @@ class _Launcher:
                                         daemon=True)
         self._reader.start()
 
-    @staticmethod
-    def _read(fd: int, on_report):
+    def _read(self, fd: int, on_report):
+        groups: dict[int, int] = {}   # seq -> pid of each run started and not ended
         with open(fd, "rb") as reports:
             for line in reports:
-                seq, code = map(int, line.split())
+                fields = line.split()
+                if fields[1] == b"pid":
+                    groups[int(fields[0])] = int(fields[2])
+                    continue
+                seq, code = map(int, fields)
+                groups.pop(seq, None)
                 on_report(seq, code)
+        self._end_requests()
+        self.proc.wait()
+        for pid in groups.values():   # left running by a launcher killed outright
+            for kill in (os.killpg, os.kill):   # a warm child may lack its group yet
+                try:
+                    kill(pid, signal.SIGKILL)
+                    break
+                except ProcessLookupError:
+                    pass
         on_report(None, None)
 
     def send(self, request: tuple) -> bool:
@@ -154,13 +154,15 @@ class _Launcher:
                 return False
         return True
 
-    def close(self):
-        """End the requests, so the launcher exits, and wait for it and its reports."""
+    def _end_requests(self):
         with self._lock:
             if self._requests >= 0:
                 os.close(self._requests)
                 self._requests = -1
-        self.proc.wait()
+
+    def close(self):
+        """End the requests, so the launcher exits, and wait for it and its reports."""
+        self._end_requests()
         self._reader.join()
 
 
@@ -198,10 +200,8 @@ class PilotManager:
         self._sim_now = 0.0
         self._events: list[tuple[float, int, Task]] = []   # (end, seq, task)
         self._event_seq = itertools.count()
-        # (job, iteration) -> signal(signum) of each running task's process group
-        self._kills: dict[tuple[str, int], Callable[[int], None]] = {}
         self._launcher: _Launcher | None = None
-        self._warm: dict[int, Task] = {}    # seq -> task the launcher runs
+        self._running: dict[int, Task] = {}   # seq -> task the launcher runs
         self._trace: list[tuple[float, str, str, int]] = []  # (t, event, job, iteration)
 
     # --- time ------------------------------------------------------------
@@ -231,6 +231,8 @@ class PilotManager:
                 raise ValidationError(
                     f"job {spec.name!r}: simulated clock needs a declared duration"
                 )
+            if self.clock == "wall" and not spec.command:
+                raise ValidationError(f"job {spec.name!r}: wall clock needs a command")
             job = Job(spec=spec)
             now = self.now()
             for k in range(spec.iterations):
@@ -273,9 +275,9 @@ class PilotManager:
     def _tick(self):
         """Start the lowest-numbered eligible task that fits, until none fits.
 
-        Within one tick free cores only fall and eligibility does not
-        change, so this is the order of one FIFO scan that starts every
-        eligible task fitting the cores left when it is reached.
+        Within one tick eligibility does not change, and free cores only
+        fall, but for a task that cannot start: it ends at once, and the
+        next pass sees the cores it gave back.
         """
         while True:
             free = self.cores - self._busy_cores
@@ -301,113 +303,70 @@ class PilotManager:
         if self.clock == "simulated":
             duration = self._jobs[task.job].spec.duration
             heapq.heappush(self._events, (task.start + duration, next(self._event_seq), task))
-        elif not self._start_warm(task):
-            threading.Thread(target=self._run_task, args=(task,), daemon=True).start()
+        elif not self._launch(task):
+            self._finish(task, 127)   # the calling `_tick` goes on dispatching
 
     # --- wall-clock execution ----------------------------------------------
 
     def _io_path(self, spec: JobSpec, task: Task, kind: str) -> Path:
         configured = spec.stdout if kind == "stdout" else spec.stderr
-        if not configured:      # the logs dir already starts with the manager workdir
+        if not configured:
             suffix = f".{task.iteration}" if spec.iterations > 1 else ""
-            return self._logs_dir() / f"{spec.name}{suffix}.{kind}"
+            return self.workdir / "pj-logs" / f"{spec.name}{suffix}.{kind}"
         path = Path(configured)
         if spec.iterations > 1:
             path = path.with_name(f"{path.name}.{task.iteration}")
-        if not path.is_absolute():
-            base = Path(spec.workdir) if spec.workdir else self.workdir
-            path = base / path
-        return path
+        return Path(spec.workdir or self.workdir) / path   # an absolute path stays
 
-    def _logs_dir(self) -> Path:
-        return self.workdir / "pj-logs"
-
-    def _start_warm(self, task: Task) -> bool:
-        """Have the launcher run `task`, starting it first, if the task's
-        command can run warm (lock held); False to execute it instead."""
-        spec = self._jobs[task.job].spec
-        if spec.env or not runs_this_python_module(spec.command) \
-                or not _pythonpath_is_absolute():
-            return False
-        if self._launcher is None:
+    def _launch(self, task: Task) -> bool:
+        """Have the launcher start `task`, starting a launcher first if none
+        is running (lock held); False if none can be started."""
+        launcher = self._launcher
+        if launcher is None or not launcher.running:
             try:
-                self._launcher = _Launcher(self._on_launcher_report)
+                launcher = self._launcher = _Launcher(self._on_launcher_report)
             except OSError:
                 return False
-        launcher = self._launcher
-        if not launcher.running or os.environ != launcher.env:
-            return False
-        request = ("run", task.seq, os.path.abspath(spec.workdir or self.workdir),
-                   os.path.abspath(self._io_path(spec, task, "stdout")),
-                   os.path.abspath(self._io_path(spec, task, "stderr")), spec.command)
+        spec = self._jobs[task.job].spec
+        env = None
+        if spec.env or os.environ != launcher.env:
+            env = dict(os.environ)
+            env.update(spec.env)
+        warm = env is None and runs_this_python_module(spec.command) \
+            and _pythonpath_is_absolute()
         # registered before the request is written: an interrupt between the
-        # two (a signal handler on this thread) leaves a task that cancel
-        # can still end, as the launcher reports a signal to a task it lacks
-        self._warm[task.seq] = task
-        self._kills[(task.job, task.iteration)] = \
-            lambda signum: launcher.send(("signal", task.seq, int(signum)))
-        if launcher.send(request):
-            return True
-        del self._warm[task.seq], self._kills[(task.job, task.iteration)]
-        return False
+        # two leaves a task that cancel can still end, as the launcher reports
+        # a signal to a task it lacks; if the launcher has exited, the write
+        # fails and the reader, at its end, fails the task with the rest
+        self._running[task.seq] = task
+        launcher.send(("run", task.seq, warm, os.path.abspath(spec.workdir or self.workdir),
+                       os.path.abspath(self._io_path(spec, task, "stdout")),
+                       os.path.abspath(self._io_path(spec, task, "stderr")),
+                       spec.command, env))
+        return True
 
     def _on_launcher_report(self, seq: int | None, exit_code: int | None):
-        """Reader thread: end a warm task, or every one left once the launcher
-        is gone. A second report for a task, answering a signal sent as it
+        """Reader thread: end a task, or every one left once the launcher is
+        gone. A second report for a task, answering a signal sent as it
         ended, is ignored."""
         with self._cond:
-            if seq is not None:
-                task = self._warm.pop(seq, None)
-                if task is not None:
-                    self._on_task_exit(task, exit_code)
-                return
-            self._launcher.running = False
-            stranded = list(self._warm.values())
-            self._warm.clear()
-            for task in stranded:
-                self._on_task_exit(task, None)
-
-    def _run_task(self, task: Task):
-        """Worker thread: run the task's command, then end the task."""
-        spec = self._jobs[task.job].spec
-        cwd = spec.workdir or str(self.workdir)
-        env = None
-        if spec.env:
-            env = dict(os.environ)
-            env.update(dict(spec.env))
-        try:
-            out_path = self._io_path(spec, task, "stdout")
-            err_path = self._io_path(spec, task, "stderr")
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            err_path.parent.mkdir(parents=True, exist_ok=True)
-            with open(out_path, "wb") as out, open(err_path, "wb") as err:
-                proc = subprocess.Popen(
-                    list(spec.command), cwd=cwd, env=env, stdin=subprocess.DEVNULL,
-                    stdout=out, stderr=err, **_OWN_GROUP
-                )
-                kill = functools.partial(_signal_group, proc)
-                with self._cond:
-                    if task.cancel_requested:
-                        kill(signal.SIGTERM)
-                    self._kills[(task.job, task.iteration)] = kill
-                exit_code = proc.wait()
-        except OSError:
-            exit_code = 127   # could not be started
-        except Exception:   # a fault of the manager, not of the command: the task fails
-            traceback.print_exc()
-            exit_code = None
-        self._on_task_exit(task, exit_code)
-
-    def _on_task_exit(self, task: Task, exit_code: int | None):
-        with self._cond:
-            self._kills.pop((task.job, task.iteration), None)
-            task.end = self.now()
-            task.exit_code = exit_code
-            if task.cancel_requested:
-                self._end_task(task, CANCELED)
+            if seq is None:
+                self._launcher.running = False
+                ended = list(self._running.values())
+                self._running.clear()
             else:
-                self._end_task(task, SUCCEEDED if exit_code == 0 else FAILED)
+                ended = [self._running.pop(seq)] if seq in self._running else []
+            for task in ended:
+                self._finish(task, exit_code)
+            self._tick()
             self._cond.notify_all()
+
+    def _finish(self, task: Task, exit_code: int | None):
+        """A started task ended with `exit_code` (lock held; no dispatch)."""
+        task.end = self.now()
+        task.exit_code = exit_code
+        self._end_task(task, CANCELED if task.cancel_requested
+                       else SUCCEEDED if exit_code == 0 else FAILED)
 
     # --- simulated execution -------------------------------------------------
 
@@ -419,11 +378,14 @@ class PilotManager:
             task.end = self._sim_now
             task.exit_code = 0
             self._end_task(task, CANCELED if task.cancel_requested else SUCCEEDED)
+            self._tick()
 
     # --- state cascade ----------------------------------------------------------
 
     def _end_task(self, task: Task, status: str):
-        """A started task ended: free its cores, propagate, dispatch."""
+        """A started task ended: free its cores and propagate. The caller
+        dispatches, so that a task ending as `_tick` starts it does not
+        recurse into `_tick`."""
         self._trace.append((task.end, "end", task.job, task.iteration))
         task.status = status
         self._pending -= 1
@@ -444,7 +406,6 @@ class PilotManager:
             self._end_queued(job.tasks[task.iteration + 1:], OMITTED)
         if job.terminal and not job.all_succeeded:   # broken once its last task ended
             self._omit_dependents(job.spec.name)
-        self._tick()
 
     def _end_queued(self, tasks, status: str) -> bool:
         """Move the QUEUED ones of `tasks` straight to a terminal `status`."""
@@ -480,10 +441,10 @@ class PilotManager:
                 if t.status != EXECUTING:
                     continue
                 t.cancel_requested = True
-                kill = self._kills.get((t.job, t.iteration))
-                if kill is not None:
-                    kill(signal.SIGTERM)
-                    timer = threading.Timer(CANCEL_GRACE_SECONDS, kill, (signal.SIGKILL,))
+                if t.seq in self._running:   # a signal after it ends gets an ignored report
+                    self._launcher.send(("signal", t.seq, int(signal.SIGTERM)))
+                    timer = threading.Timer(CANCEL_GRACE_SECONDS, self._launcher.send,
+                                            (("signal", t.seq, int(signal.SIGKILL)),))
                     timer.daemon = True
                     timer.start()
             if job.terminal:

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from tests.conftest import UQ_ERRORS, uniform_param, write_config
 from tests.test_pilotjob import SH_SLEEP, running, sleep_of, wait_for
 from uqpilot import errors, executors
 from uqpilot.campaign.ops import Campaign
+from uqpilot.campaign import store as store_module
 from uqpilot.campaign.store import CampaignStore
 from uqpilot.cli import uq
 from uqpilot.vvp.patterns import mare, metric_distance
@@ -543,6 +545,50 @@ class TestValidate:
         assert message in capsys.readouterr().err
 
 
+class TestStoreErrors:
+    def test_a_database_error_in_a_transaction_is_corruption(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a second insert of one run's qoi rows, as a second writer's would be
+        wd = make_campaign(tmp_path, n_runs=2)
+        insert_qoi = CampaignStore.insert_qoi
+
+        def inserted_twice(store, *args):
+            insert_qoi(store, *args)
+            insert_qoi(store, *args)
+
+        monkeypatch.setattr(CampaignStore, "insert_qoi", inserted_twice)
+        capsys.readouterr()
+        assert uq.main(["run", "--workdir", wd]) == uq.EXIT_CORRUPT
+        err = capsys.readouterr().err
+        assert str(Path(wd) / store_module.DB_FILENAME) in err
+        assert "UNIQUE constraint failed" in err
+
+    def test_a_store_locked_by_another_writer_is_a_refusal(self, tmp_path, monkeypatch,
+                                                           capsys):
+        wd = make_campaign(tmp_path, n_runs=0)
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_SECONDS", 0.05)
+        other = sqlite3.connect(Path(wd) / store_module.DB_FILENAME)
+        try:
+            other.execute("BEGIN IMMEDIATE")
+            capsys.readouterr()
+            code = uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "2"])
+        finally:
+            other.close()
+        assert code == uq.EXIT_REFUSED
+        assert "database is locked" in capsys.readouterr().err
+        assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "2"]) == uq.EXIT_OK
+
+    def test_a_misuse_of_the_sqlite_api_stays_unmapped(self, tmp_path):
+        # a wrong number of bindings is a fault of the code, not of the store
+        store = CampaignStore.open(make_campaign(tmp_path, n_runs=0))
+        try:
+            with pytest.raises(sqlite3.ProgrammingError):
+                with store._txn() as conn:
+                    conn.execute("SELECT ?", ())
+        finally:
+            store.close()
+
+
 @pytest.mark.parametrize("error", UQ_ERRORS, ids=lambda cls: cls.__name__)
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
     def handler(args):
@@ -551,5 +597,6 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
     monkeypatch.setitem(uq.HANDLERS, "status", handler)
     code = uq.main(["status", "--workdir", "unused"])
     expected = {errors.StoreCorrupt: (uq.EXIT_CORRUPT, " (store may need manual recovery)"),
-                errors.MissingRunError: (uq.EXIT_RUN_FAILURES, "")}.get(error, (uq.EXIT_USAGE, ""))
+                errors.MissingRunError: (uq.EXIT_RUN_FAILURES, ""),
+                errors.StoreLocked: (uq.EXIT_REFUSED, "")}.get(error, (uq.EXIT_USAGE, ""))
     assert (code, capsys.readouterr().err) == (expected[0], f"uq: boom{expected[1]}\n")

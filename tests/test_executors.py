@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import uniform_param, write_config
+from tests.test_pilotjob import running, wait_for
 from uqpilot.campaign.ops import Campaign
 from uqpilot.campaign.store import CampaignStore
 from uqpilot.cli import uq
 from uqpilot.executors import RunPlan, execute_campaign
+from uqpilot.pilotjob import scheduler
 from uqpilot.sampling.samplers import SamplerSpec
 
 
@@ -212,11 +214,12 @@ class TestEngine:
     @pytest.mark.parametrize("cores", [1, 2], ids=["serial", "pilotjob"])
     def test_error_cancels_and_drains_the_manager(self, tmp_path, monkeypatch, cores):
         campaign = script_campaign(tmp_path, SLEEP_FROM_RUN_3, n_runs=6)
-        started = record_popen(monkeypatch)
+        started = record_starts(monkeypatch)
         set_status = campaign.store.set_status
 
         def failing_set_status(run_id, status, *args, **kwargs):
             if run_id == 3 and status != "ENCODED":   # once the 3rd run is executing
+                wait_for_pid(campaign, 3)
                 raise RuntimeError("store went away")
             return set_status(run_id, status, *args, **kwargs)
 
@@ -226,26 +229,30 @@ class TestEngine:
             execute_campaign(campaign, RunPlan(cores=cores))
         assert time.monotonic() - t0 < 30   # children were stopped, not waited out
         assert len(started) >= 3
-        assert all(proc.poll() is not None for proc in started)
+        assert len(run_pids(campaign)) >= 3
+        assert not any(running(pid) for pid in run_pids(campaign))
         monkeypatch.undo()
         campaign.resume()
         assert campaign.store.status_counts()["SUBMITTED"] == 0
 
     def test_interrupt_leaves_unstarted_runs_encoded(self, tmp_path, monkeypatch):
-        campaign = script_campaign(tmp_path, "import time\ntime.sleep(60)\n", n_runs=4)
-        started = record_popen(monkeypatch)
+        campaign = script_campaign(tmp_path, WRITE_PID + "import time\ntime.sleep(60)\n",
+                                   n_runs=4)
+        started = record_starts(monkeypatch)
         set_status = campaign.store.set_status
 
         def interrupted_after_first_start(run_id, status, *args, **kwargs):
             set_status(run_id, status, *args, **kwargs)
             if status == "SUBMITTED":
+                wait_for_pid(campaign, run_id)
                 raise KeyboardInterrupt
 
         monkeypatch.setattr(campaign.store, "set_status", interrupted_after_first_start)
         with pytest.raises(KeyboardInterrupt):
             execute_campaign(campaign, RunPlan())
         assert len(started) == 1
-        assert started[0].poll() is not None
+        assert len(run_pids(campaign)) == 1
+        assert not running(run_pids(campaign)[0])
         monkeypatch.undo()
         rows = {row["run_id"]: row for row in campaign.store.runs()}
         assert rows[1]["status"] == "SUBMITTED"
@@ -338,7 +345,15 @@ pathlib.Path("out.csv").write_text("y\\n999\\n")
 sys.exit(1)
 """
 
-SLEEP_FROM_RUN_3 = """
+# first, each run writes its pid to `pid` in its run directory
+WRITE_PID = """
+import os
+with open("pid.part", "w") as fh:
+    fh.write(str(os.getpid()))
+os.rename("pid.part", "pid")
+"""
+
+SLEEP_FROM_RUN_3 = WRITE_PID + """
 import pathlib, shutil, time
 if pathlib.Path.cwd().name >= "run_000003":
     time.sleep(60)
@@ -346,8 +361,31 @@ shutil.copy("input.json", "out.csv")
 """
 
 
+def run_pids(campaign: Campaign) -> list[int]:
+    """The pids that the runs of `campaign` wrote with WRITE_PID."""
+    return [int(path.read_text()) for path in sorted(campaign.workdir.glob("runs/*/pid"))]
+
+
+def wait_for_pid(campaign: Campaign, run_id: int):
+    wait_for((campaign.run_dir(run_id) / "pid").exists)
+
+
+def record_starts(monkeypatch) -> list[tuple]:
+    """Keep every run request a manager sends its launcher: one per run started."""
+    started: list[tuple] = []
+    send = scheduler._Launcher.send
+
+    def recording_send(launcher, request):
+        if request[0] == "run":
+            started.append(request)
+        return send(launcher, request)
+
+    monkeypatch.setattr(scheduler._Launcher, "send", recording_send)
+    return started
+
+
 def record_popen(monkeypatch) -> list[subprocess.Popen]:
-    """Keep every process the manager starts, to check none outlives the run."""
+    """Keep every process that `subprocess.Popen` starts."""
     started: list[subprocess.Popen] = []
     popen = subprocess.Popen
 
@@ -398,6 +436,6 @@ class TestExecutorEquivalence:
             assert execute_campaign(campaign, RunPlan(cores=2)).ok
             launches[name] = len(started) - before
             toy_frames[name] = qoi_frame(campaign)
-        assert launches == {"warm": 1, "exec": 8}   # one launcher, or one process per run
+        assert launches == {"warm": 1, "exec": 1}   # one launcher starts every run
         assert toy_frames["warm"] == toy_frames["exec"]
         assert len(json.loads(toy_frames["warm"])) == 8

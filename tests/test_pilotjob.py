@@ -132,6 +132,13 @@ class TestSubmitValidation:
         with pytest.raises(ValidationError, match="duration"):
             m.submit(JobSpec(name="a", command=("true",)))
 
+    def test_wall_clock_needs_a_command(self, tmp_path):
+        # a duration makes an empty command a valid job, for the simulated clock only
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        with pytest.raises(ValidationError, match="needs a command"):
+            m.submit(sim_job("a"))
+        drained(m)
+
 
 class TestSimulatedScheduling:
     def test_backfill_when_head_blocked(self, tmp_path):
@@ -348,8 +355,8 @@ class TestFailurePropagation:
         assert m.job_snapshot("d")["status"] == "OMITTED"
 
     def test_unwritable_output_path_fails_the_task(self, tmp_path):
-        # the log directory cannot be made: the task fails instead of
-        # leaving drain() waiting on a worker thread that died
+        # the log directory cannot be made: the task fails with exit 127,
+        # and the launcher goes on to start the next one
         (tmp_path / "afile").write_text("")
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="a", command=("true",), stdout="afile/out"))
@@ -729,8 +736,10 @@ SH_SLEEP = "echo $$ > sh.pid; sleep 30; echo done"
 WARM_MODULE = """
 import os, subprocess, sys, time
 mode = sys.argv[1]
-with open("ppid", "w") as fh:
-    fh.write(str(os.getppid()))
+with open("/proc/self/cmdline", "rb") as src, open("cmdline", "wb") as dst:
+    dst.write(src.read())
+with open("seen", "w") as fh:
+    fh.write(repr(os.environ.get("WARM_TEST")))
 print(sys.argv, sys.orig_argv, sys.path, __name__, repr(sys.stdin.read()))
 print(sorted(globals()))
 print("to stderr", file=sys.stderr)
@@ -748,6 +757,10 @@ if mode == "sleep":
     time.sleep(30)
 if mode == "sh-sleep":
     subprocess.run(["sh", "-c", %r])
+if mode == "import":
+    import onpath
+    with open("imported", "w") as fh:
+        fh.write(onpath.__file__)
 if mode == "burn":
     start = time.process_time()
     while time.process_time() - start < 0.25:
@@ -767,8 +780,10 @@ def warm_job(directory: Path, name="w", *args, **kw) -> JobSpec:
                    stdout="out", stderr="err", **kw)
 
 
-def forked_by_launcher(directory: Path) -> bool:
-    return int((directory / "ppid").read_text()) != os.getpid()
+def started_warm(directory: Path) -> bool:
+    """Whether the run in `directory` was forked from the launcher, whose
+    command line it keeps, rather than executed."""
+    return str(scheduler.LAUNCHER).encode() in (directory / "cmdline").read_bytes()
 
 
 class TestProcessGroups:
@@ -785,7 +800,7 @@ class TestProcessGroups:
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path, "w", "sh-sleep"))
         sleep = sleep_of(tmp_path)
-        assert forked_by_launcher(tmp_path)
+        assert started_warm(tmp_path)
         m.cancel("w")
         m.drain()
         assert m.job_snapshot("w")["iterations"][0]["exit_code"] == -signal.SIGTERM
@@ -821,7 +836,7 @@ class TestWarmLaunch:
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path, "w", *args))
         m.drain()
-        assert forked_by_launcher(tmp_path)
+        assert started_warm(tmp_path)
         code = m.job_snapshot("w")["iterations"][0]["exit_code"]
         return code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
 
@@ -852,7 +867,7 @@ class TestWarmLaunch:
         wait_for((tmp_path / "ready").exists)
         m.cancel("w")
         m.drain()
-        assert forked_by_launcher(tmp_path)
+        assert started_warm(tmp_path)
         warm = (m.job_snapshot("w")["iterations"][0]["exit_code"],
                 (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
         (tmp_path / "ready").unlink()
@@ -864,14 +879,16 @@ class TestWarmLaunch:
         assert warm == (proc.returncode, out, err)
         assert warm[0] == -signal.SIGTERM
 
-    def test_job_env_runs_executed(self, tmp_path, warm_pythonpath):
+    def test_a_job_env_reaches_the_run(self, tmp_path, warm_pythonpath):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path, "w", "return", env=(("WARM_TEST", "1"),)))
         m.drain()
         assert m.job_snapshot("w")["status"] == "SUCCEEDED"
-        assert not forked_by_launcher(tmp_path)
+        assert (tmp_path / "seen").read_text() == "'1'"
 
-    def test_changed_environment_runs_executed(self, tmp_path, warm_pythonpath, monkeypatch):
+    def test_a_changed_environment_reaches_the_next_run(self, tmp_path, warm_pythonpath,
+                                                        monkeypatch):
+        monkeypatch.delenv("WARM_TEST", raising=False)
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path / "a", "a", "return"))
         wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
@@ -879,16 +896,20 @@ class TestWarmLaunch:
         m.submit(warm_job(tmp_path / "b", "b", "return"))
         m.drain()
         assert m.job_snapshot("b")["status"] == "SUCCEEDED"
-        assert forked_by_launcher(tmp_path / "a")
-        assert not forked_by_launcher(tmp_path / "b")
+        assert (tmp_path / "a" / "seen").read_text() == "None"
+        assert (tmp_path / "b" / "seen").read_text() == "'1'"
 
-    def test_relative_pythonpath_runs_executed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PYTHONPATH", "src")
+    def test_a_relative_pythonpath_entry_resolves_against_the_runs_cwd(self, tmp_path,
+                                                                        monkeypatch):
+        (tmp_path / "lib").mkdir()
+        (tmp_path / "lib" / "onpath.py").write_text("")
+        monkeypatch.setenv("PYTHONPATH", "lib")
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "return"))
+        m.submit(warm_job(tmp_path, "w", "import"))
         m.drain()
         assert m.job_snapshot("w")["status"] == "SUCCEEDED"
-        assert not forked_by_launcher(tmp_path)
+        imported = Path((tmp_path / "imported").read_text())
+        assert imported.resolve() == (tmp_path / "lib" / "onpath.py").resolve()
 
     def test_runs_cpu_reaches_rusage_children_after_drain(self, tmp_path, warm_pythonpath):
         def children_cpu():
@@ -900,7 +921,7 @@ class TestWarmLaunch:
         for name in ("a", "b"):
             m.submit(warm_job(tmp_path / name, name, "burn"))
         m.drain()
-        assert all(forked_by_launcher(tmp_path / name) for name in ("a", "b"))
+        assert all(started_warm(tmp_path / name) for name in ("a", "b"))
         assert children_cpu() - before >= 0.5
 
     def test_which_commands_start_warm(self, tmp_path, monkeypatch):
@@ -915,6 +936,52 @@ class TestWarmLaunch:
         assert not runs_this_python_module((str(tmp_path / "python"), "-m", "mod"))
         monkeypatch.setenv("PATH", str(tmp_path))
         assert not runs_this_python_module((exe.name, "-m", "mod"))
+
+
+class TestExecutedRuns:
+    def test_ignored_signals_equal_a_subprocess_run(self, tmp_path):
+        # the launcher is a Python process, which ignores SIGPIPE and SIGXFSZ.
+        # glibc's posix_spawn leaves its two internal signals (32 and 33)
+        # ignored, which no program on glibc can handle, so the masks are
+        # compared over the signals that Python reports valid
+        script = "grep SigIgn /proc/self/status > sigign"
+        for name in ("run", "ref"):
+            (tmp_path / name).mkdir()
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="run", command=("sh", "-c", script), workdir=str(tmp_path / "run")))
+        drained(m)
+        subprocess.run(["sh", "-c", script], cwd=tmp_path / "ref", check=True)
+        assert m.job_snapshot("run")["status"] == "SUCCEEDED"
+
+        def ignored(name):
+            mask = int((tmp_path / name / "sigign").read_text().split()[1], 16)
+            return {sig for sig in signal.valid_signals() if mask >> (sig - 1) & 1}
+
+        assert ignored("run") == ignored("ref")
+
+    def test_a_job_env_path_finds_the_command(self, tmp_path):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "only-here").write_text("#!/bin/sh\necho found\n")
+        (bin_dir / "only-here").chmod(0o755)
+        path = os.pathsep.join([str(bin_dir), os.environ.get("PATH", os.defpath)])
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="p", command=("only-here",), env=(("PATH", path),),
+                         workdir=str(tmp_path), stdout="out"))
+        drained(m)
+        assert m.job_snapshot("p")["iterations"][0]["exit_code"] == 0
+        assert (tmp_path / "out").read_text() == "found\n"
+
+    @pytest.mark.parametrize("missing", ["executable", "cwd"])
+    def test_a_run_that_cannot_start_exits_127(self, tmp_path, missing):
+        command = ("no-such-command-here",) if missing == "executable" else ("true",)
+        workdir = tmp_path / ("no-such-dir" if missing == "cwd" else "")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="a", command=command, workdir=str(workdir)))
+        m.submit(JobSpec(name="b", command=("true",)))
+        drained(m)
+        assert m.job_snapshot("a")["iterations"][0]["exit_code"] == 127
+        assert m.job_snapshot("b")["iterations"][0]["exit_code"] == 0
 
 
 def drained(m: PilotManager, timeout=10.0):
@@ -939,19 +1006,79 @@ class TestLauncherFaults:
         m.submit(warm_job(tmp_path / "w", "w", "return"))
         drained(m)
         assert m.job_snapshot("w")["iterations"][0]["exit_code"] == 127
-        assert not (tmp_path / "w" / "ppid").exists()
+        assert not (tmp_path / "w" / "cmdline").exists()
         assert m._launcher.proc.returncode == 0
 
     def test_an_error_in_the_launcher_kills_its_runs(self, tmp_path, warm_pythonpath):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path, "w", "sh-sleep"))
         sleep = sleep_of(tmp_path)
-        assert forked_by_launcher(tmp_path)
+        assert started_warm(tmp_path)
         os.write(m._launcher._requests, (1).to_bytes(4, "little") + b"\xff")  # not marshal
         drained(m)
         assert m._launcher.proc.returncode == 1
         assert m.job_snapshot("w")["iterations"][0]["exit_code"] is None
         wait_for(lambda: not running(sleep), timeout=5)
+
+    @pytest.mark.parametrize("bad", [{"env": (("A=B", "1"),)}, {"env": (("", "1"),)},
+                                     {"env": (("A", "1\0"),)}, {"command": ("tr\0ue",)},
+                                     {"workdir": "no\0dir"}, {"stdout": "o\0ut"}],
+                             ids=["env-name-with-=", "empty-env-name", "nul-in-env-value",
+                                  "nul-in-command", "nul-in-workdir", "nul-in-stdout"])
+    def test_a_job_that_cannot_be_started_fails_alone(self, tmp_path, bad):
+        # the launcher refuses the job's start; it and its other runs go on
+        (tmp_path / "a").mkdir()
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="a", command=("sh", "-c", "echo $$ > sh.pid; sleep 0.5"),
+                         workdir=str(tmp_path / "a")))
+        sleep_of(tmp_path / "a")
+        launcher = m._launcher
+        m.submit(JobSpec(name="bad", **{"command": ("true",), **bad}))
+        drained(m)
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in ("a", "bad")] \
+            == [0, 127]
+        assert m._launcher is launcher and launcher.proc.returncode == 0
+
+    def test_a_killed_launcher_leaves_no_run_behind(self, tmp_path, warm_pythonpath):
+        # a SIGKILLed launcher cannot kill its runs; its reader kills their groups
+        (tmp_path / "sh").mkdir()
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="sh", command=("sh", "-c", SH_SLEEP), workdir=str(tmp_path / "sh")))
+        m.submit(warm_job(tmp_path / "w", "w", "sh-sleep"))
+        sleeps = [sleep_of(tmp_path / "sh"), sleep_of(tmp_path / "w")]
+        assert started_warm(tmp_path / "w")
+        m._launcher.proc.kill()
+        drained(m)
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in ("sh", "w")] \
+            == [None, None]
+        wait_for(lambda: not any(running(sleep) for sleep in sleeps), timeout=5)
+
+    def test_the_next_task_starts_a_new_launcher(self, tmp_path):
+        # b waits behind a; the launcher's error fails a alone, and b starts
+        # on a new launcher from the reader thread that saw the old one end
+        (tmp_path / "a").mkdir()
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="a", command=("sh", "-c", SH_SLEEP), workdir=str(tmp_path / "a")))
+        m.submit(JobSpec(name="b", command=("true",)))
+        sleep = sleep_of(tmp_path / "a")
+        first = m._launcher
+        os.write(first._requests, (1).to_bytes(4, "little") + b"\xff")  # not marshal
+        drained(m)
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [None, 0]
+        assert m._launcher is not first
+        assert first.proc.returncode == 1 and first._requests == -1
+        wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_an_unstartable_launcher_fails_every_task(self, tmp_path, monkeypatch):
+        # every task ends as it is started, inside one dispatch pass
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="many", command=("true",), iterations=2000,
+                         parallel_iterations=True))
+        drained(m)
+        its = m.job_snapshot("many")["iterations"]
+        assert {(t["status"], t["exit_code"]) for t in its} == {("FAILED", 127)}
+        assert m._launcher is None
 
     def test_an_interrupt_before_the_run_request_leaves_a_task_cancel_ends(
             self, tmp_path, warm_pythonpath, monkeypatch):
@@ -969,7 +1096,7 @@ class TestLauncherFaults:
         m.cancel_all()
         drained(m)
         assert m.job_snapshot("w")["status"] == "CANCELED"
-        assert not (tmp_path / "ppid").exists()
+        assert not (tmp_path / "cmdline").exists()
 
     def test_a_signal_to_an_ended_run_is_ignored(self, tmp_path, warm_pythonpath):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
@@ -979,4 +1106,4 @@ class TestLauncherFaults:
         m.submit(warm_job(tmp_path / "b", "b", "return"))
         drained(m)
         assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [0, 0]
-        assert forked_by_launcher(tmp_path / "b")
+        assert started_warm(tmp_path / "b")

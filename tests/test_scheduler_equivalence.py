@@ -55,6 +55,7 @@ class FailingSim(PilotManager):
                 task.exit_code = 1 if failed else 0
                 status = CANCELED if task.cancel_requested else FAILED if failed else SUCCEEDED
                 self._end_task(task, status)
+                self._tick()
 
 
 class FifoScan(FailingSim):
@@ -98,7 +99,6 @@ class FifoScan(FailingSim):
             for later in job.tasks[task.iteration + 1:]:
                 if later.status == QUEUED:
                     later.status = OMITTED
-        self._tick()
 
     def cancel(self, name):
         super().cancel(name)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import sqlite3
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -99,28 +98,26 @@ class IllegalTransition(StoreCorrupt):
 
 
 class CampaignStore:
-    """Single-writer store; one in-process lock serializes commits so
-    executor worker threads may share the connection."""
+    """Single-writer store on one connection, used by one thread at a time
+    (not necessarily the one that opened it)."""
 
     def __init__(self, path: str | Path, conn: sqlite3.Connection):
         self.path = Path(path)
         self._conn = conn
-        self._lock = threading.RLock()
 
     @contextmanager
     def _txn(self):
         """One transaction; a database error in it or at its commit rolls it
         back and ends as `StoreLocked` (another writer's lock) or `StoreCorrupt`."""
-        with self._lock:
-            try:
-                with self._conn:
-                    yield self._conn
-            except (sqlite3.ProgrammingError, sqlite3.InterfaceError):
-                raise   # a misuse of the sqlite API: a fault of the code, not the store
-            except sqlite3.Error as exc:
-                if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
-                    raise StoreLocked(f"{self.path}: {exc} by another writer") from exc
-                raise StoreCorrupt(f"{self.path}: {exc}") from exc
+        try:
+            with self._conn:
+                yield self._conn
+        except (sqlite3.ProgrammingError, sqlite3.InterfaceError):
+            raise   # a misuse of the sqlite API: a fault of the code, not the store
+        except sqlite3.Error as exc:
+            if isinstance(exc, sqlite3.OperationalError) and "locked" in str(exc):
+                raise StoreLocked(f"{self.path}: {exc} by another writer") from exc
+            raise StoreCorrupt(f"{self.path}: {exc}") from exc
 
     # --- lifecycle --------------------------------------------------
 

@@ -88,8 +88,6 @@ def cmd_serve(args) -> int:
                                   report_path=args.report)
     else:
         return _fail("serve needs --batch FILE or --socket")
-    if report is None:
-        return EXIT_OK
     failed = sum(1 for j in report["jobs"] if j["status"] != "SUCCEEDED")
     print(
         f"jobs={len(report['jobs'])} failed={failed} "

@@ -6,7 +6,10 @@ to the published exit codes: 0 success; 1 run failures, including
 usage and configuration problems, which is every other `UqError`; 3
 refusals (`init` into a non-empty workdir, `StoreLocked` from another
 writer's lock); 4 `StoreCorrupt`, which includes a database error in any
-store transaction. A SIGTERM or SIGHUP ends `uq run` as Ctrl-C does,
+store transaction. The commands that write the store (`sample`, `run`,
+`collate`, `resume` and `validate --pattern ensemble`) hold the workdir's
+`campaign.lock` for their whole life, so a second one exits 3; readers
+take no lock. A SIGTERM or SIGHUP ends `uq run` as Ctrl-C does,
 stopping the runs in flight, and then exits 128 + the signal number (143,
 129).
 """
@@ -14,6 +17,8 @@ stopping the runs in flight, and then exits 128 + the signal number (143,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import shutil
 import sys
@@ -22,12 +27,15 @@ from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
 from uqpilot.cli import stop_on_termination
+from uqpilot.errors import StoreLocked
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_CORRUPT = 4
+
+LOCK_FILENAME = "campaign.lock"
 
 
 def _fail(code: int, message: str) -> int:
@@ -105,6 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
 # --- helpers -------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _writing(workdir: str):
+    """The campaign at `workdir`, opened with its writer lock held: an
+    exclusive flock on `campaign.lock`, which the kernel drops as this
+    process exits, however it exits. A second writer is refused, not
+    queued. The lock's descriptor is not inherited, so no run holds it."""
+    with Campaign.open(workdir) as campaign:
+        path = campaign.workdir / LOCK_FILENAME
+        with open(path, "a") as lock:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreLocked(f"another command is writing this campaign: {path} "
+                                  f"is locked") from None
+            yield campaign
+
+
 def _unknown_stage(store, stage_id: int | None) -> bool:
     return stage_id is not None and stage_id not in {s["stage_id"] for s in store.stages()}
 
@@ -145,7 +170,7 @@ def cmd_sample(args) -> int:
     from uqpilot.sampling.samplers import SamplerSpec
 
     spec = SamplerSpec.from_json({"variant": args.sampler, **vars(args)})
-    with Campaign.open(args.workdir) as campaign:
+    with _writing(args.workdir) as campaign:
         stage_id = campaign.add_stage(spec)
         rows = campaign.store.runs(stage_id=stage_id)
         if args.dump_grid:
@@ -181,7 +206,7 @@ def cmd_run(args) -> int:
         return _fail(EXIT_USAGE, "--allocation-cores needs --executor pilotjob")
     plan = RunPlan(cores=cores, cores_per_run=args.cores_per_run,
                    retries=args.retries, stage_id=args.stage)
-    with Campaign.open(args.workdir) as campaign:
+    with _writing(args.workdir) as campaign:
         if _unknown_stage(campaign.store, args.stage):
             return _fail(EXIT_USAGE, f"no stage {args.stage}")
         with stop_on_termination():
@@ -198,7 +223,7 @@ def cmd_run(args) -> int:
 
 def cmd_collate(args) -> int:
     failures = 0
-    with Campaign.open(args.workdir) as campaign:
+    with _writing(args.workdir) as campaign:
         for row in campaign.store.runs(status="COMPLETED"):
             error = campaign.collate(row["run_id"])
             if error:
@@ -272,7 +297,8 @@ def cmd_validate(args) -> int:
         return _fail(EXIT_USAGE, "similarity validation needs --qoi and --reference")
     if args.pattern == "ensemble" and args.scorer == ["mare"] and not (args.qoi and args.reference):
         return _fail(EXIT_USAGE, "mare scorer needs --qoi and --reference")
-    with Campaign.open(args.workdir) as campaign:
+    opened = _writing if args.pattern == "ensemble" else Campaign.open   # ensemble records scores
+    with opened(args.workdir) as campaign:
         store = campaign.store
         qois = campaign.app.decoder.qoi_columns   # all that collation can ever store
         if args.qoi is not None and args.qoi not in qois:
@@ -328,7 +354,7 @@ def cmd_status(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    with Campaign.open(args.workdir) as campaign:
+    with _writing(args.workdir) as campaign:
         summary = campaign.resume()
     print(json.dumps(summary))
     return EXIT_OK
@@ -347,7 +373,7 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from uqpilot.errors import MissingRunError, StoreCorrupt, StoreLocked, UqError
+    from uqpilot.errors import MissingRunError, StoreCorrupt, UqError
 
     args = build_parser().parse_args(argv)
     try:

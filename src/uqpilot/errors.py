@@ -30,7 +30,8 @@ class StoreCorrupt(UqError):
 
 
 class StoreLocked(UqError):
-    """Another connection held the campaign store's write lock past the busy timeout."""
+    """Another writer holds the campaign's lock, or held the store's write
+    lock past the busy timeout."""
 
 
 class SamplerError(UqError):

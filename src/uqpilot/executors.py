@@ -1,7 +1,7 @@
 """Run execution: one event loop on an in-process pilot manager.
 
-No socket is involved; only `pj serve --socket` serves a manager, on a
-Unix socket in its workdir. `RunPlan.cores` is the allocation's size and
+No socket and no thread is involved: the caller's thread waits in the
+manager's event loop. `RunPlan.cores` is the allocation's size and
 `cores_per_run` each run's share of it, so `cores // cores_per_run` runs
 execute at once. The manager's one launcher process starts every run, in a
 process group of its own: an app command `[sys.executable, "-m", module,
@@ -19,8 +19,8 @@ encodes each NEW run and submits it at once (an ENCODED run as it is);
 each attempt first removes the output of any earlier one, so a run can
 be recovered only from output its own attempt wrote.
 
-The loop then commits each event as the manager reports it: SUBMITTED
-as a run starts; as it ends, COLLATED (through COMPLETED, in one
+The loop then commits each event that `PilotManager.wait` returns:
+SUBMITTED as a run starts; as it ends, COLLATED (through COMPLETED, in one
 commit), or COMPLETED when its output does not decode, or FAILED, and
 then, while retries are left, ENCODED (attempts+1) and a resubmission.
 Every commit is one transaction, so a second call picks up where an
@@ -30,7 +30,6 @@ and drained before the error propagates.
 
 from __future__ import annotations
 
-import queue
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,9 +75,7 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
     store = campaign.store
     app = campaign.app
     summary = RunSummary()
-    events: queue.SimpleQueue = queue.SimpleQueue()
-    manager = PilotManager(plan.cores, workdir=campaign.workdir, clock="wall",
-                           on_task_event=lambda task: events.put((task.job, task.status)))
+    manager = PilotManager(plan.cores, workdir=campaign.workdir, clock="wall")
 
     def collate(run_id: int):
         error = campaign.collate(run_id)
@@ -103,20 +100,20 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
         retried: Counter = Counter()
         ended = 0
         while ended < summary.executed:
-            name, status = events.get()
-            run_id = int(name.split(".")[0])
-            if status == EXECUTING:
-                store.set_status(run_id, "SUBMITTED")
-                continue
-            ended += 1
-            if status == SUCCEEDED:
-                collate(run_id)
-                continue
-            store.set_status(run_id, "FAILED")
-            retried[run_id] += 1
-            if retried[run_id] <= plan.retries:
-                store.set_status(run_id, "ENCODED")
-                submit(store.run(run_id)["run_dir"], f"{run_id}.{retried[run_id]}")
+            for name, status in manager.wait()[0]:
+                run_id = int(name.split(".")[0])
+                if status == EXECUTING:
+                    store.set_status(run_id, "SUBMITTED")
+                    continue
+                ended += 1
+                if status == SUCCEEDED:
+                    collate(run_id)
+                    continue
+                store.set_status(run_id, "FAILED")
+                retried[run_id] += 1
+                if retried[run_id] <= plan.retries:
+                    store.set_status(run_id, "ENCODED")
+                    submit(store.run(run_id)["run_dir"], f"{run_id}.{retried[run_id]}")
         manager.drain()
     except BaseException:
         manager.cancel_all()

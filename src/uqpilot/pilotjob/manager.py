@@ -7,7 +7,7 @@ allocation and of its nodes is ignored, and a file without an allocation
 gets the detected cores. Socket mode serves the control protocol on a
 Unix socket, `pj.sock` in the manager workdir and readable only by its
 owner, on an allocation of the cores it is given, until a finish command
-arrives; clients find the socket from the workdir alone.
+has drained the manager; clients find the socket from the workdir alone.
 
 Both modes write the scheduler report, `pj-report.json` in the workdir
 unless a report path is given, through `write_report`. Its first line
@@ -125,7 +125,7 @@ def serve_socket(
     workdir: str | Path = ".",
     clock: str = "wall",
     report_path: str | Path | None = None,
-) -> dict | None:
+) -> dict:
     """Socket interface: serve requests until a finish command drains us."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -138,8 +138,7 @@ def serve_socket(
         manager.cancel_all()
         manager.drain()
         raise
-    if server.report is not None:
-        write_report(server.report, report_path)
+    write_report(server.report, report_path)
     return server.report
 
 

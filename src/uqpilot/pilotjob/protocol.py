@@ -16,7 +16,9 @@ One response per request. `status` without a job name answers the job
 counts and the allocation's total, busy and free cores. Unknown
 commands answer ok=false with code "unknown-command"; a request or
 payload that is not a JSON object, or a malformed job, answers ok=false
-with code "parse".
+with code "parse". `finish` stops submissions and is answered once the
+manager has drained; the server, one `select` loop in the manager's thread
+(`PilotManager.wait`), serves other clients meanwhile, and then closes.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import itertools
 import json
 import os
 import socket
-import socketserver
-import threading
 from pathlib import Path
 
 from uqpilot.errors import (
@@ -65,82 +65,79 @@ def _refuses_connections(path: Path) -> bool:
     return False
 
 
+def _answer(sock: socket.socket, response: dict | None) -> bool:
+    """Send `response` unless it is None; whether it was answered."""
+    if response is None:
+        return False
+    try:
+        sock.sendall((json.dumps(response) + "\n").encode())
+    except OSError:   # the client has gone
+        pass
+    return True
+
+
 def _error_doc(req_id, exc: Exception) -> dict:
     code = _ERROR_CODES.get(type(exc), "error")
     return {"id": req_id, "ok": False, "error": {"code": code, "message": str(exc)}}
 
 
 class ManagerServer:
-    """Unix-socket front-end for a PilotManager, at `<workdir>/pj.sock`."""
+    """Unix-socket front-end for a PilotManager, at `<workdir>/pj.sock`,
+    listening from construction on."""
 
     def __init__(self, manager: PilotManager):
         self.manager = manager
         self.path = Path(manager.workdir) / SOCKET_FILENAME
-        self._finish_event = threading.Event()
         self.report: dict | None = None
-        outer = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                while True:
-                    line = self.rfile.readline()
-                    if not line:
-                        return
-                    line = line.strip()
-                    if not line:
-                        continue
-                    response = outer.handle_request(line)
-                    self.wfile.write((json.dumps(response) + "\n").encode())
-                    self.wfile.flush()
-                    if response.get("data", {}).get("finished"):
-                        return
-
-        class Server(socketserver.ThreadingUnixStreamServer):
-            daemon_threads = True
-            linked = False
-
-            def server_activate(self):
-                # pj.sock appears only once the socket is 0600 and listening; link,
-                # unlike rename, fails rather than replace a live manager's socket
-                try:
-                    os.chmod(self.server_address, 0o600)
-                    super().server_activate()
-                    os.link(self.server_address, outer.path)
-                    self.linked = True
-                finally:
-                    os.unlink(self.server_address)
-
-            def server_close(self):
-                super().server_close()
-                if self.linked:   # never remove a socket another manager bound
-                    outer.path.unlink()
-
         if _refuses_connections(self.path):
             self.path.unlink()
-        try:   # bind a name of this process; server_activate links it to pj.sock
-            self._server = Server(f"{self.path}.{os.getpid()}", Handler)
+        # bind a name of this process, and link it to pj.sock only once it is
+        # 0600 and listening; link, unlike rename, fails rather than replace
+        # a live manager's socket
+        bound = f"{self.path}.{os.getpid()}"
+        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            self._listener.bind(bound)
+            try:
+                os.chmod(bound, 0o600)
+                self._listener.listen()
+                os.link(bound, self.path)
+            finally:
+                os.unlink(bound)
         except OSError as exc:
+            self._listener.close()
             raise BindError(f"cannot bind manager socket {self.path}: {exc}") from exc
-        self._thread: threading.Thread | None = None
-
-    def start(self):
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-        return self
 
     def serve_until_finished(self):
-        """Block until a finish command has drained the manager."""
-        self.start()
+        """Answer every client, in this thread, until a finish is answered."""
+        clients: dict[socket.socket, bytes] = {}   # connection -> its unended line
+        requests: list[tuple[socket.socket, bytes]] = []   # lines to answer: finishes wait
         try:
-            self._finish_event.wait()
+            while self.report is None:
+                for sock in self.manager.wait(fds=[self._listener, *clients])[1]:
+                    if sock is self._listener:
+                        clients[sock.accept()[0]] = b""
+                        continue
+                    try:
+                        data = sock.recv(65536)
+                    except OSError:
+                        data = b""
+                    *lines, clients[sock] = (clients[sock] + data).split(b"\n")
+                    requests += [(sock, line) for line in map(bytes.strip, lines) if line]
+                    if not data:
+                        del clients[sock]
+                        sock.close()
+                requests = [(sock, line) for sock, line in requests
+                            if not _answer(sock, self.handle_request(line))]
         finally:
-            self.stop()
+            for sock in clients:
+                sock.close()
+            self._listener.close()
+            self.path.unlink()
 
-    def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
-
-    def handle_request(self, raw: bytes) -> dict:
+    def handle_request(self, raw: bytes) -> dict | None:
+        """The response to one request line; None to a finish until the
+        manager has drained, to be asked again after its next events."""
         try:
             doc = json.loads(raw)
         except ValueError as exc:   # also bytes that are not UTF-8
@@ -174,9 +171,9 @@ class ManagerServer:
                     "data": {"name": name, "status": self.manager.job_snapshot(name)["status"]},
                 }
             if cmd == "finish":
-                self.manager.drain()
+                if not self.manager.drain(block=False):
+                    return None
                 self.report = self.manager.report()
-                self._finish_event.set()
                 summary = {
                     "finished": True,
                     "makespan": self.report["makespan"],

@@ -6,32 +6,34 @@ manager starts real processes, so it refuses an allocation above
 `LOCAL_CORE_MULTIPLE` times the detected cores (`PJ_VIRTUAL_CORES`
 raises the detected count); a simulated one takes any count.
 
-One lock serializes every state mutation. A task whose dependencies and
-previous sequential iteration have succeeded waits in a min-heap per core
-count, keyed by submission number. Dispatch starts the lowest-numbered
-head among the heaps that fit the free cores, so the oldest eligible task
-starts first and later ones backfill while it does not fit. Dependency
-counters and a reverse map keep each state change at O(log n) instead of
-a scan of the queue.
+The manager starts no thread and takes no lock; only its owner's thread
+calls it. A task whose dependencies and previous sequential iteration have
+succeeded waits in a min-heap per core count, keyed by submission number.
+Dispatch starts the lowest-numbered head among the heaps that fit the free
+cores, so the oldest eligible task starts first and later ones backfill
+while it does not fit. Dependency counters and a reverse map keep each
+state change at O(log n) instead of a scan of the queue.
 
 A simulated clock ends tasks through an event heap of their declared
 durations. On the wall clock, one launcher process (`launcher.py`),
 started with the first task, starts, signals and reaps every task, each
 in a process group of its own with /dev/null as stdin (a group, not a
 session: `setsid` makes a scheduler autogroup per run, 0.36 ms more per
-`cp` run on a 2-vCPU Linux VM), and a reader thread ends each task from
-its reports. Cancel signals the group: SIGTERM, SIGKILL after a grace
-period. A task runs warm, forked from the launcher's started interpreter,
-when its command is `[python, "-m", module, *args]` with `python` this
-`sys.executable` (as given or found on PATH), the job has no `env`,
-every `PYTHONPATH` entry is absolute and `os.environ` is as it was when
-the launcher started. Any other task is spawned, in `os.environ` with
-the job's `env` over it when either is set or changed. A task that
-cannot start ends with exit 127. A launcher that exits fails the tasks
-it held, once the reader has SIGKILLed the group of each run it left,
-and the next task starts a new one. `drain` waits for the launcher to
-exit, so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN` and
-no run outlives the manager.
+`cp` run on a 2-vCPU Linux VM). `wait` selects on its reports up to the
+next deadline, the SIGKILL after a cancel's SIGTERM and grace period;
+`submit` and the snapshots first take in reports already there. A task
+runs warm, forked from the launcher's started interpreter, when its
+command is `[python, "-m", module, *args]` with `python` this
+`sys.executable` (as given or found on PATH), the job has no `env`, every
+`PYTHONPATH` entry is absolute and `os.environ` is as it was when the
+launcher started. Any other task is spawned, in `os.environ` with the
+job's `env` over it when either is set or changed. A task that cannot
+start ends with exit 127, as does the rest of a dispatch pass in which no
+launcher could start. At a launcher's exit the loop SIGKILLs the group of
+each run it left and fails its tasks; the next task starts a new launcher.
+`drain` runs the loop until no task is pending and the launcher has exited,
+so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN` and no run
+outlives the manager.
 """
 
 from __future__ import annotations
@@ -40,15 +42,14 @@ import heapq
 import itertools
 import marshal
 import os
+import select
 import shutil
 import signal
 import subprocess
 import sys
-import threading
 import time
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable
 
 from uqpilot.errors import AlreadyTerminal, JobNotFound, ValidationError
 from uqpilot.pilotjob.jobs import (
@@ -89,21 +90,14 @@ def _pythonpath_is_absolute() -> bool:
 
 
 class _Launcher:
-    """The manager's end of a launcher process (see `launcher.py`).
+    """The manager's end of a launcher process (see `launcher.py`) and the tasks
+    it holds, which keep what is in flight far below what the pipes hold."""
 
-    `on_report(seq, code)` is called from a reader thread for each exit
-    the launcher reports, and `on_report(None, None)` once it has exited,
-    been reaped and had the group of every run it left SIGKILLed. Requests
-    in flight are bounded by the allocation's tasks, far below what the
-    pipes hold, so a write never waits on the reader.
-    """
-
-    def __init__(self, on_report: Callable[[int | None, int | None], None]):
+    def __init__(self):
         self.env = dict(os.environ)
         self.running = True
-        self._lock = threading.Lock()       # one request written at a time
         req_r, self._requests = os.pipe()
-        rep_r, rep_w = os.pipe()
+        self.reports, rep_w = os.pipe()
         try:
             self.proc = subprocess.Popen(
                 [sys.executable, str(LAUNCHER), str(req_r), str(rep_w)],
@@ -111,70 +105,67 @@ class _Launcher:
                 stdout=subprocess.DEVNULL, start_new_session=True)
         except OSError:
             os.close(self._requests)
-            os.close(rep_r)
+            os.close(self.reports)
             raise
         finally:
             os.close(req_r)
             os.close(rep_w)
-        self._reader = threading.Thread(target=self._read, args=(rep_r, on_report),
-                                        daemon=True)
-        self._reader.start()
+        self.tasks: dict[int, Task] = {}    # seq -> task requested and not ended
+        self._groups: dict[int, int] = {}   # seq -> pid of each run started and not ended
+        self._partial = b""
 
-    def _read(self, fd: int, on_report):
-        groups: dict[int, int] = {}   # seq -> pid of each run started and not ended
-        with open(fd, "rb") as reports:
-            for line in reports:
-                fields = line.split()
-                if fields[1] == b"pid":
-                    groups[int(fields[0])] = int(fields[2])
-                    continue
-                seq, code = map(int, fields)
-                groups.pop(seq, None)
-                on_report(seq, code)
-        self._end_requests()
-        self.proc.wait()
-        for pid in groups.values():   # left running by a launcher killed outright
-            for kill in (os.killpg, os.kill):   # a warm child may lack its group yet
-                try:
-                    kill(pid, signal.SIGKILL)
-                    break
-                except ProcessLookupError:
-                    pass
-        on_report(None, None)
+    def read(self) -> list[tuple[Task, int | None]]:
+        """(task, exit code) of each task ended since the last read; at EOF, the
+        launcher reaped and its runs' groups SIGKILLed, of every task left (None)."""
+        data = os.read(self.reports, 65536)
+        if not data:
+            self.running = False
+            os.close(self.reports)
+            self.end_requests()
+            self.proc.wait()
+            for pid in self._groups.values():   # left running by a launcher killed outright
+                for kill in (os.killpg, os.kill):   # a warm child may lack its group yet
+                    try:
+                        kill(pid, signal.SIGKILL)
+                        break
+                    except ProcessLookupError:
+                        pass
+            return [(self.tasks.pop(seq), None) for seq in list(self.tasks)]
+        *lines, self._partial = (self._partial + data).split(b"\n")
+        ended = []
+        for line in lines:
+            fields = line.split()
+            if fields[1] == b"pid":
+                self._groups[int(fields[0])] = int(fields[2])
+                continue
+            seq, code = map(int, fields)
+            self._groups.pop(seq, None)
+            if seq in self.tasks:   # else a signal's answer, sent as the task ended
+                ended.append((self.tasks.pop(seq), code))
+        return ended
 
     def send(self, request: tuple) -> bool:
-        """Write one request; False once the launcher is gone or closed."""
+        """Write one request; False once the launcher is gone or its requests ended."""
         frame = marshal.dumps(request)
         frame = len(frame).to_bytes(4, "little") + frame
-        with self._lock:
-            try:
-                while frame:
-                    frame = frame[os.write(self._requests, frame):]
-            except OSError:
-                return False
+        try:
+            while frame:
+                frame = frame[os.write(self._requests, frame):]
+        except OSError:
+            return False
         return True
 
-    def _end_requests(self):
-        with self._lock:
-            if self._requests >= 0:
-                os.close(self._requests)
-                self._requests = -1
-
-    def close(self):
-        """End the requests, so the launcher exits, and wait for it and its reports."""
-        self._end_requests()
-        self._reader.join()
+    def end_requests(self):
+        """Close the request pipe: the launcher kills any run left, and exits."""
+        if self._requests >= 0:
+            os.close(self._requests)
+            self._requests = -1
 
 
 class PilotManager:
-    """Schedules and executes sub-jobs inside an allocation of `cores` cores.
+    """Schedules and executes sub-jobs inside an allocation of `cores` cores."""
 
-    `on_task_event(task)` is called, lock held, as each task starts and
-    again as it ends.
-    """
-
-    def __init__(self, cores: int, workdir: str | Path = ".",
-                 clock: str = "wall", on_task_event: Callable[[Task], None] | None = None):
+    def __init__(self, cores: int, workdir: str | Path = ".", clock: str = "wall"):
         if clock not in ("wall", "simulated"):
             raise ValidationError(f"clock must be wall or simulated, got {clock!r}")
         if cores < 1:
@@ -187,8 +178,6 @@ class PilotManager:
         self.cores = cores
         self.workdir = Path(workdir)
         self.clock = clock
-        self.on_task_event = on_task_event
-        self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
         self._ready: dict[int, list[tuple[int, Task]]] = {}  # cores -> heap of (seq, task)
         self._dependents: dict[str, list[str]] = {}  # job -> jobs listing it in `after`
@@ -201,7 +190,9 @@ class PilotManager:
         self._events: list[tuple[float, int, Task]] = []   # (end, seq, task)
         self._event_seq = itertools.count()
         self._launcher: _Launcher | None = None
-        self._running: dict[int, Task] = {}   # seq -> task the launcher runs
+        self._launch_failed = False           # a launcher could not start in this dispatch pass
+        self._kills: list[tuple[float, int]] = []   # heap of (monotonic deadline, seq) for SIGKILL
+        self._changes: list[tuple[str, str]] = []   # (job, status) of each start and end for `wait`
         self._trace: list[tuple[float, str, str, int]] = []  # (t, event, job, iteration)
 
     # --- time ------------------------------------------------------------
@@ -215,36 +206,36 @@ class PilotManager:
 
     def submit(self, spec: JobSpec) -> str:
         """Validate and enqueue a job; every iteration becomes one task."""
-        with self._cond:
-            if not self._accepting:
-                raise ValidationError("manager is finishing; no new submissions")
-            if spec.name in self._jobs:
-                raise ValidationError(f"duplicate job name {spec.name!r}")
-            for dep in spec.after:
-                if dep not in self._jobs:
-                    raise ValidationError(f"job {spec.name!r}: unknown dependency {dep!r}")
-            if spec.cores > self.cores:
-                raise ValidationError(
-                    f"job {spec.name!r} wants {spec.cores} cores; allocation has {self.cores}"
-                )
-            if self.clock == "simulated" and spec.duration is None:
-                raise ValidationError(
-                    f"job {spec.name!r}: simulated clock needs a declared duration"
-                )
-            if self.clock == "wall" and not spec.command:
-                raise ValidationError(f"job {spec.name!r}: wall clock needs a command")
-            job = Job(spec=spec)
-            now = self.now()
-            for k in range(spec.iterations):
-                job.tasks.append(Task(job=spec.name, iteration=k, cores=spec.cores,
-                                      seq=next(self._task_seq), submit=now))
-            self._pending += spec.iterations
-            self._jobs[spec.name] = job
-            self._enqueue(job)
-            self._tick()
-            return spec.name
+        self._poll(0.0)
+        if not self._accepting:
+            raise ValidationError("manager is finishing; no new submissions")
+        if spec.name in self._jobs:
+            raise ValidationError(f"duplicate job name {spec.name!r}")
+        for dep in spec.after:
+            if dep not in self._jobs:
+                raise ValidationError(f"job {spec.name!r}: unknown dependency {dep!r}")
+        if spec.cores > self.cores:
+            raise ValidationError(
+                f"job {spec.name!r} wants {spec.cores} cores; allocation has {self.cores}"
+            )
+        if self.clock == "simulated" and spec.duration is None:
+            raise ValidationError(
+                f"job {spec.name!r}: simulated clock needs a declared duration"
+            )
+        if self.clock == "wall" and not spec.command:
+            raise ValidationError(f"job {spec.name!r}: wall clock needs a command")
+        job = Job(spec=spec)
+        now = self.now()
+        for k in range(spec.iterations):
+            job.tasks.append(Task(job=spec.name, iteration=k, cores=spec.cores,
+                                  seq=next(self._task_seq), submit=now))
+        self._pending += spec.iterations
+        self._jobs[spec.name] = job
+        self._enqueue(job)
+        self._tick()
+        return spec.name
 
-    # --- scheduling core (lock held) ------------------------------------------
+    # --- scheduling core ------------------------------------------------------
 
     def _enqueue(self, job: Job):
         """Count a new job's unmet dependencies; with none left it is ready.
@@ -279,6 +270,7 @@ class PilotManager:
         fall, but for a task that cannot start: it ends at once, and the
         next pass sees the cores it gave back.
         """
+        self._launch_failed = False
         while True:
             free = self.cores - self._busy_cores
             best = None
@@ -298,12 +290,12 @@ class PilotManager:
         task.status = EXECUTING
         task.start = self.now()
         self._trace.append((task.start, "start", task.job, task.iteration))
-        if self.on_task_event is not None:
-            self.on_task_event(task)
         if self.clock == "simulated":
             duration = self._jobs[task.job].spec.duration
             heapq.heappush(self._events, (task.start + duration, next(self._event_seq), task))
-        elif not self._launch(task):
+            return
+        self._changes.append((task.job, EXECUTING))
+        if not self._launch(task):
             self._finish(task, 127)   # the calling `_tick` goes on dispatching
 
     # --- wall-clock execution ----------------------------------------------
@@ -320,12 +312,15 @@ class PilotManager:
 
     def _launch(self, task: Task) -> bool:
         """Have the launcher start `task`, starting a launcher first if none
-        is running (lock held); False if none can be started."""
+        is running; False if none could be started in this dispatch pass."""
         launcher = self._launcher
         if launcher is None or not launcher.running:
+            if self._launch_failed:
+                return False
             try:
-                launcher = self._launcher = _Launcher(self._on_launcher_report)
+                launcher = self._launcher = _Launcher()
             except OSError:
+                self._launch_failed = True
                 return False
         spec = self._jobs[task.job].spec
         env = None
@@ -337,41 +332,56 @@ class PilotManager:
         # registered before the request is written: an interrupt between the
         # two leaves a task that cancel can still end, as the launcher reports
         # a signal to a task it lacks; if the launcher has exited, the write
-        # fails and the reader, at its end, fails the task with the rest
-        self._running[task.seq] = task
+        # fails and the loop, at the launcher's EOF, fails the task with the rest
+        launcher.tasks[task.seq] = task
         launcher.send(("run", task.seq, warm, os.path.abspath(spec.workdir or self.workdir),
                        os.path.abspath(self._io_path(spec, task, "stdout")),
                        os.path.abspath(self._io_path(spec, task, "stderr")),
                        spec.command, env))
         return True
 
-    def _on_launcher_report(self, seq: int | None, exit_code: int | None):
-        """Reader thread: end a task, or every one left once the launcher is
-        gone. A second report for a task, answering a signal sent as it
-        ended, is ignored."""
-        with self._cond:
-            if seq is None:
-                self._launcher.running = False
-                ended = list(self._running.values())
-                self._running.clear()
-            else:
-                ended = [self._running.pop(seq)] if seq in self._running else []
-            for task in ended:
+    def _poll(self, timeout: float | None, fds=()) -> list:
+        """Select on the reports and `fds` for at most `timeout` s (None: no limit)
+        or until the next deadline, then end tasks, dispatch and fire deadlines."""
+        kills = self._kills
+        if kills:
+            due = max(kills[0][0] - time.monotonic(), 0.0)
+            timeout = due if timeout is None else min(timeout, due)
+        launcher = self._launcher
+        reports = launcher.reports if launcher is not None and launcher.running else -1
+        watch = [*fds, reports] if reports >= 0 else list(fds)
+        if not watch and not timeout:
+            return []
+        ready = select.select(watch, [], [], timeout)[0]
+        if reports in ready:
+            for task, exit_code in launcher.read():
                 self._finish(task, exit_code)
             self._tick()
-            self._cond.notify_all()
+        while kills and kills[0][0] <= time.monotonic():
+            seq = heapq.heappop(kills)[1]
+            if seq in self._launcher.tasks:   # else it ended within the grace period
+                self._launcher.send(("signal", seq, int(signal.SIGKILL)))
+        return [fd for fd in ready if fd != reports]
+
+    def wait(self, fds=()) -> tuple[list[tuple[str, str]], list]:
+        """One pass of the event loop (`_poll`), blocking only while it has no
+        start (EXECUTING) or end to return as (job, status); and the ready `fds`."""
+        ready = self._poll(0.0 if self._changes else None, fds)
+        changes, self._changes = self._changes, []
+        return changes, ready
 
     def _finish(self, task: Task, exit_code: int | None):
-        """A started task ended with `exit_code` (lock held; no dispatch)."""
+        """A started task ended with `exit_code` (no dispatch)."""
         task.end = self.now()
         task.exit_code = exit_code
         self._end_task(task, CANCELED if task.cancel_requested
                        else SUCCEEDED if exit_code == 0 else FAILED)
+        self._changes.append((task.job, task.status))
 
     # --- simulated execution -------------------------------------------------
 
     def drain_simulated(self):
-        """Run the event loop until every task is terminal (lock held by caller)."""
+        """Run the event loop until every task is terminal."""
         while self._events:
             end, _, task = heapq.heappop(self._events)
             self._sim_now = max(self._sim_now, end)
@@ -390,8 +400,6 @@ class PilotManager:
         task.status = status
         self._pending -= 1
         self._busy_cores -= task.cores
-        if self.on_task_event is not None:
-            self.on_task_event(task)
         job = self._jobs[task.job]
         if status == SUCCEEDED:
             job.succeeded += 1
@@ -430,40 +438,37 @@ class PilotManager:
     def cancel(self, name: str):
         """QUEUED tasks cancel immediately; the process group of an
         EXECUTING one gets SIGTERM, and SIGKILL after a grace period."""
-        with self._cond:
-            job = self._jobs.get(name)
-            if job is None:
-                raise JobNotFound(f"no job named {name!r}")
-            if job.terminal:
-                raise AlreadyTerminal(f"job {name!r} is already terminal")
-            self._end_queued(job.tasks, CANCELED)
-            for t in job.tasks:
-                if t.status != EXECUTING:
-                    continue
-                t.cancel_requested = True
-                if t.seq in self._running:   # a signal after it ends gets an ignored report
-                    self._launcher.send(("signal", t.seq, int(signal.SIGTERM)))
-                    timer = threading.Timer(CANCEL_GRACE_SECONDS, self._launcher.send,
-                                            (("signal", t.seq, int(signal.SIGKILL)),))
-                    timer.daemon = True
-                    timer.start()
-            if job.terminal:
-                self._omit_dependents(name)
-            self._cond.notify_all()
+        job = self._jobs.get(name)
+        if job is None:
+            raise JobNotFound(f"no job named {name!r}")
+        if job.terminal:
+            raise AlreadyTerminal(f"job {name!r} is already terminal")
+        self._end_queued(job.tasks, CANCELED)
+        launcher = self._launcher
+        for t in job.tasks:
+            if t.status != EXECUTING:
+                continue
+            t.cancel_requested = True
+            if launcher is not None and launcher.running:   # else a simulated task
+                launcher.tasks[t.seq] = t   # again, should an interrupt have lost its report
+                launcher.send(("signal", t.seq, int(signal.SIGTERM)))
+                heapq.heappush(self._kills,
+                               (time.monotonic() + CANCEL_GRACE_SECONDS, t.seq))
+        if job.terminal:
+            self._omit_dependents(name)
 
     def cancel_all(self):
-        """Cancel every non-terminal job under one lock hold: nothing starts meanwhile."""
-        with self._cond:
-            for name, job in self._jobs.items():
-                if not job.terminal:
-                    self.cancel(name)
+        """Cancel every non-terminal job; nothing starts meanwhile."""
+        for name, job in self._jobs.items():
+            if not job.terminal:
+                self.cancel(name)
 
     def job_snapshot(self, name: str) -> dict:
-        with self._cond:
-            job = self._jobs.get(name)
-            if job is None:
-                raise JobNotFound(f"no job named {name!r}")
-            return self._job_doc(job)
+        self._poll(0.0)
+        job = self._jobs.get(name)
+        if job is None:
+            raise JobNotFound(f"no job named {name!r}")
+        return self._job_doc(job)
 
     def _job_doc(self, job: Job) -> dict:
         return {
@@ -485,69 +490,70 @@ class PilotManager:
         }
 
     def status_snapshot(self) -> dict:
-        with self._cond:
-            counts: dict[str, int] = {}
-            for job in self._jobs.values():
-                counts[job.status] = counts.get(job.status, 0) + 1
-            return {
-                "jobs": len(self._jobs),
-                "status_counts": counts,
-                "total_cores": self.cores,
-                "busy_cores": self._busy_cores,
-                "free_cores": self.cores - self._busy_cores,
-                "time": self.now(),
-            }
+        self._poll(0.0)
+        counts: dict[str, int] = {}
+        for job in self._jobs.values():
+            counts[job.status] = counts.get(job.status, 0) + 1
+        return {
+            "jobs": len(self._jobs),
+            "status_counts": counts,
+            "total_cores": self.cores,
+            "busy_cores": self._busy_cores,
+            "free_cores": self.cores - self._busy_cores,
+            "time": self.now(),
+        }
 
     def dispatch_trace(self) -> list[tuple[float, str, str, int]]:
         """Chronological (time, event, job, iteration) start/end records."""
-        with self._cond:
-            return list(self._trace)
+        return list(self._trace)
 
-    def drain(self):
-        """Stop accepting work, wait until every task is terminal, then for
-        the launcher to exit."""
-        with self._cond:
-            self._accepting = False
-            if self.clock == "simulated":
-                self.drain_simulated()
-                return
-            while self._pending:
-                self._cond.wait(timeout=0.5)
-        if self._launcher is not None:
-            self._launcher.close()
+    def drain(self, block: bool = True) -> bool:
+        """Stop accepting work; run the event loop until no task is pending
+        and the launcher, its requests ended, has exited (with `block` false,
+        only check). Whether drained; what `wait` would return is dropped."""
+        self._accepting = False
+        if self.clock == "simulated":
+            self.drain_simulated()
+            return True
+        while self._pending or self._launcher is not None and self._launcher.running:
+            if not self._pending:
+                self._launcher.end_requests()
+            if not block:
+                return False
+            self.wait()
+        return True
 
     def report(self) -> dict:
         """Makespan, overhead against the ideal bound, utilization trace."""
-        with self._cond:
-            records = [self._job_doc(job) for job in self._jobs.values()]
-            executed = [
-                t
-                for job in self._jobs.values()
-                for t in job.tasks
-                if t.start is not None and t.end is not None
-            ]
-            if executed:
-                t0 = min(t.start for t in executed)
-                t1 = max(t.end for t in executed)
-                makespan = t1 - t0
-                core_seconds = sum(t.cores * (t.end - t.start) for t in executed)
-                longest = max(t.end - t.start for t in executed)
-                ideal = max(core_seconds / self.cores, longest)
-                trace = self._utilization(executed, t0)
-            else:
-                makespan = 0.0
-                ideal = 0.0
-                trace = []
-            return {
-                "cores": self.cores,
-                "clock": self.clock,
-                "makespan": makespan,
-                "ideal_lower_bound": ideal,
-                "overhead": makespan - ideal,
-                "overhead_fraction": (makespan / ideal - 1.0) if ideal > 0 else 0.0,
-                "utilization": trace,
-                "jobs": records,
-            }
+        records = [self._job_doc(job) for job in self._jobs.values()]
+        executed = [
+            t
+            for job in self._jobs.values()
+            for t in job.tasks
+            if t.start is not None and t.end is not None
+        ]
+        if executed:
+            t0 = min(t.start for t in executed)
+            t1 = max(t.end for t in executed)
+            makespan = t1 - t0
+            core_seconds = sum(t.cores * (t.end - t.start) for t in executed)
+            longest = max(t.end - t.start for t in executed)
+            ideal = max(core_seconds / self.cores, longest)
+            trace = self._utilization(executed, t0)
+        else:
+            makespan = 0.0
+            ideal = 0.0
+            trace = []
+        return {
+            "cores": self.cores,
+            "clock": self.clock,
+            "makespan": makespan,
+            "ideal_lower_bound": ideal,
+            "overhead": makespan - ideal,
+            "overhead_fraction": (makespan / ideal - 1.0) if ideal > 0 else 0.0,
+            "utilization": trace,
+            "jobs": records,
+        }
 
     @staticmethod
     def _utilization(tasks, t0: float) -> list[list[float]]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tests.conftest import UQ_ERRORS
-from tests.test_pilotjob import SH_SLEEP, running, sleep_of, wait_for
+from tests.test_pilotjob import SH_SLEEP, running, sleep_of, start, stop, wait_for
 from uqpilot.cli import pj
 from uqpilot.pilotjob.manager import REPORT_FILENAME
 from uqpilot.pilotjob.protocol import SOCKET_FILENAME, ManagerServer
@@ -139,13 +139,13 @@ def test_serve_batch_logs_under_a_relative_workdir(tmp_path, monkeypatch, capsys
     assert not Path("w4/w4").exists()
 
 
-def test_serve_socket_round_trip(tmp_path, capsys):
+def test_serve_socket_round_trip(tmp_path, capsys, child_env):
+    # a process of its own: the server prints its summary as soon as it has
+    # answered the finish, which in this process would race the client's line
     wd = str(tmp_path)
-    codes = []
-    server = threading.Thread(target=lambda: codes.append(pj.main(
-        ["serve", "--socket", "--workdir", wd, "--allocation-cores", "2"])),
-        daemon=True)
-    server.start()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "uqpilot.cli.pj", "serve", "--socket", "--workdir", wd,
+         "--allocation-cores", "2"], env=child_env, stdout=subprocess.DEVNULL)
     deadline = time.time() + 10
     sock = tmp_path / SOCKET_FILENAME
     while not sock.exists():
@@ -161,10 +161,10 @@ def test_serve_socket_round_trip(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["jobs"] == 2
         assert pj.main(["finish", "--manager", wd]) == 0
         assert capsys.readouterr().out.startswith("finished: jobs=2 ")
+        assert server.wait(timeout=30) == pj.EXIT_OK
     finally:
-        server.join(timeout=30)
-    assert not server.is_alive()
-    assert codes == [pj.EXIT_OK]
+        server.kill()
+        server.wait()
     assert not sock.exists()
     report = json.loads((tmp_path / REPORT_FILENAME).read_text())
     assert [j["status"] for j in report["jobs"]] == ["SUCCEEDED", "SUCCEEDED"]
@@ -181,14 +181,14 @@ def test_socket_appears_only_once_listening_with_mode_0600(tmp_path, monkeypatch
         return listen(self, *args)
 
     monkeypatch.setattr(socket.socket, "listen", recording_listen)
-    server = ManagerServer(PilotManager(1, workdir=tmp_path)).start()
+    server = start(ManagerServer(PilotManager(1, workdir=tmp_path)))
     try:
         assert seen_at_listen == [False]
         assert stat.S_IMODE(sock.stat().st_mode) == 0o600
         assert [p.name for p in tmp_path.glob(f"{SOCKET_FILENAME}*")] == [SOCKET_FILENAME]
         assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_OK
     finally:
-        server.stop()
+        stop(server)
     assert not sock.exists()
 
 
@@ -253,7 +253,7 @@ def test_serve_replaces_a_dead_managers_socket(tmp_path, capsys):
 
 
 def test_serve_refuses_a_live_managers_socket(tmp_path, capsys):
-    live = ManagerServer(PilotManager(1, workdir=tmp_path)).start()
+    live = start(ManagerServer(PilotManager(1, workdir=tmp_path)))
     try:
         code = pj.main(["serve", "--socket", "--workdir", str(tmp_path),
                         "--allocation-cores", "1"])
@@ -261,7 +261,7 @@ def test_serve_refuses_a_live_managers_socket(tmp_path, capsys):
         assert "cannot bind manager socket" in capsys.readouterr().err
         assert pj.main(["status", "--manager", str(tmp_path)]) == pj.EXIT_OK
     finally:
-        live.stop()
+        stop(live)
 
 
 @pytest.mark.parametrize("error", UQ_ERRORS, ids=lambda cls: cls.__name__)

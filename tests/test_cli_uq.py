@@ -35,6 +35,15 @@ if pathlib.Path.cwd().name == "run_000002":
 shutil.copy("input.json", "out.csv")
 """
 
+# each run notes its launch, then takes a second
+SLOW_ECHO = """
+import pathlib, shutil, time
+with open(pathlib.Path(__file__).with_name("launches"), "a") as fh:
+    fh.write(pathlib.Path.cwd().name + "\\n")
+time.sleep(1)
+shutil.copy("input.json", "out.csv")
+"""
+
 
 def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
     """`uq init` and an MC stage; the app echoes `a` into `out.csv` as `y`."""
@@ -296,6 +305,28 @@ class TestRun:
             proc.wait()
         wait_for(lambda: not any(running(pid) for pid in sleeps), timeout=5)
         assert statuses(wd) == {1: "SUBMITTED", 2: "SUBMITTED"}
+
+    def test_a_second_writer_is_refused(self, tmp_path, child_env):
+        # a second `uq run` on a stage that one is running exits 3, naming
+        # the lock, and launches nothing: each run is launched once
+        wd = make_campaign(tmp_path, script=SLOW_ECHO)
+        argv = [sys.executable, "-m", "uqpilot.cli.uq", "run", "--workdir", wd,
+                "--executor", "pilotjob", "--allocation-cores", "2"]
+        first = subprocess.Popen(argv, env=child_env, stdout=subprocess.DEVNULL,
+                                 stderr=subprocess.DEVNULL)
+        try:
+            wait_for((tmp_path / "launches").exists, timeout=30)
+            second = subprocess.run(argv, env=child_env, capture_output=True, text=True,
+                                    timeout=60)
+            assert first.wait(timeout=60) == uq.EXIT_OK
+        finally:
+            first.kill()
+            first.wait()
+        assert second.returncode == uq.EXIT_REFUSED
+        assert str(Path(wd) / uq.LOCK_FILENAME) in second.stderr
+        assert sorted((tmp_path / "launches").read_text().split()) == \
+            [f"run_00000{k}" for k in range(1, 5)]
+        assert set(statuses(wd).values()) == {"COLLATED"}
 
 
 class TestStatusCollateResume:

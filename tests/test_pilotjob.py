@@ -534,10 +534,27 @@ class TestReportFile:
             write_report(m.report(), tmp_path)   # a directory
 
 
+def start(server: ManagerServer) -> ManagerServer:
+    """Serve `server` from a thread of the test's, as `pj serve --socket`
+    serves it from its main thread."""
+    server.thread = threading.Thread(target=server.serve_until_finished, daemon=True)
+    server.thread.start()
+    return server
+
+
+def stop(server: ManagerServer):
+    """Finish `server` unless a client has, and wait for its thread to end."""
+    if server.report is None:
+        with PjClient(server.path, timeout=30) as client:
+            client.request("finish")
+    server.thread.join(timeout=30)
+    assert not server.thread.is_alive(), "server did not stop"
+
+
 class TestSocketInterface:
     def test_submit_status_cancel_finish(self, tmp_path):
         m = PilotManager(2, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path) as client:
                 assert client.call("submit", {"name": "a", "command": ["true"]}) == {
@@ -551,11 +568,11 @@ class TestSocketInterface:
                 finish = client.call("finish")
                 assert finish["finished"] is True
         finally:
-            server.stop()
+            stop(server)
 
     def test_finish_waits_past_the_client_timeout(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path, timeout=0.5) as client:
                 client.call("submit", {"name": "slow", "command": ["sleep", "1.5"]})
@@ -565,22 +582,50 @@ class TestSocketInterface:
             assert server.report["jobs"][0]["status"] == "SUCCEEDED"
             assert finish["makespan"] >= 1.5
         finally:
-            server.stop()
+            stop(server)
+
+    def test_a_cancel_is_answered_while_a_finish_waits(self, tmp_path):
+        # the finish of one client drains the manager; another client's
+        # cancel is answered meanwhile, and ends the drain early
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        server = start(ManagerServer(m))
+        try:
+            with PjClient(server.path) as first, PjClient(server.path) as second:
+                first.call("submit", {"name": "sh", "command": ["sh", "-c", SH_SLEEP],
+                                      "workdir": str(tmp_path)})
+                sleep = sleep_of(tmp_path)
+                finished = {}
+                finisher = threading.Thread(
+                    target=lambda: finished.update(first.call("finish")), daemon=True)
+                finisher.start()
+                duplicate = {"name": "sh", "command": ["true"]}
+                wait_for(lambda: "finishing" in
+                         second.request("submit", duplicate)["error"]["message"])
+                assert second.call("status", {"name": "sh"})["status"] == "EXECUTING"
+                assert finisher.is_alive()
+                assert second.call("cancel", {"name": "sh"})["name"] == "sh"
+                finisher.join(timeout=10)
+                assert not finisher.is_alive()
+            assert finished["finished"] is True and finished["makespan"] < 10
+            assert server.report["jobs"][0]["status"] == "CANCELED"
+            wait_for(lambda: not running(sleep), timeout=5)
+        finally:
+            stop(server)
 
     def test_unknown_command_code(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path) as client:
                 response = client.request("frobnicate")
                 assert response["ok"] is False
                 assert response["error"]["code"] == "unknown-command"
         finally:
-            server.stop()
+            stop(server)
 
     def test_validation_error_code(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path) as client:
                 response = client.request(
@@ -591,7 +636,7 @@ class TestSocketInterface:
                 response = client.request("status", {"name": "nope"})
                 assert response["error"]["code"] == "not-found"
         finally:
-            server.stop()
+            stop(server)
 
     @pytest.mark.parametrize("raw, message", [
         (b'[1, 2]', "request is not a JSON object: list"),
@@ -606,7 +651,7 @@ class TestSocketInterface:
          "job 'a': bad 'env' []"),
     ])
     def test_a_malformed_request_answers_a_parse_error(self, tmp_path, raw, message):
-        server = ManagerServer(PilotManager(1, workdir=tmp_path, clock="wall")).start()
+        server = start(ManagerServer(PilotManager(1, workdir=tmp_path, clock="wall")))
         try:
             with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
                 sock.settimeout(10)
@@ -622,11 +667,11 @@ class TestSocketInterface:
             # the connection outlives the refusal, and nothing was submitted
             assert status["id"] == 7 and status["data"]["jobs"] == 0
         finally:
-            server.stop()
+            stop(server)
 
     def test_request_ids_echoed(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path) as client:
                 response = client.request("status")
@@ -634,11 +679,11 @@ class TestSocketInterface:
                 response = client.request("status")
                 assert response["id"] == 2
         finally:
-            server.stop()
+            stop(server)
 
     def test_bind_error(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             m2 = PilotManager(1, workdir=tmp_path, clock="wall")
             with pytest.raises(BindError, match=str(server.path)):
@@ -647,7 +692,7 @@ class TestSocketInterface:
             with PjClient(server.path) as client:
                 assert client.call("status")["total_cores"] == 1
         finally:
-            server.stop()
+            stop(server)
         assert not server.path.exists()
 
     def test_socket_path_over_the_af_unix_limit(self, tmp_path):
@@ -660,7 +705,7 @@ class TestSocketInterface:
 
     def test_socket_is_private_while_served(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             mode = server.path.stat().st_mode
             assert stat.S_ISSOCK(mode)
@@ -668,19 +713,19 @@ class TestSocketInterface:
             with PjClient(server.path) as client:
                 client.call("finish")
         finally:
-            server.stop()
+            stop(server)
         assert not server.path.exists()
 
     def test_no_submissions_after_finish(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        server = ManagerServer(m).start()
+        server = start(ManagerServer(m))
         try:
             with PjClient(server.path) as client:
                 client.call("finish")
             with pytest.raises(Exception):
                 m.submit(JobSpec(name="late", command=("true",)))
         finally:
-            server.stop()
+            stop(server)
 
 
 class TestWallClockMidRun:
@@ -794,6 +839,19 @@ class TestProcessGroups:
         m.cancel("sh")
         m.drain()
         assert m.job_snapshot("sh")["status"] == "CANCELED"
+        wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_a_run_that_ignores_sigterm_is_killed_after_the_grace_period(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scheduler, "CANCEL_GRACE_SECONDS", 0.2)
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="sh", command=("sh", "-c", "trap '' TERM; " + SH_SLEEP),
+                         workdir=str(tmp_path)))
+        sleep = sleep_of(tmp_path)
+        m.cancel("sh")
+        drained(m)
+        its = m.job_snapshot("sh")["iterations"]
+        assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGKILL)
         wait_for(lambda: not running(sleep), timeout=5)
 
     def test_cancel_kills_the_group_of_a_warm_run(self, tmp_path, warm_pythonpath):
@@ -1055,7 +1113,7 @@ class TestLauncherFaults:
 
     def test_the_next_task_starts_a_new_launcher(self, tmp_path):
         # b waits behind a; the launcher's error fails a alone, and b starts
-        # on a new launcher from the reader thread that saw the old one end
+        # on a new launcher from the event loop that saw the old one end
         (tmp_path / "a").mkdir()
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="a", command=("sh", "-c", SH_SLEEP), workdir=str(tmp_path / "a")))
@@ -1070,8 +1128,17 @@ class TestLauncherFaults:
         wait_for(lambda: not running(sleep), timeout=5)
 
     def test_an_unstartable_launcher_fails_every_task(self, tmp_path, monkeypatch):
-        # every task ends as it is started, inside one dispatch pass
+        # every task ends as it is started, inside one dispatch pass, which
+        # tries to start a launcher once
         monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        popens = []
+        popen = subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            popens.append(args)
+            return popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting_popen)
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="many", command=("true",), iterations=2000,
                          parallel_iterations=True))
@@ -1079,6 +1146,7 @@ class TestLauncherFaults:
         its = m.job_snapshot("many")["iterations"]
         assert {(t["status"], t["exit_code"]) for t in its} == {("FAILED", 127)}
         assert m._launcher is None
+        assert len(popens) == 1
 
     def test_an_interrupt_before_the_run_request_leaves_a_task_cancel_ends(
             self, tmp_path, warm_pythonpath, monkeypatch):
@@ -1098,6 +1166,25 @@ class TestLauncherFaults:
         assert m.job_snapshot("w")["status"] == "CANCELED"
         assert not (tmp_path / "cmdline").exists()
 
+    def test_an_interrupt_as_a_report_is_taken_in_leaves_a_task_cancel_ends(
+            self, tmp_path, monkeypatch):
+        # a signal handler that raises in the caller's thread may cut the loop
+        # off between the launcher's report of a run's end and its bookkeeping
+        finish = PilotManager._finish
+
+        def interrupted(manager, task, exit_code):
+            monkeypatch.setattr(PilotManager, "_finish", finish)
+            raise KeyboardInterrupt
+
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="a", command=("true",)))
+        monkeypatch.setattr(PilotManager, "_finish", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            m.drain()
+        m.cancel_all()
+        drained(m)
+        assert m.job_snapshot("a")["status"] == "CANCELED"
+
     def test_a_signal_to_an_ended_run_is_ignored(self, tmp_path, warm_pythonpath):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(warm_job(tmp_path / "a", "a", "return"))
@@ -1107,3 +1194,21 @@ class TestLauncherFaults:
         drained(m)
         assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [0, 0]
         assert started_warm(tmp_path / "b")
+
+
+def test_the_manager_and_executor_start_no_thread():
+    # the pilot manager, its socket service and the executor run in the
+    # caller's thread: none of them may import a threading module
+    import ast
+
+    import uqpilot
+
+    src = Path(uqpilot.__file__).parent
+    for path in [*sorted((src / "pilotjob").glob("*.py")), src / "executors.py"]:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"threading", "queue", "socketserver"}, path.name

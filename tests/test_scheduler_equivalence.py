@@ -46,16 +46,15 @@ class FailingSim(PilotManager):
 
     def advance(self, until: float):
         """End, in time order, every started task due by `until`."""
-        with self._cond:
-            while self._events and self._events[0][0] <= until:
-                end, _, task = heapq.heappop(self._events)
-                self._sim_now = max(self._sim_now, end)
-                task.end = self._sim_now
-                failed = (task.job, task.iteration) in self.failing
-                task.exit_code = 1 if failed else 0
-                status = CANCELED if task.cancel_requested else FAILED if failed else SUCCEEDED
-                self._end_task(task, status)
-                self._tick()
+        while self._events and self._events[0][0] <= until:
+            end, _, task = heapq.heappop(self._events)
+            self._sim_now = max(self._sim_now, end)
+            task.end = self._sim_now
+            failed = (task.job, task.iteration) in self.failing
+            task.exit_code = 1 if failed else 0
+            status = CANCELED if task.cancel_requested else FAILED if failed else SUCCEEDED
+            self._end_task(task, status)
+            self._tick()
 
 
 class FifoScan(FailingSim):
@@ -102,8 +101,7 @@ class FifoScan(FailingSim):
 
     def cancel(self, name):
         super().cancel(name)
-        with self._cond:
-            self._tick()
+        self._tick()
 
 
 def random_mix(seed: int, jobs: int = 120, nodes: int = 3, cores: int = 4,

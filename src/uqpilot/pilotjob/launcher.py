@@ -15,7 +15,8 @@ launcher's own), stdout and stderr truncated onto the given absolute paths
 before the start. A run that cannot get them or cannot start (a NUL byte
 or a bad env name included) exits 127 unseen. It starts one of two ways:
 
-- **executed** (`warm` false): `os.posix_spawn`, as `subprocess` starts
+- **executed** (`warm` false, or a warm request that the third rule
+  below refuses): `os.posix_spawn`, as `subprocess` starts
   it: SIGPIPE, SIGXFSZ and SIGCHLD back to their defaults, `command[0]`
   looked up on the PATH of `env` (None: the launcher's environment).
   glibc's `posix_spawn` leaves its two internal signals (32, 33) ignored,
@@ -29,6 +30,36 @@ or a bad env name included) exits 127 unseen. It starts one of two ways:
   the launcher's modules and hash seed; `gc.freeze` before each fork keeps
   its collections from copying the launcher's pages.
 
+Warm children teach the launcher their standard-library imports, as
+`multiprocessing`'s forkserver preloads modules, but learned from the runs.
+As `run_module` ends, a child writes the names of the modules it imported
+that the launcher lacked at the fork, and that are standard library: the
+top-level name is in `sys.stdlib_module_names`, and the module is built-in,
+frozen, or a file under the standard library's directories but not under
+site-packages or dist-packages. So numpy, whose legacy global RNG a fork
+does not reseed, and the app's own modules are never preloaded, while
+`random` and `tempfile` reseed at the fork. The names go in one
+non-blocking write of at most PIPE_BUF bytes on a pipe of the launcher's,
+after `fstat` has shown the fd to be that pipe still, so a run that closed
+it and reused the number is never written to. The launcher reads them
+before the next request, so before its next warm fork, and imports them
+under three rules:
+
+- An import that prints or warns (`this`; `imp` on 3.11) or fails is
+  undone from `sys.modules` and never tried again: a run importing it
+  itself shows what a fork would hide.
+- A module that acts outside the process on import (`antigravity`,
+  `idlelib.idle`, any `__main__` submodule) is never tried.
+- A warm request whose cwd holds an importable entry (`name.py`,
+  `name/__init__.py`, an extension module) named after a top-level module
+  the launcher has is spawned executed instead of forked: `python -m` puts
+  the cwd first on `sys.path`, so the run imports its own module, as the
+  fork would not.
+
+A module that records a process-wide value as it is imported, rather
+than as it is used, records the launcher's: for
+`multiprocessing.process.ORIGINAL_DIR`, the cwd of an earlier run.
+
 REPORT_FD gets a line `"<task> pid <pid>"` as a run starts, so that the
 manager can kill its group should the launcher be killed, and `"<task>
 <code>"` as it is reaped, the code negative for a signal, as `subprocess`
@@ -40,6 +71,8 @@ group, reaps them and exits, so no run outlives the manager.
 """
 
 import gc
+import importlib.machinery
+import io
 import marshal
 import os
 import runpy
@@ -47,9 +80,14 @@ import select
 import shutil
 import signal
 import sys
+import sysconfig
+import warnings
 
 _TRUNCATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _DEFAULT_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ, signal.SIGCHLD)
+# importing these acts outside the process: a browser, a window
+_NEVER_PRELOADED = frozenset({"antigravity", "idlelib.idle"})
+_SUFFIXES = importlib.machinery.all_suffixes()
 
 
 def _signal_group(pid: int, signum: int):
@@ -84,6 +122,79 @@ def _spawn(stdout: str, stderr: str, command, env) -> int:
                                         (os.POSIX_SPAWN_OPEN, 2, stderr, _TRUNCATE, 0o666)])
 
 
+def _preloadable(name: str) -> bool:
+    """Whether the launcher may try to import `name`: a standard-library name
+    that neither acts outside the process nor is a `__main__` submodule."""
+    return name.partition(".")[0] in sys.stdlib_module_names \
+        and name not in _NEVER_PRELOADED and not name.endswith(".__main__")
+
+
+def _in_stdlib(module, stdlib: tuple[str, ...]) -> bool:
+    """Whether `module` is built-in, frozen, or a file under one of the
+    `stdlib` directories but not under site-packages or dist-packages."""
+    origin = getattr(getattr(module, "__spec__", None), "origin", None)
+    if origin in ("built-in", "frozen"):
+        return True
+    return isinstance(origin, str) and origin.startswith(stdlib) \
+        and not {"site-packages", "dist-packages"} & set(origin.split(os.sep))
+
+
+def _import_reporter(fd: int, stdlib: tuple[str, ...]):
+    """In a fresh warm child: a call that writes on `fd`, the launcher's pipe,
+    the standard-library modules imported since, a name a line."""
+    had = set(sys.modules)
+    pipe = os.fstat(fd)
+
+    def report():
+        try:
+            lines = b""
+            for name, module in list(sys.modules.items()):
+                if name in had or not _preloadable(name) or not _in_stdlib(module, stdlib):
+                    continue
+                line = os.fsencode(name) + b"\n"
+                if len(lines) + len(line) > select.PIPE_BUF:   # one atomic write
+                    break
+                lines += line
+            now = os.fstat(fd)   # the run may have closed the fd and reused its number
+            if lines and (now.st_dev, now.st_ino) == (pipe.st_dev, pipe.st_ino):
+                os.write(fd, lines)   # non-blocking: a full pipe drops the report
+        except Exception:   # the run's exit code and output are its own
+            pass
+    return report
+
+
+def _import_quietly(name: str):
+    """Import `name` in the launcher; undo it should the import print, warn or
+    fail, so that a run importing it itself shows what a fork would hide."""
+    had = set(sys.modules)
+    streams = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = captured = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            __import__(name)
+        quiet = not caught and not captured.getvalue()
+    except Exception:   # the launcher goes on; the run will meet the error itself
+        quiet = False
+    finally:
+        sys.stdout, sys.stderr = streams
+    if not quiet:
+        for added in set(sys.modules) - had:
+            del sys.modules[added]
+
+
+def _shadowed(cwd: str) -> bool:
+    """Whether `cwd`, first on a warm run's `sys.path`, holds a module or
+    package named after a top-level module the launcher has imported."""
+    for entry in os.listdir(cwd):
+        name, dot, suffix = entry.partition(".")
+        if name in sys.modules and (
+                "." + suffix in _SUFFIXES if dot
+                else os.path.isfile(os.path.join(cwd, entry, "__init__.py"))):
+            return True
+    return False
+
+
 def _report(reports: int, line: bytes):
     try:
         os.write(reports, line)
@@ -94,8 +205,9 @@ def _report(reports: int, line: bytes):
 def serve(requests: int, reports: int):
     """Start, signal and reap children until EOF on `requests`.
 
-    Returns None in the launcher, and the command to run in a warm child.
-    Whatever ends the launcher, no child outlives it.
+    Returns None in the launcher; in a warm child, the command to run and
+    the call that reports the child's standard-library imports. Whatever
+    ends the launcher, no child outlives it.
     """
     tasks: dict[int, int] = {}        # pid -> task
     try:
@@ -115,12 +227,19 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
         os.set_inheritable(fd, False)   # no executed run holds the manager's pipes
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
+    learned_r, learned_w = os.pipe()   # warm children's standard-library imports
+    os.set_blocking(learned_w, False)
+    paths = sysconfig.get_paths()
+    stdlib = tuple({os.path.join(paths[key], "") for key in ("stdlib", "platstdlib")})
     signal.set_wakeup_fd(wake_w)    # a child's exit wakes the select below
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
     pending = b""
+    learned = b""                   # names read, the last one maybe partial
+    tried: set[str] = set()         # names learned: imported, or refused for good
     open_ = True
     while open_ or tasks:
-        ready = select.select([requests, wake_r] if open_ else [wake_r], [], [])[0]
+        ready = select.select([requests, wake_r, learned_r] if open_ else [wake_r],
+                              [], [])[0]
         if wake_r in ready:
             os.read(wake_r, 4096)
         while tasks:
@@ -128,6 +247,12 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             if pid == 0:
                 break
             _report(reports, b"%d %d\n" % (tasks.pop(pid), os.waitstatus_to_exitcode(status)))
+        if learned_r in ready:   # before the requests: a run writes before it exits
+            *lines, learned = (learned + os.read(learned_r, 65536)).split(b"\n")
+            for name in map(os.fsdecode, lines):
+                if name not in tried and _preloadable(name):
+                    tried.add(name)
+                    _import_quietly(name)
         if requests not in ready:
             continue
         data = os.read(requests, 65536)
@@ -156,7 +281,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
                 for path in (stdout, stderr):
                     os.makedirs(os.path.dirname(path), exist_ok=True)
                 os.chdir(cwd)   # the child's; nothing else in the launcher is relative
-                if warm:
+                if warm and not _shadowed(cwd):
                     gc.freeze()
                     pid = os.fork()
                 else:
@@ -172,13 +297,13 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             gc.enable()
             signal.set_wakeup_fd(-1)
             signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            for fd in (requests, reports, wake_r, wake_w):
+            for fd in (requests, reports, wake_r, wake_w, learned_r):
                 os.close(fd)
             try:
                 _enter_task(stdout, stderr)
             except (OSError, ValueError):
                 os._exit(127)
-            return command
+            return command, _import_reporter(learned_w, stdlib)
     return None
 
 
@@ -190,8 +315,9 @@ def _without_launcher_frames(hook):
     return excepthook
 
 
-def run_module(command):
-    """Run `command`'s module as `python -m` would, in this process."""
+def run_module(command, report_imports):
+    """Run `command`'s module as `python -m` would, in this process, and then
+    `report_imports`, whatever the module's end."""
     module, args = command[2], command[3:]
     main = type(sys)("__main__")
     main.__annotations__ = {}
@@ -206,9 +332,11 @@ def run_module(command):
     except BaseException:
         sys.excepthook = _without_launcher_frames(sys.excepthook)
         raise
+    finally:
+        report_imports()
 
 
 if __name__ == "__main__":
-    command = serve(int(sys.argv[1]), int(sys.argv[2]))
-    if command is not None:
-        run_module(command)
+    child = serve(int(sys.argv[1]), int(sys.argv[2]))
+    if child is not None:
+        run_module(*child)

@@ -26,10 +26,17 @@ runs warm, forked from the launcher's started interpreter, when its
 command is `[python, "-m", module, *args]` with `python` this
 `sys.executable` (as given or found on PATH), the job has no `env`, every
 `PYTHONPATH` entry is absolute and `os.environ` is as it was when the
-launcher started. Any other task is spawned, in `os.environ` with the
-job's `env` over it when either is set or changed. A task that cannot
-start ends with exit 127, as does the rest of a dispatch pass in which no
-launcher could start. At a launcher's exit the loop SIGKILLs the group of
+launcher started (its encoded items compared with a snapshot). Warm runs
+also inherit the standard-library modules that earlier warm runs
+imported: the launcher learns them from its children and imports them
+before its next fork, except one that prints, warns or fails as it is
+imported, or that acts outside the process (`antigravity`). A warm
+request whose cwd holds a module named after one the launcher has
+imported is spawned executed instead, so the run imports its own module
+as `python -m` does (see `launcher.py`). Any other task is spawned, in
+`os.environ` with the job's `env` over it when either is set or changed.
+A task that cannot start ends with exit 127, as does the rest of a
+dispatch pass in which no launcher could start. At a launcher's exit the loop SIGKILLs the group of
 each run it left and fails its tasks; the next task starts a new launcher.
 `drain` runs the loop until no task is pending and the launcher has exited,
 so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN` and no run
@@ -94,7 +101,7 @@ class _Launcher:
     it holds, which keep what is in flight far below what the pipes hold."""
 
     def __init__(self):
-        self.env = dict(os.environ)
+        self.environ = dict(os.environ._data)   # encoded: compared per task at C speed
         self.running = True
         req_r, self._requests = os.pipe()
         self.reports, rep_w = os.pipe()
@@ -324,7 +331,7 @@ class PilotManager:
                 return False
         spec = self._jobs[task.job].spec
         env = None
-        if spec.env or os.environ != launcher.env:
+        if spec.env or os.environ._data != launcher.environ:
             env = dict(os.environ)
             env.update(spec.env)
         warm = env is None and runs_this_python_module(spec.command) \

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import resource
@@ -810,6 +811,17 @@ if mode == "burn":
     start = time.process_time()
     while time.process_time() - start < 0.25:
         pass
+if mode == "preloaded":   # which of the named modules the run starts with; then import them
+    print([name in sys.modules for name in sys.argv[2:]])
+    for name in sys.argv[2:]:
+        __import__(name)
+if mode == "state":
+    import random, tempfile
+    print(random.random(), os.path.basename(tempfile.mktemp(dir=".")))
+if mode == "closerange":   # the files reuse the lowest fds, the launcher pipe's number among them
+    os.closerange(3, 1024)
+    for i in range(32):
+        os.write(os.open(f"f{i}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), b"intact")
 """ % SH_SLEEP
 
 
@@ -898,13 +910,87 @@ class TestWarmLaunch:
         code = m.job_snapshot("w")["iterations"][0]["exit_code"]
         return code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
 
+    def run_twice(self, tmp_path, *args):
+        """(exit code, stdout, stderr) of two warm runs of `args` in `tmp_path`,
+        one after the other on one manager: the second starts with the
+        standard-library modules that the first taught the launcher."""
+        (tmp_path / "warmmod.py").write_text(WARM_MODULE)
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        for run in "12":
+            m.submit(JobSpec(name=run, command=warm_command(*args), workdir=str(tmp_path),
+                             stdout=f"out{run}", stderr=f"err{run}"))
+        m.drain()
+        assert started_warm(tmp_path)   # the second run's command line
+        return [(m.job_snapshot(run)["iterations"][0]["exit_code"],
+                 (tmp_path / f"out{run}").read_bytes(), (tmp_path / f"err{run}").read_bytes())
+                for run in "12"]
+
+    @staticmethod
+    def executed(tmp_path, *args) -> tuple[int, bytes, bytes]:
+        ref = subprocess.run(warm_command(*args), cwd=tmp_path, stdin=subprocess.DEVNULL,
+                             capture_output=True)
+        return ref.returncode, ref.stdout, ref.stderr
+
     @pytest.mark.parametrize("mode", ["return", "exit3", "message", "raise", "os-exit"])
     def test_exit_and_output_equal_an_executed_run(self, tmp_path, warm_pythonpath, mode):
-        warm = self.run_one(tmp_path, mode)
-        ref = subprocess.run(warm_command(mode), cwd=tmp_path, stdin=subprocess.DEVNULL,
-                             capture_output=True)
-        assert warm == (ref.returncode, ref.stdout, ref.stderr)
-        assert warm[0] == {"return": 0, "exit3": 3, "message": 1, "raise": 1, "os-exit": 5}[mode]
+        warm = self.run_twice(tmp_path, mode)
+        assert warm == [self.executed(tmp_path, mode)] * 2
+        assert warm[0][0] == {"return": 0, "exit3": 3, "message": 1, "raise": 1,
+                              "os-exit": 5}[mode]
+
+    def test_a_learned_standard_library_module_is_preloaded(self, tmp_path, warm_pythonpath):
+        first, second = self.run_twice(tmp_path, "preloaded", "argparse", "decimal")
+        assert b"\n[False, False]\n" in first[1]
+        assert b"\n[True, True]\n" in second[1]
+
+    def test_random_and_tempfile_names_differ_between_runs(self, tmp_path, warm_pythonpath):
+        # a fork reseeds `random` and renews tempfile's name sequence
+        first, second = self.run_twice(tmp_path, "state")
+        assert first[0] == second[0] == 0
+        random_values, temp_names = zip(first[1].split()[-2:], second[1].split()[-2:])
+        assert random_values[0] != random_values[1] and temp_names[0] != temp_names[1]
+
+    def test_a_module_that_prints_on_import_prints_in_every_run(self, tmp_path, warm_pythonpath):
+        warm = self.run_twice(tmp_path, "preloaded", "this")
+        assert warm == [self.executed(tmp_path, "preloaded", "this")] * 2
+        assert b"The Zen of Python" in warm[1][1]
+
+    def test_a_module_that_warns_on_import_warns_in_every_run(self, tmp_path, warm_pythonpath):
+        if importlib.util.find_spec("imp") is None:
+            pytest.skip("no `imp` module in this Python")
+        warm = self.run_twice(tmp_path, "preloaded", "imp")
+        assert warm == [self.executed(tmp_path, "preloaded", "imp")] * 2
+        assert b"DeprecationWarning" in warm[1][2]
+
+    def test_numpy_is_never_preloaded(self, tmp_path, warm_pythonpath):
+        pytest.importorskip("numpy")
+        first, second = self.run_twice(tmp_path, "preloaded", "numpy")
+        assert first[0] == second[0] == 0
+        assert b"\n[False]\n" in second[1]
+
+    def test_a_run_that_closes_and_reuses_the_launchers_fds_keeps_its_files(
+            self, tmp_path, warm_pythonpath):
+        assert self.run_one(tmp_path, "closerange")[0] == 0
+        assert [(tmp_path / f"f{i}").read_bytes() for i in range(32)] == [b"intact"] * 32
+
+    @pytest.mark.parametrize("module", ["select", "json"])
+    def test_a_module_in_the_cwd_shadows_the_launchers(self, tmp_path, warm_pythonpath, module):
+        # the launcher has `select` from its start, and `json` once the first run taught it;
+        # `python -m` puts the cwd first on `sys.path`, so the run imports its own
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path / "teach", "teach", "preloaded", module))
+        own = tmp_path / "own"
+        own.mkdir()
+        (own / f"{module}.py").write_text(
+            "print(\"the run's\", __name__)\n"
+            "def select(*args):   # all that `selectors` needs as it is imported\n"
+            "    raise OSError\n")
+        m.submit(warm_job(own, "own", "preloaded", module))
+        m.drain()
+        warm = (m.job_snapshot("own")["iterations"][0]["exit_code"],
+                (own / "out").read_bytes(), (own / "err").read_bytes())
+        assert warm == self.executed(own, "preloaded", module)
+        assert f"the run's {module}\n".encode() in warm[1]
 
     def test_argv_path_name_and_stdin_are_those_of_python_m(self, tmp_path, warm_pythonpath):
         _, out, _ = self.run_one(tmp_path, "return")
@@ -952,10 +1038,13 @@ class TestWarmLaunch:
         wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
         monkeypatch.setenv("WARM_TEST", "1")
         m.submit(warm_job(tmp_path / "b", "b", "return"))
+        monkeypatch.delenv("WARM_TEST")   # as it was when the launcher started
+        m.submit(warm_job(tmp_path / "c", "c", "return"))
         m.drain()
-        assert m.job_snapshot("b")["status"] == "SUCCEEDED"
-        assert (tmp_path / "a" / "seen").read_text() == "None"
-        assert (tmp_path / "b" / "seen").read_text() == "'1'"
+        assert m.job_snapshot("b")["status"] == m.job_snapshot("c")["status"] == "SUCCEEDED"
+        assert [(tmp_path / name / "seen").read_text() for name in "abc"] \
+            == ["None", "'1'", "None"]
+        assert [started_warm(tmp_path / name) for name in "abc"] == [True, False, True]
 
     def test_a_relative_pythonpath_entry_resolves_against_the_runs_cwd(self, tmp_path,
                                                                         monkeypatch):
@@ -981,6 +1070,13 @@ class TestWarmLaunch:
         m.drain()
         assert all(started_warm(tmp_path / name) for name in ("a", "b"))
         assert children_cpu() - before >= 0.5
+
+    def test_which_modules_the_launcher_may_preload(self):
+        from uqpilot.pilotjob import launcher
+
+        assert launcher._preloadable("json") and launcher._preloadable("json.decoder")
+        for name in ("antigravity", "idlelib.idle", "json.__main__", "numpy", "warmmod"):
+            assert not launcher._preloadable(name), name
 
     def test_which_commands_start_warm(self, tmp_path, monkeypatch):
         exe = Path(sys.executable)

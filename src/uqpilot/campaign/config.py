@@ -26,14 +26,9 @@ One JSON document describes a campaign:
 
 `command` is run once per run, in the run's directory, with stdin from
 /dev/null and stdout and stderr in `run.stdout` and `run.stderr` there. A
-command `[python, "-m", module, *args]` whose `python` names the
-interpreter running `uq` (its `sys.executable`, as a path or found on
-PATH), with no option before `-m`, starts warm: it is forked from one
-started interpreter instead of starting its own, and behaves as executed
-otherwise (`sys.argv`, `sys.path[0]`, exit code, output). That holds while
-every `PYTHONPATH` entry is absolute and the environment is unchanged
-since the first run; any other command, such as `["uq-toy", "input.json"]`,
-is executed. See `uqpilot.pilotjob.scheduler`.
+command `[python, "-m", module, *args]` naming the interpreter running
+`uq` may start warm, forked from one started interpreter, under the rule
+that `uqpilot.pilotjob.launcher` states; any other is executed.
 """
 
 from __future__ import annotations

@@ -4,11 +4,10 @@ No socket and no thread is involved: the caller's thread waits in the
 manager's event loop. `RunPlan.cores` is the allocation's size and
 `cores_per_run` each run's share of it, so `cores // cores_per_run` runs
 execute at once. The manager's one launcher process starts every run, in a
-process group of its own: an app command `[sys.executable, "-m", module,
-...]` is forked from the launcher's started interpreter (warm), and any
-other is spawned (see `uqpilot.pilotjob.scheduler`). The manager is
-drained before `execute_campaign` returns, so every run, and the launcher,
-has been reaped and its CPU time counted in this process's `RUSAGE_CHILDREN`.
+process group of its own, and decides whether it starts warm or executed
+(see `uqpilot.pilotjob.launcher`). The manager is drained before
+`execute_campaign` returns, so every run, and the launcher, has been
+reaped and its CPU time counted in this process's `RUSAGE_CHILDREN`.
 
 `execute_campaign` makes one pass over the runs of its stage and no
 other. Each run first goes through `Campaign.recover`: a run that an
@@ -88,7 +87,7 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
                                workdir=run_dir, stdout="run.stdout", stderr="run.stderr"))
         summary.executed += 1
 
-    try:
+    with manager:
         for row in store.runs(stage_id=plan.stage_id):
             status = campaign.recover(row)
             if status == "COMPLETED":   # its output did not decode in an earlier call
@@ -115,10 +114,6 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
                     store.set_status(run_id, "ENCODED")
                     submit(store.run(run_id)["run_dir"], f"{run_id}.{retried[run_id]}")
         manager.drain()
-    except BaseException:
-        manager.cancel_all()
-        manager.drain()
-        raise
     counts = store.status_counts(stage_id=plan.stage_id)
     summary.completed = counts["COMPLETED"] + counts["COLLATED"]
     summary.failed = counts["FAILED"]

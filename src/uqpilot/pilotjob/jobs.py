@@ -140,6 +140,7 @@ class Task:
     end: float | None = None
     exit_code: int | None = None
     cancel_requested: bool = False
+    start_mode: str | None = None           # "warm" or "exec", as the launcher started it
 
     @property
     def terminal(self) -> bool:

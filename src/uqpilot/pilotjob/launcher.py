@@ -2,33 +2,49 @@
 
     python launcher.py REQUEST_FD REPORT_FD
 
-The manager starts this script with its own interpreter and environment.
-It imports nothing from `uqpilot`, starts no thread, and reads requests
-on REQUEST_FD, each a 4-byte little-endian length and a marshalled tuple:
+The manager starts this script with its own interpreter, by the path in its
+`sys.executable`, and its own environment. It imports nothing from
+`uqpilot`, starts no thread, and reads requests on REQUEST_FD, each a
+4-byte little-endian length and a marshalled tuple:
 
-    ("run", task, warm, cwd, stdout, stderr, command, env)   start task
-    ("signal", task, signum)                                 signal its group
+    ("run", task, cwd, stdout, stderr, command, env)   start task
+    ("signal", task, signum)                           signal its group
 
 Every run gets a process group of its own, stdin from /dev/null (the
 launcher's own), stdout and stderr truncated onto the given absolute paths
 (parent directories made), and `cwd`, which the launcher enters just
-before the start. A run that cannot get them or cannot start (a NUL byte
-or a bad env name included) exits 127 unseen. It starts one of two ways:
+before the start. `command[0]` is looked up once, on the PATH of `env`
+(None: the launcher's environment). A run that cannot get them or cannot
+start (a NUL byte or a bad env name included) exits 127 unseen. A run
+starts one of two ways:
 
-- **executed** (`warm` false, or a warm request that the third rule
-  below refuses): `os.posix_spawn`, as `subprocess` starts
-  it: SIGPIPE, SIGXFSZ and SIGCHLD back to their defaults, `command[0]`
-  looked up on the PATH of `env` (None: the launcher's environment).
-  glibc's `posix_spawn` leaves its two internal signals (32, 33) ignored,
-  which no program on glibc can handle.
-- **warm** (`warm` true, `env` None): `command` is `[python, "-m", module,
-  *args]` naming this interpreter. A forked child runs `module` as
-  `__main__` in a fresh module, `sys.argv`, `sys.orig_argv` and
-  `sys.path[0]` set as `-m` sets them (no warm run comes while
-  `PYTHONPATH` holds a relative entry). Its exit code is the
-  interpreter's, and a traceback omits the launcher's frames. It shares
-  the launcher's modules and hash seed; `gc.freeze` before each fork keeps
-  its collections from copying the launcher's pages.
+- **executed**: `os.posix_spawn`, as `subprocess` starts it: SIGPIPE,
+  SIGXFSZ and SIGCHLD back to their defaults. glibc's `posix_spawn`
+  leaves its two internal signals (32, 33) ignored, which no program on
+  glibc can handle.
+- **warm**: a forked child runs `module` as `__main__` in a fresh module,
+  `sys.argv`, `sys.orig_argv` and `sys.path[0]` set as `-m` sets them. Its
+  exit code is the interpreter's, and a traceback omits the launcher's
+  frames. It shares the launcher's modules and hash seed; `gc.freeze`
+  before each fork keeps its collections from copying the launcher's
+  pages. The child and the launcher both put it in its group, as shells
+  do, so the group exists before the launcher reports the start.
+
+The launcher alone decides which. A run starts warm when all of these
+hold, and executed otherwise:
+
+- `env` is None: the manager sends the job's environment unless the job
+  has none and the manager's environment is the launcher's;
+- `command` is `[python, "-m", module, *args]`, no option before `-m`;
+- `python`, as given or found on PATH, is this `sys.executable`'s path
+  (a symlink to it may be another installation's prefix, so a path only);
+- every `PYTHONPATH` entry is absolute, as the launcher finds at its
+  start: an interpreter makes a relative one absolute against the
+  directory it starts in, which for the launcher is not the run's;
+- `cwd` holds no importable entry (`name.py`, `name/__init__.py`, an
+  extension module) named after a top-level module the launcher has:
+  `python -m` puts the cwd first on `sys.path`, so the run imports its
+  own module, as the fork would not.
 
 Warm children teach the launcher their standard-library imports, as
 `multiprocessing`'s forkserver preloads modules, but learned from the runs.
@@ -43,31 +59,27 @@ non-blocking write of at most PIPE_BUF bytes on a pipe of the launcher's,
 after `fstat` has shown the fd to be that pipe still, so a run that closed
 it and reused the number is never written to. The launcher reads them
 before the next request, so before its next warm fork, and imports them
-under three rules:
+under two rules, besides the cwd rule above:
 
 - An import that prints or warns (`this`; `imp` on 3.11) or fails is
   undone from `sys.modules` and never tried again: a run importing it
   itself shows what a fork would hide.
 - A module that acts outside the process on import (`antigravity`,
   `idlelib.idle`, any `__main__` submodule) is never tried.
-- A warm request whose cwd holds an importable entry (`name.py`,
-  `name/__init__.py`, an extension module) named after a top-level module
-  the launcher has is spawned executed instead of forked: `python -m` puts
-  the cwd first on `sys.path`, so the run imports its own module, as the
-  fork would not.
 
 A module that records a process-wide value as it is imported, rather
 than as it is used, records the launcher's: for
 `multiprocessing.process.ORIGINAL_DIR`, the cwd of an earlier run.
 
-REPORT_FD gets a line `"<task> pid <pid>"` as a run starts, so that the
-manager can kill its group should the launcher be killed, and `"<task>
-<code>"` as it is reaped, the code negative for a signal, as `subprocess`
-gives it. A signal for a task not running is answered with that signal's
-report: it ends a task whose run request an interrupt kept from being
-written, and the manager ignores it for a task already ended. At EOF on
-REQUEST_FD, or on an error of its own, the launcher SIGKILLs every run's
-group, reaps them and exits, so no run outlives the manager.
+REPORT_FD gets a line `"<task> warm <pid>"` or `"<task> exec <pid>"` as a
+run starts, so that the manager knows how it started and can kill its
+group should the launcher be killed, and `"<task> <code>"` as it is
+reaped, the code negative for a signal, as `subprocess` gives it. A
+signal for a task not running is answered with that signal's report: it
+ends a task whose run request an interrupt kept from being written, and
+the manager ignores it for a task already ended. At EOF on REQUEST_FD, or
+on an error of its own, the launcher SIGKILLs every run's group, reaps
+them and exits, so no run outlives the manager.
 """
 
 import gc
@@ -93,11 +105,8 @@ _SUFFIXES = importlib.machinery.all_suffixes()
 def _signal_group(pid: int, signum: int):
     try:
         os.killpg(pid, signum)
-    except ProcessLookupError:   # a forked child has not called setpgid yet
-        try:
-            os.kill(pid, signum)
-        except ProcessLookupError:
-            pass
+    except ProcessLookupError:   # every process of the group has been reaped
+        pass
 
 
 def _enter_task(stdout: str, stderr: str):
@@ -109,15 +118,38 @@ def _enter_task(stdout: str, stderr: str):
         os.close(opened)
 
 
-def _spawn(stdout: str, stderr: str, command, env) -> int:
-    """Start `command` executed; the pid, or an OSError or ValueError."""
-    env = os.environ if env is None else env
-    name = command[0]
-    path = name if os.sep in name else \
-        shutil.which(name, path=os.pathsep.join(os.get_exec_path(env)))
+def _executable(name: str, env) -> str:
+    """`name`, or the file it names on the PATH of `env` (None: the launcher's)."""
+    if os.sep in name:
+        return name
+    path = shutil.which(name, path=os.pathsep.join(os.get_exec_path(env)))
     if path is None:
         raise FileNotFoundError(name)
-    return os.posix_spawn(path, command, env, setpgroup=0, setsigdef=_DEFAULT_SIGNALS,
+    return path
+
+
+def _warm_python() -> str | None:
+    """The path a warm command names this interpreter by; None if no run may
+    start warm, as a relative PYTHONPATH entry would resolve against the
+    launcher's start directory rather than the run's."""
+    paths = os.environ.get("PYTHONPATH")
+    if not os.path.isabs(sys.executable) or \
+            paths and not all(map(os.path.isabs, paths.split(os.pathsep))):
+        return None
+    return os.path.normpath(sys.executable)
+
+
+def _starts_warm(command, env, path: str, python: str | None, cwd: str) -> bool:
+    """Whether the run of `command`, found at `path`, starts warm: the rule
+    of the module docstring, `python` being `_warm_python()`."""
+    return python is not None and env is None and len(command) > 2 \
+        and command[1] == "-m" and os.path.normpath(path) == python and not _shadowed(cwd)
+
+
+def _spawn(path: str, stdout: str, stderr: str, command, env) -> int:
+    """Start `command`, found at `path`, executed; the pid, or an OSError or ValueError."""
+    return os.posix_spawn(path, command, os.environ if env is None else env,
+                          setpgroup=0, setsigdef=_DEFAULT_SIGNALS,
                           file_actions=[(os.POSIX_SPAWN_OPEN, 1, stdout, _TRUNCATE, 0o666),
                                         (os.POSIX_SPAWN_OPEN, 2, stderr, _TRUNCATE, 0o666)])
 
@@ -231,6 +263,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
     os.set_blocking(learned_w, False)
     paths = sysconfig.get_paths()
     stdlib = tuple({os.path.join(paths[key], "") for key in ("stdlib", "platstdlib")})
+    python = _warm_python()
     signal.set_wakeup_fd(wake_w)    # a child's exit wakes the select below
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
     pending = b""
@@ -276,22 +309,29 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
                 else:
                     _report(reports, b"%d %d\n" % (task, -signum))
                 continue
-            _, task, warm, cwd, stdout, stderr, command, env = request
+            _, task, cwd, stdout, stderr, command, env = request
             try:
                 for path in (stdout, stderr):
                     os.makedirs(os.path.dirname(path), exist_ok=True)
                 os.chdir(cwd)   # the child's; nothing else in the launcher is relative
-                if warm and not _shadowed(cwd):
+                exe = _executable(command[0], env)
+                warm = _starts_warm(command, env, exe, python, cwd)
+                if warm:
                     gc.freeze()
                     pid = os.fork()
                 else:
-                    pid = _spawn(stdout, stderr, command, env)
+                    pid = _spawn(exe, stdout, stderr, command, env)
             except (OSError, ValueError):   # ValueError: a NUL byte, a bad env name
                 _report(reports, b"%d 127\n" % task)   # as for a command that cannot start
                 continue
             if pid:
+                if warm:
+                    try:
+                        os.setpgid(pid, pid)
+                    except PermissionError:   # the child has exec'd: its group exists
+                        pass
                 tasks[pid] = task
-                _report(reports, b"%d pid %d\n" % (task, pid))
+                _report(reports, b"%d %s %d\n" % (task, b"warm" if warm else b"exec", pid))
                 continue
             tasks.clear()
             gc.enable()

@@ -20,11 +20,9 @@ list; each job then takes one line of its own, and `]}` closes the file:
     ]}
 
 so `grep FAILED pj-report.json` prints the failed jobs. A report path
-whose directory does not exist is refused before any job starts.
-
-Any exception, `KeyboardInterrupt` and `SystemExit` included, cancels
-and drains the manager's jobs before it propagates: each run is in a
-process group of its own, which a signal to the manager's group misses.
+whose directory does not exist is refused before any job starts. Any
+exception cancels and drains the manager's jobs before it propagates
+(`PilotManager.__exit__`).
 """
 
 from __future__ import annotations
@@ -106,15 +104,10 @@ def run_batch(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     report_path = _report_path(workdir, report_path)
-    manager = PilotManager(cores, workdir=workdir, clock=clock)
-    try:
+    with PilotManager(cores, workdir=workdir, clock=clock) as manager:
         for spec in jobs:
             manager.submit(spec)
         manager.drain()
-    except BaseException:
-        manager.cancel_all()
-        manager.drain()
-        raise
     report = manager.report()
     write_report(report, report_path)
     return report
@@ -130,14 +123,9 @@ def serve_socket(
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     report_path = _report_path(workdir, report_path)
-    manager = PilotManager(cores, workdir=workdir, clock=clock)
-    server = ManagerServer(manager)
-    try:
+    with PilotManager(cores, workdir=workdir, clock=clock) as manager:
+        server = ManagerServer(manager)
         server.serve_until_finished()
-    except BaseException:
-        manager.cancel_all()
-        manager.drain()
-        raise
     write_report(server.report, report_path)
     return server.report
 

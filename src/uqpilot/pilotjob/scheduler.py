@@ -21,26 +21,19 @@ in a process group of its own with /dev/null as stdin (a group, not a
 session: `setsid` makes a scheduler autogroup per run, 0.36 ms more per
 `cp` run on a 2-vCPU Linux VM). `wait` selects on its reports up to the
 next deadline, the SIGKILL after a cancel's SIGTERM and grace period;
-`submit` and the snapshots first take in reports already there. A task
-runs warm, forked from the launcher's started interpreter, when its
-command is `[python, "-m", module, *args]` with `python` this
-`sys.executable` (as given or found on PATH), the job has no `env`, every
-`PYTHONPATH` entry is absolute and `os.environ` is as it was when the
-launcher started (its encoded items compared with a snapshot). Warm runs
-also inherit the standard-library modules that earlier warm runs
-imported: the launcher learns them from its children and imports them
-before its next fork, except one that prints, warns or fails as it is
-imported, or that acts outside the process (`antigravity`). A warm
-request whose cwd holds a module named after one the launcher has
-imported is spawned executed instead, so the run imports its own module
-as `python -m` does (see `launcher.py`). Any other task is spawned, in
-`os.environ` with the job's `env` over it when either is set or changed.
-A task that cannot start ends with exit 127, as does the rest of a
-dispatch pass in which no launcher could start. At a launcher's exit the loop SIGKILLs the group of
-each run it left and fails its tasks; the next task starts a new launcher.
-`drain` runs the loop until no task is pending and the launcher has exited,
-so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN` and no run
-outlives the manager.
+`submit` and the snapshots first take in reports already there. A task's
+request carries `os.environ` with the job's `env` over it, or None when the
+job has no `env` and `os.environ` is as it was when the launcher started
+(its encoded items compared with a snapshot); the launcher alone decides
+whether the run starts warm or executed (see `launcher.py`), and reports
+which in `Task.start_mode`. A task that cannot start ends with exit 127,
+as does the rest of a dispatch pass in which no launcher could start. At
+a launcher's exit the loop SIGKILLs the group of each run it left and
+fails its tasks; the next task starts a new launcher. `drain` runs the
+loop until no task is pending and the launcher has exited, so the runs'
+CPU time reaches the caller's `RUSAGE_CHILDREN`. Used as a context
+manager, the manager cancels every job and drains on any exception, so
+no run outlives it.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ import itertools
 import marshal
 import os
 import select
-import shutil
 import signal
 import subprocess
 import sys
@@ -75,25 +67,6 @@ from uqpilot.pilotjob.jobs import (
 
 CANCEL_GRACE_SECONDS = 5.0
 LAUNCHER = Path(__file__).with_name("launcher.py")
-
-
-def runs_this_python_module(command) -> bool:
-    """Whether `command` is `[python, "-m", module, ...]` with no interpreter
-    option, and `python` is this interpreter's own path (a symlink to it may
-    be another installation's prefix, so a path only)."""
-    if len(command) < 3 or command[1] != "-m" or not sys.executable:
-        return False
-    path = command[0] if os.sep in command[0] else shutil.which(command[0])
-    return path is not None and os.path.isabs(path) and \
-        os.path.normpath(path) == os.path.normpath(sys.executable)
-
-
-def _pythonpath_is_absolute() -> bool:
-    """Whether every PYTHONPATH entry is absolute: an interpreter makes a
-    relative one absolute against the directory it starts in, which for the
-    launcher is not the run's."""
-    paths = os.environ.get("PYTHONPATH")
-    return not paths or all(os.path.isabs(p) for p in paths.split(os.pathsep))
 
 
 class _Launcher:
@@ -122,8 +95,9 @@ class _Launcher:
         self._partial = b""
 
     def read(self) -> list[tuple[Task, int | None]]:
-        """(task, exit code) of each task ended since the last read; at EOF, the
-        launcher reaped and its runs' groups SIGKILLed, of every task left (None)."""
+        """(task, exit code) of each task ended since the last read, each task
+        started given its `start_mode`; at EOF, the launcher reaped and its
+        runs' groups SIGKILLed, of every task left (None)."""
         data = os.read(self.reports, 65536)
         if not data:
             self.running = False
@@ -131,19 +105,19 @@ class _Launcher:
             self.end_requests()
             self.proc.wait()
             for pid in self._groups.values():   # left running by a launcher killed outright
-                for kill in (os.killpg, os.kill):   # a warm child may lack its group yet
-                    try:
-                        kill(pid, signal.SIGKILL)
-                        break
-                    except ProcessLookupError:
-                        pass
+                try:
+                    os.killpg(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             return [(self.tasks.pop(seq), None) for seq in list(self.tasks)]
         *lines, self._partial = (self._partial + data).split(b"\n")
         ended = []
         for line in lines:
             fields = line.split()
-            if fields[1] == b"pid":
-                self._groups[int(fields[0])] = int(fields[2])
+            if len(fields) == 3:   # a start: "<seq> warm|exec <pid>"
+                seq = int(fields[0])
+                self._groups[seq] = int(fields[2])
+                self.tasks[seq].start_mode = fields[1].decode()
                 continue
             seq, code = map(int, fields)
             self._groups.pop(seq, None)
@@ -201,6 +175,17 @@ class PilotManager:
         self._kills: list[tuple[float, int]] = []   # heap of (monotonic deadline, seq) for SIGKILL
         self._changes: list[tuple[str, str]] = []   # (job, status) of each start and end for `wait`
         self._trace: list[tuple[float, str, str, int]] = []  # (t, event, job, iteration)
+
+    def __enter__(self) -> PilotManager:
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        """On any exception, `KeyboardInterrupt` and `SystemExit` included,
+        cancel every job and drain: each run is in a process group of its
+        own, which a signal to the caller's group misses."""
+        if kind is not None:
+            self.cancel_all()
+            self.drain()
 
     # --- time ------------------------------------------------------------
 
@@ -334,14 +319,12 @@ class PilotManager:
         if spec.env or os.environ._data != launcher.environ:
             env = dict(os.environ)
             env.update(spec.env)
-        warm = env is None and runs_this_python_module(spec.command) \
-            and _pythonpath_is_absolute()
         # registered before the request is written: an interrupt between the
         # two leaves a task that cancel can still end, as the launcher reports
         # a signal to a task it lacks; if the launcher has exited, the write
         # fails and the loop, at the launcher's EOF, fails the task with the rest
         launcher.tasks[task.seq] = task
-        launcher.send(("run", task.seq, warm, os.path.abspath(spec.workdir or self.workdir),
+        launcher.send(("run", task.seq, os.path.abspath(spec.workdir or self.workdir),
                        os.path.abspath(self._io_path(spec, task, "stdout")),
                        os.path.abspath(self._io_path(spec, task, "stderr")),
                        spec.command, env))

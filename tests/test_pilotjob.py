@@ -23,11 +23,11 @@ from uqpilot.errors import (
     UqError,
     ValidationError,
 )
-from uqpilot.pilotjob import scheduler
+from uqpilot.pilotjob import launcher, scheduler
 from uqpilot.pilotjob.jobs import JobSpec, detected_cores
 from uqpilot.pilotjob.manager import load_batch, run_batch, write_report
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
-from uqpilot.pilotjob.scheduler import PilotManager, runs_this_python_module
+from uqpilot.pilotjob.scheduler import PilotManager
 
 
 def sim_manager(cores: int, tmp_path) -> PilotManager:
@@ -843,6 +843,11 @@ def started_warm(directory: Path) -> bool:
     return str(scheduler.LAUNCHER).encode() in (directory / "cmdline").read_bytes()
 
 
+def start_mode(m: PilotManager, name: str) -> str | None:
+    """How the launcher reported starting job `name`'s first task."""
+    return m._jobs[name].tasks[0].start_mode
+
+
 class TestProcessGroups:
     def test_cancel_kills_the_whole_group(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
@@ -875,6 +880,27 @@ class TestProcessGroups:
         m.drain()
         assert m.job_snapshot("w")["iterations"][0]["exit_code"] == -signal.SIGTERM
         wait_for(lambda: not running(sleep), timeout=5)
+
+    def test_a_warm_run_canceled_at_once_leaves_no_group(self, tmp_path, warm_pythonpath):
+        # the launcher puts a forked child in its group before it reports the
+        # start, so the SIGTERM that follows finds the group
+        pids = []
+
+        class Groups(dict):
+            def __setitem__(self, seq, pid):
+                pids.append(pid)
+                super().__setitem__(seq, pid)
+
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(warm_job(tmp_path, "w", "sleep"))
+        m._launcher._groups = Groups()   # no report is read before the cancel
+        m.cancel("w")
+        drained(m)
+        its = m.job_snapshot("w")["iterations"]
+        assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGTERM)
+        assert start_mode(m, "w") == "warm" and len(pids) == 1
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pids[0], 0)
 
     def test_no_warm_run_outlives_its_manager(self, tmp_path, warm_pythonpath):
         # the manager's process dies without draining: the launcher sees
@@ -987,6 +1013,7 @@ class TestWarmLaunch:
             "    raise OSError\n")
         m.submit(warm_job(own, "own", "preloaded", module))
         m.drain()
+        assert [start_mode(m, name) for name in ("teach", "own")] == ["warm", "exec"]
         warm = (m.job_snapshot("own")["iterations"][0]["exit_code"],
                 (own / "out").read_bytes(), (own / "err").read_bytes())
         assert warm == self.executed(own, "preloaded", module)
@@ -1072,24 +1099,39 @@ class TestWarmLaunch:
         assert children_cpu() - before >= 0.5
 
     def test_which_modules_the_launcher_may_preload(self):
-        from uqpilot.pilotjob import launcher
-
         assert launcher._preloadable("json") and launcher._preloadable("json.decoder")
         for name in ("antigravity", "idlelib.idle", "json.__main__", "numpy", "warmmod"):
             assert not launcher._preloadable(name), name
 
     def test_which_commands_start_warm(self, tmp_path, monkeypatch):
+        # the launcher's decision, taken in this interpreter, as the launcher
+        # started by this `sys.executable` takes it
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+
+        def warm(*command, env=None):
+            path = launcher._executable(command[0], env)
+            return launcher._starts_warm(command, env, path, launcher._warm_python(), str(cwd))
+
         exe = Path(sys.executable)
-        assert runs_this_python_module((str(exe), "-m", "mod", "arg"))
-        assert not runs_this_python_module((str(exe), "-u", "-m", "mod"))
-        assert not runs_this_python_module((str(exe), "-m"))
-        assert not runs_this_python_module((str(exe), "script.py", "-m", "mod"))
+        assert warm(str(exe), "-m", "mod", "arg")
+        assert not warm(str(exe), "-u", "-m", "mod")
+        assert not warm(str(exe), "-m")
+        assert not warm(str(exe), "script.py", "-m", "mod")
+        assert not warm(str(exe), "-m", "mod", env=dict(os.environ))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(tmp_path), "lib"]))
+        assert not warm(str(exe), "-m", "mod")
+        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+        assert warm(str(exe), "-m", "mod")
         monkeypatch.setenv("PATH", str(exe.parent))
-        assert runs_this_python_module((exe.name, "-m", "mod"))
-        (tmp_path / "python").symlink_to(exe)   # the same file, not the same path
-        assert not runs_this_python_module((str(tmp_path / "python"), "-m", "mod"))
+        assert warm(exe.name, "-m", "mod")
+        (tmp_path / exe.name).symlink_to(exe)   # the same file, not the same path
+        assert not warm(str(tmp_path / exe.name), "-m", "mod")
         monkeypatch.setenv("PATH", str(tmp_path))
-        assert not runs_this_python_module((exe.name, "-m", "mod"))
+        assert not warm(exe.name, "-m", "mod")
+        (cwd / "json.py").write_text("")   # a module this interpreter has
+        assert not warm(str(exe), "-m", "mod")
 
 
 class TestExecutedRuns:

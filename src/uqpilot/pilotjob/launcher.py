@@ -23,12 +23,44 @@ starts one of two ways:
   leaves its two internal signals (32, 33) ignored, which no program on
   glibc can handle.
 - **warm**: a forked child runs `module` as `__main__` in a fresh module,
-  `sys.argv`, `sys.orig_argv` and `sys.path[0]` set as `-m` sets them. Its
-  exit code is the interpreter's, and a traceback omits the launcher's
-  frames. It shares the launcher's modules and hash seed; `gc.freeze`
-  before each fork keeps its collections from copying the launcher's
-  pages. The child and the launcher both put it in its group, as shells
-  do, so the group exists before the launcher reports the start.
+  `sys.argv`, `sys.orig_argv` and `sys.path[0]` set as `-m` sets them. A
+  traceback omits the launcher's frames. It shares the launcher's modules
+  and hash seed; `gc.freeze` before each fork keeps its collections from
+  copying the launcher's pages. The child and the launcher both put it in
+  its group, as shells do, so the group exists before the launcher reports
+  the start.
+
+A warm child ends as `multiprocessing` ends its forked children: it does
+the run's own exit work, then calls `os._exit`, so that no run pays to tear
+down the launcher's modules. First the interpreter does what it does at
+any exit: it prints what ended the run, joins the non-daemon threads and
+makes the atexit calls, last in, first out. These include the calls of the
+modules the launcher preloaded (`logging.shutdown`). The last call is the
+launcher's own, registered before anything is preloaded. In order, it
+
+1. collects the run's garbage, as the interpreter does first: a file that
+   only a garbage cycle holds loses its buffered text there too;
+2. flushes every file the run still holds open, text before binary;
+3. drops the last traceback and the atexit calls, all made by now, which
+   hold the run's globals; removes the run's modules and its `__main__`
+   from `sys.modules` and collects them, so their objects' `__del__`s see
+   intact globals; clears the globals of any module still alive, and
+   collects again;
+4. flushes `sys.stdout` and `sys.stderr`, and the original streams should
+   the run have replaced them;
+5. exits with the interpreter's status: 0, the `SystemExit` code (1 when
+   not an int), or 1 for any other exception. An uncaught
+   `KeyboardInterrupt` ends the child by SIGINT, as the interpreter does.
+
+A flush that fails, or a run that removes the call (`atexit._clear()`),
+leaves the child to the interpreter's full exit, which reports the failure
+and exits 120 for a failed stdout or stderr. Two parts of an executed
+run's exit do not happen. The atexit calls registered before the launcher
+served (by `site` and `.pth` files) do not run: as with the launcher's
+modules, they are the launcher's. And an object that a run hangs on a
+module the launcher had at the fork (say on `os`) is not finalized. That
+teardown is the cost avoided, and the language does not promise a
+`__del__` at exit.
 
 The launcher alone decides which. A run starts warm when all of these
 hold, and executed otherwise:
@@ -82,6 +114,7 @@ on an error of its own, the launcher SIGKILLs every run's group, reaps
 them and exits, so no run outlives the manager.
 """
 
+import atexit
 import gc
 import importlib.machinery
 import io
@@ -94,12 +127,16 @@ import signal
 import sys
 import sysconfig
 import warnings
+import weakref
 
 _TRUNCATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _DEFAULT_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ, signal.SIGCHLD)
 # importing these acts outside the process: a browser, a window
 _NEVER_PRELOADED = frozenset({"antigravity", "idlelib.idle"})
 _SUFFIXES = importlib.machinery.all_suffixes()
+# in a warm child: (the names in `sys.modules` as its run started, the
+# exception that ended the run or None)
+_ended = None
 
 
 def _signal_group(pid: int, signum: int):
@@ -173,11 +210,11 @@ def _in_stdlib(module, stdlib: tuple[str, ...]) -> bool:
 
 def _import_reporter(fd: int, stdlib: tuple[str, ...]):
     """In a fresh warm child: a call that writes on `fd`, the launcher's pipe,
-    the standard-library modules imported since, a name a line."""
-    had = set(sys.modules)
+    the standard-library modules imported that are not among the names it
+    is given, a name a line."""
     pipe = os.fstat(fd)
 
-    def report():
+    def report(had: set[str]):
         try:
             lines = b""
             for name, module in list(sys.modules.items()):
@@ -254,6 +291,7 @@ def serve(requests: int, reports: int):
 
 
 def _serve(requests: int, reports: int, tasks: dict[int, int]):
+    atexit.register(_end_warm_run)   # first, so a warm child makes it last
     gc.disable()    # children enable it; the launcher allocates next to nothing
     for fd in (requests, reports):
         os.set_inheritable(fd, False)   # no executed run holds the manager's pipes
@@ -357,7 +395,9 @@ def _without_launcher_frames(hook):
 
 def run_module(command, report_imports):
     """Run `command`'s module as `python -m` would, in this process, and then
-    `report_imports`, whatever the module's end."""
+    `report_imports`, whatever the module's end. `_end_warm_run` ends the
+    process once the interpreter has made its other atexit calls."""
+    global _ended
     module, args = command[2], command[3:]
     main = type(sys)("__main__")
     main.__annotations__ = {}
@@ -367,13 +407,88 @@ def run_module(command, report_imports):
     sys.orig_argv = list(command)
     if not getattr(sys.flags, "safe_path", False):
         sys.path[0] = os.getcwd()
+    had = set(sys.modules)
+    _ended = had, None
     try:
         runpy._run_module_as_main(module)
-    except BaseException:
+    except BaseException as error:
+        _ended = had, error
         sys.excepthook = _without_launcher_frames(sys.excepthook)
         raise
     finally:
-        report_imports()
+        report_imports(had)
+
+
+def _exit_status(error) -> int:
+    """The status an interpreter exits with once `error` (None: nothing)
+    ended its main module."""
+    if isinstance(error, SystemExit):
+        code = error.code
+        return 0 if code is None else code if isinstance(code, int) else 1
+    return 0 if error is None else 1
+
+
+def _flushed(streams) -> bool:
+    """Flush each of `streams` that is open; False once one fails, leaving the
+    interpreter's own exit to flush again and report it."""
+    try:
+        for stream in streams:
+            if stream is not None and not stream.closed:
+                stream.flush()
+    except Exception:
+        return False
+    return True
+
+
+def _open_writers() -> list:
+    """The run's files open for writing, text before binary; the launcher's
+    were frozen at the fork, so `gc.get_objects` leaves them out."""
+    objects = gc.get_objects()
+    return [o for o in objects if isinstance(o, io.TextIOWrapper)] \
+        + [o for o in objects if isinstance(o, (io.BufferedWriter, io.BufferedRandom))]
+
+
+def _free_modules(had: set[str]):
+    """Remove the modules not named in `had`, and `__main__`, from
+    `sys.modules` and free them as the interpreter does at exit: collect
+    them, so that their objects' `__del__`s see intact globals, then clear
+    the globals of any still alive, last imported first, and collect again."""
+    modules = [sys.modules.pop("__main__", None)] \
+        + [sys.modules.pop(name) for name in list(sys.modules) if name not in had]
+    refs = [weakref.ref(module) for module in reversed(modules) if isinstance(module, type(sys))]
+    del modules
+    gc.collect()
+    for ref in refs:
+        if (module := ref()) is not None:
+            vars(module).clear()
+    module = None
+    gc.collect()
+
+
+def _end_warm_run():
+    """The last atexit call: in a warm child, end the run as the module
+    docstring says; in the launcher, nothing."""
+    global _ended
+    if _ended is None:
+        return
+    had, error = _ended
+    _ended = None
+    status, interrupted = _exit_status(error), type(error) is KeyboardInterrupt
+    del error   # its traceback holds the run's frames
+    gc.collect()
+    if not _flushed(_open_writers()):
+        return
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        vars(sys).pop(name, None)   # as the interpreter drops them: they hold the frames too
+    atexit._clear()   # all made; the run's own would hold its modules' globals
+    _free_modules(had)
+    if not _flushed((sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__)):
+        return
+    if interrupted:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        status = 128 + signal.SIGINT   # the interpreter's, should the signal be blocked
+    os._exit(status & 0xFF)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from uqpilot.errors import (
     ValidationError,
 )
 from uqpilot.pilotjob import launcher, scheduler
-from uqpilot.pilotjob.jobs import JobSpec, detected_cores
+from uqpilot.pilotjob.jobs import TERMINAL, JobSpec, detected_cores
 from uqpilot.pilotjob.manager import load_batch, run_batch, write_report
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
 from uqpilot.pilotjob.scheduler import PilotManager
@@ -822,6 +822,74 @@ if mode == "closerange":   # the files reuse the lowest fds, the launcher pipe's
     os.closerange(3, 1024)
     for i in range(32):
         os.write(os.open(f"f{i}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), b"intact")
+# the modes below leave their mark, if any, in the file "left"
+if mode == "global-file":   # written, never closed
+    left = open("left", "w")
+    left.write("a global's file\\n")
+if mode == "cycle-file":   # held only by a cycle, which a global holds
+    cycle = [open("left", "w")]
+    cycle.append(cycle)
+    cycle[0].write("a cycle's file\\n")
+if mode == "garbage-file":   # held only by a garbage cycle: its text is lost
+    garbage = [open("left", "w")]
+    garbage.append(garbage)
+    garbage[0].write("a garbage cycle's file\\n")
+    del garbage
+if mode in ("del", "del-raise"):
+    import atexit
+
+    class Noisy:
+        def __del__(self):
+            sys.stdout.write("finalized\\n")   # a global: still there as the module is freed
+
+    def goodbye():
+        print("atexit")
+
+    noisy = Noisy()
+    atexit.register(goodbye)   # holds the module's globals until every atexit call is made
+    if mode == "del-raise":
+        raise ValueError("raised")   # its traceback holds them too
+if mode == "atexit":
+    import atexit
+
+    def first():
+        print("registered first, called last")
+
+    def second():
+        print("registered second, called first")
+
+    atexit.register(first)
+    atexit.register(second)
+if mode == "thread":   # a non-daemon thread outlives the module
+    import threading
+
+    def late():
+        time.sleep(0.2)
+        with open("left", "w") as fh:
+            fh.write("the thread's\\n")
+
+    threading.Thread(target=late).start()
+if mode == "kbi":
+    raise KeyboardInterrupt
+if mode == "atexit-clear":   # every atexit call removed: the interpreter's full exit
+    import atexit
+    atexit._clear()
+    left = open("left", "w")
+    left.write("a global's file\\n")
+if mode == "preloaded-exit":   # the atexit call of a module the launcher may have preloaded
+    print(["logging" in sys.modules])
+    import logging.handlers
+    target = logging.FileHandler("left")
+    handler = logging.handlers.MemoryHandler(100, flushLevel=logging.CRITICAL, target=target)
+    logging.getLogger().addHandler(handler)
+    logging.getLogger().warning("buffered until logging.shutdown")
+if mode == "hang-on-os":   # an object the run hangs on a module the launcher has
+    class Hung:
+        def __del__(self, open=open):   # the module's globals may be gone by then
+            with open("left", "w") as fh:
+                fh.write("finalized\\n")
+
+    os.hung = Hung()
 """ % SH_SLEEP
 
 
@@ -940,16 +1008,29 @@ class TestWarmLaunch:
         """(exit code, stdout, stderr) of two warm runs of `args` in `tmp_path`,
         one after the other on one manager: the second starts with the
         standard-library modules that the first taught the launcher."""
+        return [run[:3] for run in self.run_warm(tmp_path, 2, *args)]
+
+    @staticmethod
+    def run_warm(tmp_path, times, *args) -> list[tuple[int, bytes, bytes, bytes | None]]:
+        """(exit code, stdout, stderr, the file "left" or None) of `times` warm
+        runs of `args` in `tmp_path`, each started once the one before has
+        ended, on one manager."""
         (tmp_path / "warmmod.py").write_text(WARM_MODULE)
+        left = tmp_path / "left"
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        for run in "12":
+        runs = []
+        for run in map(str, range(1, times + 1)):
+            left.unlink(missing_ok=True)
             m.submit(JobSpec(name=run, command=warm_command(*args), workdir=str(tmp_path),
                              stdout=f"out{run}", stderr=f"err{run}"))
+            wait_for(lambda: m.job_snapshot(run)["status"] in TERMINAL)
+            assert started_warm(tmp_path)
+            runs.append((m.job_snapshot(run)["iterations"][0]["exit_code"],
+                         (tmp_path / f"out{run}").read_bytes(),
+                         (tmp_path / f"err{run}").read_bytes(),
+                         left.read_bytes() if left.exists() else None))
         m.drain()
-        assert started_warm(tmp_path)   # the second run's command line
-        return [(m.job_snapshot(run)["iterations"][0]["exit_code"],
-                 (tmp_path / f"out{run}").read_bytes(), (tmp_path / f"err{run}").read_bytes())
-                for run in "12"]
+        return runs
 
     @staticmethod
     def executed(tmp_path, *args) -> tuple[int, bytes, bytes]:
@@ -957,12 +1038,68 @@ class TestWarmLaunch:
                              capture_output=True)
         return ref.returncode, ref.stdout, ref.stderr
 
-    @pytest.mark.parametrize("mode", ["return", "exit3", "message", "raise", "os-exit"])
+    @classmethod
+    def executed_left(cls, tmp_path, *args) -> tuple[int, bytes, bytes, bytes | None]:
+        """`executed`, and the file "left" that the run leaves, or None."""
+        left = tmp_path / "left"
+        left.unlink(missing_ok=True)
+        return *cls.executed(tmp_path, *args), left.read_bytes() if left.exists() else None
+
+    @pytest.mark.parametrize("mode", [
+        "return", "exit3", "message", "raise", "os-exit", "global-file", "cycle-file",
+        "garbage-file", "del", "del-raise", "atexit", "thread", "kbi", "atexit-clear"])
     def test_exit_and_output_equal_an_executed_run(self, tmp_path, warm_pythonpath, mode):
-        warm = self.run_twice(tmp_path, mode)
-        assert warm == [self.executed(tmp_path, mode)] * 2
-        assert warm[0][0] == {"return": 0, "exit3": 3, "message": 1, "raise": 1,
-                              "os-exit": 5}[mode]
+        warm = self.run_warm(tmp_path, 2, mode)
+        assert warm == [self.executed_left(tmp_path, mode)] * 2
+        assert (warm[0][0], warm[0][3]) == {
+            "return": (0, None), "exit3": (3, None), "message": (1, None), "raise": (1, None),
+            "os-exit": (5, None), "global-file": (0, b"a global's file\n"),
+            "cycle-file": (0, b"a cycle's file\n"), "garbage-file": (0, b""), "del": (0, None),
+            "del-raise": (1, None), "atexit": (0, None), "thread": (0, b"the thread's\n"),
+            "kbi": (-signal.SIGINT, None), "atexit-clear": (0, b"a global's file\n")}[mode]
+        assert warm[0][1].endswith({
+            "del": b"atexit\nfinalized\n", "del-raise": b"atexit\nfinalized\n",
+            "atexit": b"registered second, called first\nregistered first, called last\n",
+        }.get(mode, b""))
+
+    def test_a_stdout_that_cannot_be_flushed_at_exit_equals_an_executed_run(
+            self, tmp_path, warm_pythonpath, monkeypatch):
+        # the run's file size limit stops the flush of its buffered stdout at
+        # exit: the interpreter reports it on stderr and exits 120
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        (tmp_path / "warmmod.py").write_text(
+            "import os, resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "os.write(1, b'x' * 4096)\n"
+            "sys.stdout.write('buffered')\n")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="w", command=warm_command(), workdir=str(tmp_path),
+                         stdout="out", stderr="err"))
+        m.drain()
+        assert start_mode(m, "w") == "warm"
+        warm = (m.job_snapshot("w")["iterations"][0]["exit_code"],
+                (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
+        with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+            code = subprocess.run(warm_command(), cwd=tmp_path, stdin=subprocess.DEVNULL,
+                                  stdout=out, stderr=err).returncode
+        assert warm == (code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
+        assert warm[0] == 120 and b"File too large" in warm[2]
+
+    def test_atexit_calls_of_preloaded_modules_still_run(self, tmp_path, warm_pythonpath):
+        # `logging.shutdown` flushes the MemoryHandler; from the second run on,
+        # the launcher has preloaded `logging` and registered it before the fork
+        runs = self.run_warm(tmp_path, 3, "preloaded-exit")
+        assert [run[0] for run in runs] == [0] * 3
+        assert [run[1].splitlines()[-1] for run in runs] == [b"[False]", b"[True]", b"[True]"]
+        assert [run[3] for run in runs] == [b"buffered until logging.shutdown\n"] * 3
+
+    def test_an_object_hung_on_a_launcher_module_is_not_finalized(
+            self, tmp_path, warm_pythonpath):
+        # the documented limit: freeing the launcher's modules is the teardown
+        # a warm run skips; an executed run frees `os` and finalizes the object
+        warm = self.run_warm(tmp_path, 1, "hang-on-os")
+        assert warm[0][0] == 0 and warm[0][3] is None
+        assert self.executed_left(tmp_path, "hang-on-os")[3] == b"finalized\n"
 
     def test_a_learned_standard_library_module_is_preloaded(self, tmp_path, warm_pythonpath):
         first, second = self.run_twice(tmp_path, "preloaded", "argparse", "decimal")

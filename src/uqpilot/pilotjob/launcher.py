@@ -36,7 +36,17 @@ down the launcher's modules. First the interpreter does what it does at
 any exit: it prints what ended the run, joins the non-daemon threads and
 makes the atexit calls, last in, first out. These include the calls of the
 modules the launcher preloaded (`logging.shutdown`). The last call is the
-launcher's own, registered before anything is preloaded. In order, it
+launcher's own, registered before anything is preloaded. It leaves the
+child to the interpreter's full exit when
+
+- a daemon thread still runs: the interpreter halts it before it frees any
+  module, so it never sees a global cleared or writes on past the exit;
+- the run has `ctypes` or cffi, or any extension module from outside the
+  standard library: its C code (a wrapped solver, Fortran) may have left
+  text in C's stdio buffers or exit work to the C library's `exit()`,
+  which `os._exit` skips.
+
+Otherwise, in order, it
 
 1. collects the run's garbage, as the interpreter does first: a file that
    only a garbage cycle holds loses its buffered text there too;
@@ -53,14 +63,15 @@ launcher's own, registered before anything is preloaded. In order, it
    `KeyboardInterrupt` ends the child by SIGINT, as the interpreter does.
 
 A flush that fails, or a run that removes the call (`atexit._clear()`),
-leaves the child to the interpreter's full exit, which reports the failure
-and exits 120 for a failed stdout or stderr. Two parts of an executed
+also leaves the child to the full exit, which reports the failure and
+exits 120 for a failed stdout or stderr. Three parts of an executed
 run's exit do not happen. The atexit calls registered before the launcher
 served (by `site` and `.pth` files) do not run: as with the launcher's
-modules, they are the launcher's. And an object that a run hangs on a
-module the launcher had at the fork (say on `os`) is not finalized. That
-teardown is the cost avoided, and the language does not promise a
-`__del__` at exit.
+modules, they are the launcher's. Nor does the C library's `exit()` run,
+but the standard library's own extension modules leave it no work that a
+run would see. And an object that a run hangs on a module the launcher
+had at the fork (say on `os`) is not finalized. That teardown is the cost
+avoided, and the language does not promise a `__del__` at exit.
 
 The launcher alone decides which. A run starts warm when all of these
 hold, and executed otherwise:
@@ -91,13 +102,15 @@ non-blocking write of at most PIPE_BUF bytes on a pipe of the launcher's,
 after `fstat` has shown the fd to be that pipe still, so a run that closed
 it and reused the number is never written to. The launcher reads them
 before the next request, so before its next warm fork, and imports them
-under two rules, besides the cwd rule above:
+under three rules, besides the cwd rule above:
 
 - An import that prints or warns (`this`; `imp` on 3.11) or fails is
   undone from `sys.modules` and never tried again: a run importing it
   itself shows what a fork would hide.
 - A module that acts outside the process on import (`antigravity`,
   `idlelib.idle`, any `__main__` submodule) is never tried.
+- An import that brings in ctypes is undone and never tried again, so
+  that only the runs that use ctypes end through the full exit.
 
 A module that records a process-wide value as it is imported, rather
 than as it is used, records the launcher's: for
@@ -134,6 +147,11 @@ _DEFAULT_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ, signal.SIGCHLD)
 # importing these acts outside the process: a browser, a window
 _NEVER_PRELOADED = frozenset({"antigravity", "idlelib.idle"})
 _SUFFIXES = importlib.machinery.all_suffixes()
+_EXTENSION_SUFFIXES = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+# these let a run call C code of its own, whose stdio buffers and exit
+# handlers only the C library's exit() sees to
+_C_CALLERS = frozenset({"_ctypes", "_cffi_backend"})
+_STDLIB = tuple({os.path.join(sysconfig.get_paths()[key], "") for key in ("stdlib", "platstdlib")})
 # in a warm child: (the names in `sys.modules` as its run started, the
 # exception that ended the run or None)
 _ended = None
@@ -198,17 +216,21 @@ def _preloadable(name: str) -> bool:
         and name not in _NEVER_PRELOADED and not name.endswith(".__main__")
 
 
-def _in_stdlib(module, stdlib: tuple[str, ...]) -> bool:
-    """Whether `module` is built-in, frozen, or a file under one of the
-    `stdlib` directories but not under site-packages or dist-packages."""
-    origin = getattr(getattr(module, "__spec__", None), "origin", None)
+def _origin(module):
+    return getattr(getattr(module, "__spec__", None), "origin", None)
+
+
+def _in_stdlib(module) -> bool:
+    """Whether `module` is built-in, frozen, or a file under the standard
+    library's directories but not under site-packages or dist-packages."""
+    origin = _origin(module)
     if origin in ("built-in", "frozen"):
         return True
-    return isinstance(origin, str) and origin.startswith(stdlib) \
+    return isinstance(origin, str) and origin.startswith(_STDLIB) \
         and not {"site-packages", "dist-packages"} & set(origin.split(os.sep))
 
 
-def _import_reporter(fd: int, stdlib: tuple[str, ...]):
+def _import_reporter(fd: int):
     """In a fresh warm child: a call that writes on `fd`, the launcher's pipe,
     the standard-library modules imported that are not among the names it
     is given, a name a line."""
@@ -218,7 +240,7 @@ def _import_reporter(fd: int, stdlib: tuple[str, ...]):
         try:
             lines = b""
             for name, module in list(sys.modules.items()):
-                if name in had or not _preloadable(name) or not _in_stdlib(module, stdlib):
+                if name in had or not _preloadable(name) or not _in_stdlib(module):
                     continue
                 line = os.fsencode(name) + b"\n"
                 if len(lines) + len(line) > select.PIPE_BUF:   # one atomic write
@@ -233,8 +255,9 @@ def _import_reporter(fd: int, stdlib: tuple[str, ...]):
 
 
 def _import_quietly(name: str):
-    """Import `name` in the launcher; undo it should the import print, warn or
-    fail, so that a run importing it itself shows what a fork would hide."""
+    """Import `name` in the launcher; undo it should the import print, warn,
+    fail or bring in ctypes, so that a run importing it itself shows what a
+    fork would hide, and only a run that uses ctypes pays the full exit."""
     had = set(sys.modules)
     streams = sys.stdout, sys.stderr
     sys.stdout = sys.stderr = captured = io.StringIO()
@@ -242,7 +265,8 @@ def _import_quietly(name: str):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             __import__(name)
-        quiet = not caught and not captured.getvalue()
+        quiet = not caught and not captured.getvalue() \
+            and not _C_CALLERS & (set(sys.modules) - had)
     except Exception:   # the launcher goes on; the run will meet the error itself
         quiet = False
     finally:
@@ -299,8 +323,6 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
     os.set_blocking(wake_w, False)
     learned_r, learned_w = os.pipe()   # warm children's standard-library imports
     os.set_blocking(learned_w, False)
-    paths = sysconfig.get_paths()
-    stdlib = tuple({os.path.join(paths[key], "") for key in ("stdlib", "platstdlib")})
     python = _warm_python()
     signal.set_wakeup_fd(wake_w)    # a child's exit wakes the select below
     signal.signal(signal.SIGCHLD, lambda signum, frame: None)
@@ -381,7 +403,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
                 _enter_task(stdout, stderr)
             except (OSError, ValueError):
                 os._exit(127)
-            return command, _import_reporter(learned_w, stdlib)
+            return command, _import_reporter(learned_w)
     return None
 
 
@@ -465,6 +487,18 @@ def _free_modules(had: set[str]):
     gc.collect()
 
 
+def _needs_full_exit() -> bool:
+    """Whether a warm child must end through the interpreter's full exit:
+    a daemon thread runs, which the interpreter halts before it frees any
+    module, or the run can call C code of its own."""
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:   # non-daemon ones are joined
+        return True
+    return any(name in _C_CALLERS or isinstance(origin := _origin(module), str)
+               and origin.endswith(_EXTENSION_SUFFIXES) and not _in_stdlib(module)
+               for name, module in list(sys.modules.items()))
+
+
 def _end_warm_run():
     """The last atexit call: in a warm child, end the run as the module
     docstring says; in the launcher, nothing."""
@@ -473,6 +507,8 @@ def _end_warm_run():
         return
     had, error = _ended
     _ended = None
+    if _needs_full_exit():
+        return
     status, interrupted = _exit_status(error), type(error) is KeyboardInterrupt
     del error   # its traceback holds the run's frames
     gc.collect()

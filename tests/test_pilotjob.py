@@ -869,6 +869,32 @@ if mode == "thread":   # a non-daemon thread outlives the module
             fh.write("the thread's\\n")
 
     threading.Thread(target=late).start()
+if mode == "daemon":   # halted before any module is freed: it never writes "left"
+    import threading
+
+    # `main` keeps the module alive, so that freeing it clears its globals
+    def late(main, freeing, written, open=open):
+        freeing.acquire()
+        with open("left", "w") as fh:
+            fh.write("the daemon's\\n")
+        written.release()
+
+    class Freed:   # locks, not events: the teardown may have cleared `threading` by now
+        def __init__(self):
+            self.locks = threading.Lock(), threading.Lock()
+            for lock in self.locks:
+                lock.acquire()
+
+        def __del__(self):
+            freeing, written = self.locks
+            freeing.release()
+            written.acquire(timeout=0.3)
+
+    freed = Freed()
+    threading.Thread(target=late, args=(sys.modules[__name__], *freed.locks), daemon=True).start()
+if mode == "c-printf":   # text in C's stdio buffer, which only the C library's exit flushes
+    import ctypes
+    ctypes.CDLL(None).printf(b"from C")
 if mode == "kbi":
     raise KeyboardInterrupt
 if mode == "atexit-clear":   # every atexit call removed: the interpreter's full exit
@@ -1004,17 +1030,12 @@ class TestWarmLaunch:
         code = m.job_snapshot("w")["iterations"][0]["exit_code"]
         return code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
 
-    def run_twice(self, tmp_path, *args):
-        """(exit code, stdout, stderr) of two warm runs of `args` in `tmp_path`,
-        one after the other on one manager: the second starts with the
-        standard-library modules that the first taught the launcher."""
-        return [run[:3] for run in self.run_warm(tmp_path, 2, *args)]
-
     @staticmethod
     def run_warm(tmp_path, times, *args) -> list[tuple[int, bytes, bytes, bytes | None]]:
         """(exit code, stdout, stderr, the file "left" or None) of `times` warm
         runs of `args` in `tmp_path`, each started once the one before has
-        ended, on one manager."""
+        ended, on one manager: each starts with the standard-library modules
+        that those before it taught the launcher."""
         (tmp_path / "warmmod.py").write_text(WARM_MODULE)
         left = tmp_path / "left"
         m = PilotManager(1, workdir=tmp_path, clock="wall")
@@ -1033,33 +1054,34 @@ class TestWarmLaunch:
         return runs
 
     @staticmethod
-    def executed(tmp_path, *args) -> tuple[int, bytes, bytes]:
-        ref = subprocess.run(warm_command(*args), cwd=tmp_path, stdin=subprocess.DEVNULL,
-                             capture_output=True)
-        return ref.returncode, ref.stdout, ref.stderr
-
-    @classmethod
-    def executed_left(cls, tmp_path, *args) -> tuple[int, bytes, bytes, bytes | None]:
-        """`executed`, and the file "left" that the run leaves, or None."""
+    def executed(tmp_path, *args) -> tuple[int, bytes, bytes, bytes | None]:
+        """`run_warm`'s tuple for one executed run of `args` in `tmp_path`."""
         left = tmp_path / "left"
         left.unlink(missing_ok=True)
-        return *cls.executed(tmp_path, *args), left.read_bytes() if left.exists() else None
+        ref = subprocess.run(warm_command(*args), cwd=tmp_path, stdin=subprocess.DEVNULL,
+                             capture_output=True)
+        return ref.returncode, ref.stdout, ref.stderr, left.read_bytes() if left.exists() else None
 
     @pytest.mark.parametrize("mode", [
         "return", "exit3", "message", "raise", "os-exit", "global-file", "cycle-file",
-        "garbage-file", "del", "del-raise", "atexit", "thread", "kbi", "atexit-clear"])
-    def test_exit_and_output_equal_an_executed_run(self, tmp_path, warm_pythonpath, mode):
+        "garbage-file", "del", "del-raise", "atexit", "thread", "daemon", "c-printf", "kbi",
+        "atexit-clear"])
+    def test_exit_and_output_equal_an_executed_run(
+            self, tmp_path, warm_pythonpath, monkeypatch, mode):
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)   # it also unbuffers C's stdout
         warm = self.run_warm(tmp_path, 2, mode)
-        assert warm == [self.executed_left(tmp_path, mode)] * 2
+        assert warm == [self.executed(tmp_path, mode)] * 2
         assert (warm[0][0], warm[0][3]) == {
             "return": (0, None), "exit3": (3, None), "message": (1, None), "raise": (1, None),
             "os-exit": (5, None), "global-file": (0, b"a global's file\n"),
             "cycle-file": (0, b"a cycle's file\n"), "garbage-file": (0, b""), "del": (0, None),
             "del-raise": (1, None), "atexit": (0, None), "thread": (0, b"the thread's\n"),
-            "kbi": (-signal.SIGINT, None), "atexit-clear": (0, b"a global's file\n")}[mode]
+            "daemon": (0, None), "c-printf": (0, None), "kbi": (-signal.SIGINT, None),
+            "atexit-clear": (0, b"a global's file\n")}[mode]
         assert warm[0][1].endswith({
             "del": b"atexit\nfinalized\n", "del-raise": b"atexit\nfinalized\n",
             "atexit": b"registered second, called first\nregistered first, called last\n",
+            "c-printf": b"from C",
         }.get(mode, b""))
 
     def test_a_stdout_that_cannot_be_flushed_at_exit_equals_an_executed_run(
@@ -1099,35 +1121,41 @@ class TestWarmLaunch:
         # a warm run skips; an executed run frees `os` and finalizes the object
         warm = self.run_warm(tmp_path, 1, "hang-on-os")
         assert warm[0][0] == 0 and warm[0][3] is None
-        assert self.executed_left(tmp_path, "hang-on-os")[3] == b"finalized\n"
+        assert self.executed(tmp_path, "hang-on-os")[3] == b"finalized\n"
 
     def test_a_learned_standard_library_module_is_preloaded(self, tmp_path, warm_pythonpath):
-        first, second = self.run_twice(tmp_path, "preloaded", "argparse", "decimal")
+        first, second = self.run_warm(tmp_path, 2, "preloaded", "argparse", "decimal")
         assert b"\n[False, False]\n" in first[1]
         assert b"\n[True, True]\n" in second[1]
 
     def test_random_and_tempfile_names_differ_between_runs(self, tmp_path, warm_pythonpath):
         # a fork reseeds `random` and renews tempfile's name sequence
-        first, second = self.run_twice(tmp_path, "state")
+        first, second = self.run_warm(tmp_path, 2, "state")
         assert first[0] == second[0] == 0
         random_values, temp_names = zip(first[1].split()[-2:], second[1].split()[-2:])
         assert random_values[0] != random_values[1] and temp_names[0] != temp_names[1]
 
     def test_a_module_that_prints_on_import_prints_in_every_run(self, tmp_path, warm_pythonpath):
-        warm = self.run_twice(tmp_path, "preloaded", "this")
+        warm = self.run_warm(tmp_path, 2, "preloaded", "this")
         assert warm == [self.executed(tmp_path, "preloaded", "this")] * 2
         assert b"The Zen of Python" in warm[1][1]
 
     def test_a_module_that_warns_on_import_warns_in_every_run(self, tmp_path, warm_pythonpath):
         if importlib.util.find_spec("imp") is None:
             pytest.skip("no `imp` module in this Python")
-        warm = self.run_twice(tmp_path, "preloaded", "imp")
+        warm = self.run_warm(tmp_path, 2, "preloaded", "imp")
         assert warm == [self.executed(tmp_path, "preloaded", "imp")] * 2
         assert b"DeprecationWarning" in warm[1][2]
 
     def test_numpy_is_never_preloaded(self, tmp_path, warm_pythonpath):
         pytest.importorskip("numpy")
-        first, second = self.run_twice(tmp_path, "preloaded", "numpy")
+        first, second = self.run_warm(tmp_path, 2, "preloaded", "numpy")
+        assert first[0] == second[0] == 0
+        assert b"\n[False]\n" in second[1]
+
+    def test_ctypes_is_never_preloaded(self, tmp_path, warm_pythonpath):
+        # a run with ctypes ends through the full exit, which no other run should pay
+        first, second = self.run_warm(tmp_path, 2, "preloaded", "ctypes")
         assert first[0] == second[0] == 0
         assert b"\n[False]\n" in second[1]
 
@@ -1153,7 +1181,7 @@ class TestWarmLaunch:
         assert [start_mode(m, name) for name in ("teach", "own")] == ["warm", "exec"]
         warm = (m.job_snapshot("own")["iterations"][0]["exit_code"],
                 (own / "out").read_bytes(), (own / "err").read_bytes())
-        assert warm == self.executed(own, "preloaded", module)
+        assert warm == self.executed(own, "preloaded", module)[:3]
         assert f"the run's {module}\n".encode() in warm[1]
 
     def test_argv_path_name_and_stdin_are_those_of_python_m(self, tmp_path, warm_pythonpath):

@@ -24,7 +24,7 @@ from uqpilot.campaign.config import (
     ParameterDef,
     SCHEMA_VERSION,
 )
-from uqpilot.errors import DecodeError, StoreCorrupt, StoreLocked
+from uqpilot.errors import DecodeError, StoreCorrupt, StoreLocked, StoreMissing
 
 DB_FILENAME = "campaign.db"
 BUSY_TIMEOUT_SECONDS = 30.0   # how long a write waits for another writer's lock
@@ -161,7 +161,7 @@ class CampaignStore:
         if path.is_dir():
             path = path / DB_FILENAME
         if not path.is_file():
-            raise StoreCorrupt(f"no campaign store at {path}")
+            raise StoreMissing(f"no campaign store at {path}")
         conn = cls._connect(path)
         store = cls(path, conn)
         store.check_integrity()

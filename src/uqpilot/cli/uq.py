@@ -3,10 +3,11 @@
 Subcommands parse, call the library and print; `main` alone maps errors
 to the published exit codes: 0 success; 1 run failures, including
 `MissingRunError` (analysis or validation over runs not collated); 2
-usage and configuration problems, which is every other `UqError`; 3
-refusals (`init` into a non-empty workdir, `StoreLocked` from another
-writer's lock); 4 `StoreCorrupt`, which includes a database error in any
-store transaction. The commands that write the store (`sample`, `run`,
+usage and configuration problems, which is every other `UqError`
+(`StoreMissing` among them); 3 refusals (`init` into a non-empty workdir
+or over a store, `StoreLocked` from another writer's lock); 4
+`StoreCorrupt`, which includes a database error in any store
+transaction. The commands that write the store (`sample`, `run`,
 `collate`, `resume` and `validate --pattern ensemble`) hold the workdir's
 `campaign.lock` for their whole life, so a second one exits 3; readers
 take no lock. A SIGTERM or SIGHUP ends `uq run` as Ctrl-C does,
@@ -26,6 +27,7 @@ import time
 from pathlib import Path
 
 from uqpilot.campaign.ops import Campaign
+from uqpilot.campaign.store import DB_FILENAME
 from uqpilot.cli import stop_on_termination
 from uqpilot.errors import StoreLocked
 
@@ -159,7 +161,13 @@ def _write_report(workdir: str, stem: str, writers: dict) -> list[Path]:
 
 def cmd_init(args) -> int:
     workdir = Path(args.workdir)
-    if workdir.exists() and any(workdir.iterdir()) and not args.force:
+    try:
+        entries = {p.name for p in workdir.iterdir()} if workdir.exists() else set()
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot use workdir {workdir}: {exc.strerror}")
+    if DB_FILENAME in entries:
+        return _fail(EXIT_REFUSED, f"workdir {workdir} already holds a campaign store")
+    if entries and not args.force:
         return _fail(EXIT_REFUSED, f"workdir {workdir} is not empty (use --force)")
     with Campaign.create(args.config, workdir) as campaign:
         print(campaign.store.path)

@@ -29,6 +29,10 @@ class StoreCorrupt(UqError):
     """Campaign store failed its load-time checks, or a database error ended a transaction."""
 
 
+class StoreMissing(UqError):
+    """No campaign store where one was asked for."""
+
+
 class StoreLocked(UqError):
     """Another writer holds the campaign's lock, or held the store's write
     lock past the busy timeout."""

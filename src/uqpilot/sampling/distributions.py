@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from uqpilot.errors import ConfigError, DomainError
 
@@ -59,6 +58,9 @@ class Distribution1D:
         if self.variant == "uniform":
             lo, hi = self.args
             return lo + u * (hi - lo)
+        # only the normal quantile needs scipy, so only it pays for the import
+        from scipy.special import ndtri
+
         mu, sigma = self.args
         return mu + sigma * ndtri(u)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -13,17 +15,21 @@ DEMO_CONFIG = REPO_ROOT / "demo" / "covid-demo" / "config.json"
 UQ_ERRORS = [cls for cls in vars(errors).values()
              if isinstance(cls, type) and issubclass(cls, errors.UqError)]
 
+# the console scripts of pyproject.toml, and the module each runs
+CONSOLE_SCRIPTS = {"uq": "uqpilot.cli.uq", "pj": "uqpilot.cli.pj", "uq-toy": "uqpilot.toy"}
+
 _terminal = None
 
 
+@pytest.hookimpl(trylast=True)   # after the terminal reporter has registered
 def pytest_configure(config):
     global _terminal
     _terminal = config.pluginmanager.get_plugin("terminalreporter")
 
 
 def pytest_runtest_logreport(report):
-    """One visible pass/fail line per acceptance criterion."""
-    if report.when != "call" or "test_acceptance.py" not in report.nodeid:
+    """One visible pass/fail line per test marked `acceptance`."""
+    if report.when != "call" or "acceptance" not in report.keywords:
         return
     if _terminal is None:
         return
@@ -44,8 +50,7 @@ def demo_config_path(tmp_path) -> Path:
     return path
 
 
-@pytest.fixture
-def child_env() -> dict[str, str]:
+def package_env() -> dict[str, str]:
     """Environment for a child Python that must import this ``uqpilot``.
 
     A relative ``PYTHONPATH`` entry (``src``) resolves against the child's
@@ -61,6 +66,29 @@ def child_env() -> dict[str, str]:
         p for p in (root, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+@pytest.fixture
+def child_env() -> dict[str, str]:
+    return package_env()
+
+
+@pytest.fixture(scope="session")
+def console_scripts(tmp_path_factory) -> Path:
+    """A directory holding `uq`, `pj` and `uq-toy`: the console scripts
+    installed for this interpreter, where they are, else shims that run
+    each one's module with ``python -m``. Either imports this ``uqpilot``
+    under `package_env`."""
+    bin_dir = tmp_path_factory.mktemp("bin")
+    installed = Path(sysconfig.get_path("scripts"))
+    for name, module in CONSOLE_SCRIPTS.items():
+        script = bin_dir / name
+        if (installed / name).is_file():
+            script.symlink_to(installed / name)
+        else:
+            script.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m {module} "$@"\n')
+            script.chmod(0o755)
+    return bin_dir
 
 
 @pytest.fixture

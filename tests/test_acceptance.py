@@ -1,24 +1,28 @@
-"""The covid-demo walkthrough, end to end through the `uq` CLI.
+"""The covid-demo WALKTHROUGH, end to end: its one `sh` block run by `bash -e`.
 
-init -> sample (sparse sc, level 2) -> run -> analyze --qoi dead, then the
-report is checked against two oracles that do not use the spectral path:
-the toy's deaths do not depend on the hospital recovery period at all,
-and the final-day indices agree with pick-freeze Monte Carlo.
+The block runs as written, in a temp directory that links the checkout's
+`demo/` and holds the two reference files of its step 5, with `/tmp/covid`
+rewritten to a temp workdir. `uq`, `pj` and `uq-toy` come from the
+`console_scripts` fixture. The level-2 report of step 4 is then checked
+against two oracles that do not use the spectral path: the toy's deaths do
+not depend on the hospital recovery period at all, and the final-day
+indices agree with pick-freeze Monte Carlo.
 """
 
 import json
 import os
-import sys
+import random
+import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import uqpilot
+from tests.conftest import package_env
 from uqpilot.analysis.mc_sobol import sobol_mc
-from uqpilot.cli import uq
 from uqpilot.sampling.distributions import uniform
-from uqpilot.toy import toy_model
+from uqpilot.toy import PARAM_RANGES, toy_model
 
 pytestmark = pytest.mark.acceptance
 
@@ -30,47 +34,61 @@ INERT = "recovery_period"
 # allows the same).
 TRUNCATION = 0.1
 DEMO = Path(__file__).resolve().parent.parent / "demo" / "covid-demo"
+WORKDIR = "/tmp/covid"
+
+
+def walkthrough_commands() -> str:
+    """The one `sh` block of WALKTHROUGH.md."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", (DEMO / "WALKTHROUGH.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, blocks
+    assert WORKDIR in blocks[0]
+    return blocks[0]
 
 
 @pytest.fixture(scope="module")
-def demo_report(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("covid")
-    doc = json.loads((DEMO / "config.json").read_text())
-    doc["app"]["template"] = str(DEMO / doc["app"]["template"])
-    # the toy as a module of this interpreter, importable from any run dir
-    doc["app"]["command"] = [sys.executable, "-m", "uqpilot.toy", doc["app"]["target"]]
-    config = tmp / "config.json"
-    config.write_text(json.dumps(doc))
-    wd = str(tmp / "campaign")
-    src = str(Path(uqpilot.__file__).resolve().parent.parent)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PYTHONPATH", os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        codes = [
-            uq.main(["init", "--config", str(config), "--workdir", wd]),
-            uq.main(["sample", "--workdir", wd, "--sampler", "sc", "--sparse", "--level", "2"]),
-            uq.main(["run", "--workdir", wd]),
-            uq.main(["analyze", "--workdir", wd, "--qoi", "dead"]),
-        ]
-    report = json.loads((tmp / "campaign" / "reports" / "analysis-dead-latest.json").read_text())
-    params = {p["name"]: p["distribution"]["args"] for p in doc["parameters"]}
-    return codes, report, params
+def walkthrough(tmp_path_factory, console_scripts):
+    tmp = tmp_path_factory.mktemp("walkthrough")
+    (tmp / "demo").symlink_to(DEMO.parent)
+    # ref.csv: the final-day deaths of 200 draws of the toy; ref-day.csv:
+    # the toy's daily deaths at its defaults
+    rng = random.Random(7)
+    final = [toy_model({k: rng.uniform(*r) for k, r in PARAM_RANGES.items()})[-1]
+             for _ in range(200)]
+    (tmp / "ref.csv").write_text("dead\n" + "".join(f"{v!r}\n" for v in final))
+    (tmp / "ref-day.csv").write_text("dead\n" + "".join(f"{v!r}\n" for v in toy_model({})))
+    wd = tmp / "covid"
+    env = package_env()
+    env["PATH"] = os.pathsep.join((str(console_scripts), env["PATH"]))
+    proc = subprocess.run(["bash", "-e", "-c", walkthrough_commands().replace(WORKDIR, str(wd))],
+                          cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
+    return proc, wd
 
 
-def test_walkthrough_exits_cleanly(demo_report):
-    codes, report, _ = demo_report
-    assert codes == [0, 0, 0, 0]
-    assert len(report["variance"]) == 120
+def final_day_report(walkthrough) -> dict:
+    _, wd = walkthrough
+    return json.loads((wd / "reports" / "analysis-dead-latest.json").read_text())
 
 
-def test_inert_recovery_period_has_no_total_effect(demo_report):
-    _, report, _ = demo_report
-    totals = [v for v in report["sobol_total"][INERT] if v is not None]
+def test_walkthrough_exits_cleanly(walkthrough):
+    proc, wd = walkthrough
+    assert proc.returncode == 0, proc.stderr
+    for name in ("analysis-dead", "validation-similarity", "validation-ensemble"):
+        assert (wd / "reports" / f"{name}-latest.json").is_file(), name
+    # one variance per day, and ref-day.csv holds one reference value per day
+    assert len(final_day_report(walkthrough)["variance"]) == len(toy_model({})) == 120
+
+
+def test_inert_recovery_period_has_no_total_effect(walkthrough):
+    totals = [v for v in final_day_report(walkthrough)["sobol_total"][INERT] if v is not None]
     assert totals
     assert max(totals) < 1e-10
 
 
-def test_final_day_indices_agree_with_pick_freeze(demo_report):
-    _, report, params = demo_report
+def test_final_day_indices_agree_with_pick_freeze(walkthrough):
+    report = final_day_report(walkthrough)
+    doc = json.loads((DEMO / "config.json").read_text())
+    params = {p["name"]: p["distribution"]["args"] for p in doc["parameters"]}
     names = list(params)
     dists = [uniform(*params[n]) for n in names]
 

@@ -139,6 +139,26 @@ def test_serve_batch_logs_under_a_relative_workdir(tmp_path, monkeypatch, capsys
     assert not Path("w4/w4").exists()
 
 
+def test_serve_batch_through_the_console_script(tmp_path, console_scripts, child_env):
+    # `pj` itself on two jobs, b after a, and on a malformed job: the exit
+    # codes pass through the script
+    def serve(jobs, workdir):
+        path = tmp_path / f"{workdir}.json"
+        path.write_text(json.dumps({"jobs": jobs}))
+        return subprocess.run([console_scripts / "pj", "serve", "--batch", path,
+                               "--workdir", tmp_path / workdir],
+                              env=child_env, capture_output=True, timeout=60).returncode
+
+    assert serve([{"name": "a", "command": ["true"]},
+                  {"name": "b", "command": ["true"], "after": ["a"]}], "wd") == pj.EXIT_OK
+    report = json.loads((tmp_path / "wd" / REPORT_FILENAME).read_text())
+    jobs = {job["name"]: job for job in report["jobs"]}
+    assert [jobs[n]["status"] for n in "ab"] == ["SUCCEEDED"] * 2, jobs
+    a, b = (jobs[n]["iterations"][0] for n in "ab")
+    assert b["start"] >= a["end"], (a, b)
+    assert serve([{"name": "a", "command": ["true"], "cores": "two"}], "bad") == pj.EXIT_USAGE
+
+
 def test_serve_socket_round_trip(tmp_path, capsys, child_env):
     # a process of its own: the server prints its summary as soon as it has
     # answered the finish, which in this process would race the client's line

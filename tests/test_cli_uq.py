@@ -93,6 +93,39 @@ class TestInit:
         assert out.err.startswith(f"uq: cannot read config file {config}: ")
         assert not (tmp_path / "camp").exists()
 
+    @pytest.mark.parametrize("used, argv, code, message", [
+        ("a file in it", [], uq.EXIT_REFUSED, "workdir {wd} is not empty (use --force)"),
+        ("a store", ["--force"], uq.EXIT_REFUSED, "workdir {wd} already holds a campaign store"),
+        ("a regular file", [], uq.EXIT_USAGE, "cannot use workdir {wd}: Not a directory"),
+    ], ids=["not-empty", "force-over-a-store", "regular-file"])
+    def test_a_used_or_unusable_workdir_is_left_alone(self, tmp_path, capsys, used, argv,
+                                                       code, message):
+        wd = tmp_path / "camp"
+        if used == "a store":
+            make_campaign(tmp_path, n_runs=0)
+        elif used == "a file in it":
+            wd.mkdir()
+            (wd / "notes").write_text("mine\n")
+        else:
+            wd.write_text("mine\n")
+        before = {p: p.read_bytes() for p in [wd, *wd.rglob("*")] if p.is_file()}
+        config = write_config(tmp_path, [uniform_param("a", 0.0, 1.0)], "y\n$a\n", ["true"])
+        capsys.readouterr()
+        assert uq.main(["init", "--config", str(config), "--workdir", str(wd), *argv]) == code
+        assert capsys.readouterr().err == f"uq: {message.format(wd=wd)}\n"
+        assert {p: p.read_bytes() for p in [wd, *wd.rglob("*")] if p.is_file()} == before
+
+    def test_init_of_the_demo_imports_no_scipy(self, tmp_path, demo_config_path, child_env):
+        # only the normal quantile needs scipy, and the demo has no normal input
+        script = ("import sys; from uqpilot.cli import uq; code = uq.main(sys.argv[1:]); "
+                  "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')); "
+                  "sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script, "init", "--config",
+                               str(demo_config_path), "--workdir", str(tmp_path / "camp")],
+                              env=child_env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == uq.EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestRunCores:
     @pytest.mark.parametrize("argv", [
@@ -279,10 +312,15 @@ class TestRun:
         assert out.err.startswith("uq: ") and "'b'" in out.err
         assert set(statuses(wd).values()) == {"NEW"}
 
-    @pytest.mark.parametrize("target", ["process", "group"])
-    def test_sigterm_stops_the_runs_in_flight(self, tmp_path, child_env, target):
+    @pytest.mark.parametrize("target, signum", [
+        pytest.param("process", signal.SIGTERM, id="process"),
+        pytest.param("group", signal.SIGTERM, id="group"),
+        pytest.param("process", signal.SIGHUP, id="process-sighup"),
+    ])
+    def test_sigterm_stops_the_runs_in_flight(self, tmp_path, child_env, target, signum):
         # a SIGTERM to `uq run` alone, or to its process group as `timeout`
-        # sends it: the runs' own groups are canceled before it exits
+        # sends it, or a SIGHUP: the runs' own groups are canceled before it
+        # exits 128 + the signal
         cfg = write_config(tmp_path, [uniform_param("a", 0.0, 1.0)], "y\n$a\n",
                            ["sh", "-c", SH_SLEEP])
         wd = str(tmp_path / "camp")
@@ -296,10 +334,10 @@ class TestRun:
         try:
             sleeps = [sleep_of(Path(wd) / "runs" / f"run_00000{k}") for k in (1, 2)]
             if target == "process":
-                proc.send_signal(signal.SIGTERM)
+                proc.send_signal(signum)
             else:
-                os.killpg(proc.pid, signal.SIGTERM)
-            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+                os.killpg(proc.pid, signum)
+            assert proc.wait(timeout=30) == 128 + signum
         finally:
             proc.kill()
             proc.wait()
@@ -577,6 +615,24 @@ class TestValidate:
 
 
 class TestStoreErrors:
+    @pytest.mark.parametrize("content, code, start, end", [
+        (None, uq.EXIT_USAGE, "uq: no campaign store at {wd}", "\n"),
+        (b"not a database at all", uq.EXIT_CORRUPT, "uq: {wd}/campaign.db: ",
+         " (store may need manual recovery)\n"),
+    ], ids=["missing", "garbage"])
+    def test_a_workdir_without_a_readable_store(self, tmp_path, console_scripts, child_env,
+                                                content, code, start, end):
+        # through `uq` itself, so its exit code passes through the script
+        wd = tmp_path / "nowhere"
+        if content is not None:
+            wd.mkdir()
+            (wd / store_module.DB_FILENAME).write_bytes(content)
+        proc = subprocess.run([console_scripts / "uq", "status", "--workdir", wd],
+                              env=child_env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(start.format(wd=wd)) and proc.stderr.endswith(end)
+        assert proc.stderr.count("\n") == 1
+
     def test_a_database_error_in_a_transaction_is_corruption(self, tmp_path, monkeypatch,
                                                               capsys):
         # a second insert of one run's qoi rows, as a second writer's would be

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import stat
 import subprocess
@@ -397,6 +398,20 @@ def record_popen(monkeypatch) -> list[subprocess.Popen]:
     return started
 
 
+def record_start_modes(monkeypatch) -> list[str]:
+    """Keep the start mode the launcher reports for each run that ends."""
+    modes: list[str] = []
+    read = scheduler._Launcher.read
+
+    def recording_read(launcher):
+        ended = read(launcher)
+        modes.extend(task.start_mode for task, _ in ended)
+        return ended
+
+    monkeypatch.setattr(scheduler._Launcher, "read", recording_read)
+    return modes
+
+
 def qoi_frame(campaign: Campaign) -> str:
     rows = campaign.store._conn.execute(
         "SELECT run_id, qoi, values_json FROM qoi_values ORDER BY run_id, qoi"
@@ -405,8 +420,7 @@ def qoi_frame(campaign: Campaign) -> str:
 
 
 class TestExecutorEquivalence:
-    def test_qoi_frames_bitwise_identical(self, tmp_path, demo_config_path, warm_pythonpath,
-                                          monkeypatch):
+    def test_qoi_frames_bitwise_identical(self, tmp_path):
         frames = {}
         for cores in (1, 3, 4):
             base = tmp_path / f"cores{cores}"
@@ -417,25 +431,55 @@ class TestExecutorEquivalence:
             frames[cores] = qoi_frame(campaign)
         assert frames[1] == frames[3] == frames[4]
 
-        # the toy started warm by `python -m`, and executed through `-c`
+    @pytest.mark.parametrize("run_options",
+                             [[], ["--executor", "pilotjob", "--allocation-cores", "2"]],
+                             ids=["serial", "pilotjob"])
+    def test_the_toy_started_warm_equals_the_toy_executed(
+            self, tmp_path, demo_config_path, warm_pythonpath, console_scripts, monkeypatch,
+            run_options):
+        # The demo at level 1 twice: the toy executed through `uq-toy`,
+        # wrapped to log each start, and started warm by `python -m`. `uq run`
+        # starts the launcher alone, which reports how it started each run.
+        # The warm runs share one launcher, so later runs start with the
+        # modules earlier ones taught it, and each run's stdout, stderr and
+        # deaths.csv, the files a warm run's fast exit must flush, equal the
+        # executed run's.
+        log = tmp_path / "uq-toy.log"
+        logged = tmp_path / "logged"
+        logged.mkdir()
+        (logged / "uq-toy").write_text(
+            f'#!/bin/sh\necho "$$" >> "{log}"\nexec "{console_scripts / "uq-toy"}" "$@"\n')
+        (logged / "uq-toy").chmod(0o755)
+        monkeypatch.setenv("PATH", os.pathsep.join((str(logged), os.environ["PATH"])))
         started = record_popen(monkeypatch)
-        commands = {
-            "warm": [sys.executable, "-m", "uqpilot.toy", "input.json"],
-            "exec": [sys.executable, "-c", "import sys, uqpilot.toy as t; sys.exit(t.main())",
-                     "input.json"],
-        }
-        toy_frames, launches = {}, {}
-        for name, command in commands.items():
-            doc = json.loads(demo_config_path.read_text())
-            doc["app"]["command"] = command
-            config = demo_config_path.with_name(f"{name}.json")
-            config.write_text(json.dumps(doc))
-            campaign = Campaign.create(config, tmp_path / name)
-            campaign.add_stage(SamplerSpec("mc", n=8, seed=31))
-            before = len(started)
-            assert execute_campaign(campaign, RunPlan(cores=2)).ok
-            launches[name] = len(started) - before
-            toy_frames[name] = qoi_frame(campaign)
-        assert launches == {"warm": 1, "exec": 1}   # one launcher starts every run
-        assert toy_frames["warm"] == toy_frames["exec"]
-        assert len(json.loads(toy_frames["warm"])) == 8
+        modes = record_start_modes(monkeypatch)
+        doc = json.loads(demo_config_path.read_text())
+        commands = {"exec": doc["app"]["command"],
+                    "warm": [sys.executable, "-m", "uqpilot.toy", "input.json"]}
+        assert commands["exec"][0] == "uq-toy"
+        frames = {}
+        for mode, command in commands.items():
+            config = demo_config_path.with_name(f"{mode}.json")
+            config.write_text(json.dumps({**doc, "app": {**doc["app"], "command": command}}))
+            with Campaign.create(config, tmp_path / mode) as campaign:
+                campaign.add_stage(SamplerSpec("sc", level=1, growth="exp2", sparse=True))
+            started.clear()
+            modes.clear()
+            assert uq.main(["run", "--workdir", str(tmp_path / mode), *run_options]) == uq.EXIT_OK
+            assert [p.args[:2] for p in started] == [[sys.executable, str(scheduler.LAUNCHER)]]
+            assert modes == [mode] * 13
+            # the toys the exec mode started; the warm mode starts none
+            assert len(log.read_text().split()) == 13
+            with Campaign.open(tmp_path / mode) as campaign:
+                frames[mode] = qoi_frame(campaign)
+        assert len(json.loads(frames["exec"])) == 13
+        assert frames["warm"] == frames["exec"]
+        for pattern, count in (("runs/*/run.std*", 26), ("runs/*/deaths.csv", 13)):
+            names = sorted(p.relative_to(tmp_path / "exec")
+                           for p in (tmp_path / "exec").glob(pattern))
+            assert len(names) == count, names
+            assert names == sorted(p.relative_to(tmp_path / "warm")
+                                   for p in (tmp_path / "warm").glob(pattern))
+            for name in names:
+                assert (tmp_path / "exec" / name).read_bytes() == \
+                    (tmp_path / "warm" / name).read_bytes(), name

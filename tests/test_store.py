@@ -11,7 +11,7 @@ from tests.conftest import uniform_param, write_config
 from uqpilot.campaign.config import load_config
 from uqpilot.campaign.ops import Campaign
 from uqpilot.campaign.store import ALLOWED_TRANSITIONS, CampaignStore, IllegalTransition
-from uqpilot.errors import StoreCorrupt
+from uqpilot.errors import StoreCorrupt, StoreMissing
 
 TEMPLATE = "a=$a\n"
 
@@ -159,7 +159,7 @@ class TestIntegrity:
         assert store.load_frame("y")[1] == [(1, [1.0]), (2, [2.0])]
 
     def test_open_missing(self, tmp_path):
-        with pytest.raises(StoreCorrupt):
+        with pytest.raises(StoreMissing):
             CampaignStore.open(tmp_path)
 
     def test_garbage_file(self, tmp_path):

@@ -9,7 +9,8 @@ One JSON document describes a campaign:
         "template": "input.template",
         "delimiter": "$",
         "target": "input.json",            # optional, defaults to template basename
-        "command": ["uq-toy", "input.json"],
+        "command": ["uq-toy", "input.json"],  # optional with "callable"
+        "callable": "uqpilot.toy:main",       # optional
         "decoder": {
           "output_relpath": "deaths.csv",
           "format": "csv",                 # csv | json-lines
@@ -24,11 +25,22 @@ One JSON document describes a campaign:
       ]
     }
 
-`command` is run once per run, in the run's directory, with stdin from
-/dev/null and stdout and stderr in `run.stdout` and `run.stderr` there. A
-command `[python, "-m", module, *args]` naming the interpreter running
-`uq` may start warm, forked from one started interpreter, under the rule
-that `uqpilot.pilotjob.launcher` states; any other is executed.
+Each run executes the app once in the run's directory, with stdout and
+stderr in `run.stdout` and `run.stderr` there. The app is one of two:
+
+- `callable`, `"module:function"`: `function([target])` is called on a
+  persistent worker process that imported `module` once, with the
+  function's int return value (else 0), a `SystemExit`'s code, or 1 for
+  any other exception as the run's exit code. Module state outlives a run
+  (see `uqpilot.pilotjob.launcher`). `uq` itself never imports `module`.
+- `command`, run with stdin from /dev/null. A command `[python, "-m",
+  module, *args]` naming the interpreter running `uq` may start warm,
+  forked from one started interpreter, under the rule that
+  `uqpilot.pilotjob.launcher` states; any other is executed.
+
+A config may give both; runs then use `callable`, and `command` is the same
+app by hand (`uq-toy input.json` in a run's directory reruns that run).
+`command` may be left out when `callable` is given.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ from uqpilot.sampling.distributions import Distribution1D
 SCHEMA_VERSION = 1
 
 NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_DOTTED = r"[^\W\d]\w*(\.[^\W\d]\w*)*"   # dotted Python identifiers
+CALLABLE_RE = re.compile(f"^{_DOTTED}:{_DOTTED}$")
 
 
 @dataclass(frozen=True)
@@ -125,12 +139,15 @@ class AppSpec:
     target: str                       # rendered filename inside the run dir
     command: tuple[str, ...]
     decoder: DecoderSpec
+    callable: str | None = None       # "module:function"; runs use it over `command`
 
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if not self.command:
-            raise ConfigError("app command must be non-empty")
+        if self.callable is None and not self.command:
+            raise ConfigError("app needs a non-empty command or a callable")
+        if self.callable is not None and not CALLABLE_RE.match(self.callable):
+            raise ConfigError(f"app callable must be module:function, got {self.callable!r}")
 
     def to_json(self) -> dict:
         return {
@@ -138,26 +155,29 @@ class AppSpec:
             "delimiter": self.delimiter,
             "target": self.target,
             "command": list(self.command),
+            "callable": self.callable,
             "decoder": self.decoder.to_json(),
         }
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path | None = None) -> "AppSpec":
-        for key in ("template", "command", "decoder"):
+        for key in ("template", "decoder"):
             if key not in doc:
                 raise ConfigError(f"app missing {key!r}")
         template = Path(str(doc["template"]))
         if base_dir is not None and not template.is_absolute():
             template = base_dir / template
-        command = doc["command"]
+        command = doc.get("command", ())
         if isinstance(command, str):
             command = command.split()
+        call = doc.get("callable")
         return cls(
             template_path=str(template),
             delimiter=str(doc.get("delimiter", "$")),
             target=str(doc.get("target", template.name)),
             command=tuple(str(c) for c in command),
             decoder=DecoderSpec.from_json(doc["decoder"]),
+            callable=None if call is None else str(call),
         )
 
 

@@ -27,6 +27,7 @@ from uqpilot.campaign.config import (
 from uqpilot.errors import DecodeError, StoreCorrupt, StoreLocked, StoreMissing
 
 DB_FILENAME = "campaign.db"
+SQLITE_HEADER = b"SQLite format 3\x00"   # the first 16 bytes of every SQLite database
 BUSY_TIMEOUT_SECONDS = 30.0   # how long a write waits for another writer's lock
 
 STATUSES = ("NEW", "ENCODED", "SUBMITTED", "COMPLETED", "FAILED", "COLLATED")
@@ -157,11 +158,24 @@ class CampaignStore:
 
     @classmethod
     def open(cls, workdir_or_db: str | Path) -> "CampaignStore":
+        """The store at a workdir or a database file. A file that is not an
+        SQLite database is no store (`StoreMissing`), unless it is a
+        workdir's `campaign.db` (`StoreCorrupt`); either is left untouched."""
         path = Path(workdir_or_db)
-        if path.is_dir():
+        in_workdir = path.is_dir()
+        if in_workdir:
             path = path / DB_FILENAME
-        if not path.is_file():
-            raise StoreMissing(f"no campaign store at {path}")
+        try:
+            with open(path, "rb") as fh:   # before any pragma, which would write to it
+                header = fh.read(len(SQLITE_HEADER))
+        except FileNotFoundError:
+            raise StoreMissing(f"no campaign store at {path}") from None
+        except OSError as exc:   # a directory, or a path through a regular file
+            raise StoreMissing(f"no campaign store at {path}: {exc.strerror}") from None
+        if header != SQLITE_HEADER and in_workdir:
+            raise StoreCorrupt(f"{path}: not an SQLite database")
+        if header != SQLITE_HEADER:
+            raise StoreMissing(f"no campaign store at {path}: not an SQLite database")
         conn = cls._connect(path)
         store = cls(path, conn)
         store.check_integrity()

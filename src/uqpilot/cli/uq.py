@@ -169,7 +169,11 @@ def cmd_init(args) -> int:
         return _fail(EXIT_REFUSED, f"workdir {workdir} already holds a campaign store")
     if entries and not args.force:
         return _fail(EXIT_REFUSED, f"workdir {workdir} is not empty (use --force)")
-    with Campaign.create(args.config, workdir) as campaign:
+    try:
+        campaign = Campaign.create(args.config, workdir)
+    except OSError as exc:   # a parent of the workdir is a regular file, say
+        return _fail(EXIT_USAGE, f"cannot use workdir {workdir}: {exc.strerror}")
+    with campaign:
         print(campaign.store.path)
     return EXIT_OK
 

@@ -4,10 +4,14 @@ No socket and no thread is involved: the caller's thread waits in the
 manager's event loop. `RunPlan.cores` is the allocation's size and
 `cores_per_run` each run's share of it, so `cores // cores_per_run` runs
 execute at once. The manager's one launcher process starts every run, in a
-process group of its own, and decides whether it starts warm or executed
-(see `uqpilot.pilotjob.launcher`). The manager is drained before
-`execute_campaign` returns, so every run, and the launcher, has been
-reaped and its CPU time counted in this process's `RUSAGE_CHILDREN`.
+process group of its own (see `uqpilot.pilotjob.launcher`). An app with a
+`callable` runs as a call of `callable([target])` on one of the launcher's
+persistent workers, each of which imports the callable's module once and
+then takes one run at a time; for any other app, the launcher decides
+whether a run of `command` starts warm or executed. The manager is drained
+before `execute_campaign` returns, so every run, worker and the launcher
+has been reaped and its CPU time counted in this process's
+`RUSAGE_CHILDREN`.
 
 `execute_campaign` makes one pass over the runs of its stage and no
 other. Each run first goes through `Campaign.recover`: a run that an
@@ -83,7 +87,8 @@ def execute_campaign(campaign: Campaign, plan: RunPlan) -> RunSummary:
 
     def submit(run_dir: str, name: str):
         (Path(run_dir) / app.decoder.output_relpath).unlink(missing_ok=True)
-        manager.submit(JobSpec(name=name, command=app.command, cores=plan.cores_per_run,
+        manager.submit(JobSpec(name=name, command=(app.target,) if app.callable else app.command,
+                               callable=app.callable, cores=plan.cores_per_run,
                                workdir=run_dir, stdout="run.stdout", stderr="run.stderr"))
         summary.executed += 1
 

@@ -96,6 +96,7 @@ class JobSpec:
     stderr: str | None = None
     duration: float | None = None           # declared seconds, simulated clock
     parallel_iterations: bool = False
+    callable: str | None = None             # "module:function", called with `command` as argv
 
     def __post_init__(self):
         if not self.name:
@@ -140,7 +141,7 @@ class Task:
     end: float | None = None
     exit_code: int | None = None
     cancel_requested: bool = False
-    start_mode: str | None = None           # "warm" or "exec", as the launcher started it
+    start_mode: str | None = None           # "warm", "exec" or "worker", as the launcher started it
 
     @property
     def terminal(self) -> bool:

@@ -7,8 +7,9 @@ The manager starts this script with its own interpreter, by the path in its
 `uqpilot`, starts no thread, and reads requests on REQUEST_FD, each a
 4-byte little-endian length and a marshalled tuple:
 
-    ("run", task, cwd, stdout, stderr, command, env)   start task
-    ("signal", task, signum)                           signal its group
+    ("run", task, cwd, stdout, stderr, command, env)           start task
+    ("call", task, cwd, stdout, stderr, target, argv, env)     call target(argv)
+    ("signal", task, signum)                                   signal its group
 
 Every run gets a process group of its own, stdin from /dev/null (the
 launcher's own), stdout and stderr truncated onto the given absolute paths
@@ -21,7 +22,8 @@ starts one of two ways:
 - **executed**: `os.posix_spawn`, as `subprocess` starts it: SIGPIPE,
   SIGXFSZ and SIGCHLD back to their defaults. glibc's `posix_spawn`
   leaves its two internal signals (32, 33) ignored, which no program on
-  glibc can handle.
+  glibc can handle. With `env` None it gets the launcher's environment
+  already encoded (`os.environ._data`), not converted again for each run.
 - **warm**: a forked child runs `module` as `__main__` in a fresh module,
   `sys.argv`, `sys.orig_argv` and `sys.path[0]` set as `-m` sets them. A
   traceback omits the launcher's frames. It shares the launcher's modules
@@ -116,15 +118,41 @@ A module that records a process-wide value as it is imported, rather
 than as it is used, records the launcher's: for
 `multiprocessing.process.ORIGINAL_DIR`, the cwd of an earlier run.
 
-REPORT_FD gets a line `"<task> warm <pid>"` or `"<task> exec <pid>"` as a
-run starts, so that the manager knows how it started and can kill its
-group should the launcher be killed, and `"<task> <code>"` as it is
-reaped, the code negative for a signal, as `subprocess` gives it. A
-signal for a task not running is answered with that signal's report: it
-ends a task whose run request an interrupt kept from being written, and
-the manager ignores it for a task already ended. At EOF on REQUEST_FD, or
-on an error of its own, the launcher SIGKILLs every run's group, reaps
-them and exits, so no run outlives the manager.
+A `call` task runs on a worker (`worker.py`): a Python process that calls
+`target`, `"module:function"`, once per task. The launcher starts a worker
+executed, as any run, but from the directory the launcher started in, so
+that a relative `PYTHONPATH` entry resolves as it does for the manager;
+neither the worker script's directory nor a run's is on its `sys.path`.
+The launcher keeps one worker per `call` task running at once, keyed by
+`target` and `env`: a task goes to an idle worker of its key, else to a
+new one, which retires an idle worker of another key. A worker imports
+the module at its first task. For each task it enters `cwd`, points fds 1
+and 2 at `stdout` and `stderr`, truncated, calls `function(argv)`, and
+flushes and restores `sys.stdout` and `sys.stderr`. The task's exit code
+is the function's int return value, else 0; a `SystemExit`'s code; or 1
+for any other exception, whose traceback goes to the task's stderr (120
+if a flush fails; 127 if the files or `cwd` cannot be had). A worker
+keeps, between its tasks, what one interpreter keeps between two calls:
+its modules and their state, and the `warnings` once-registries, so a
+warning that one task showed is not shown again by a later task from the
+same line with the same text. A worker is a process group of its own,
+which the task's signals go to. A worker that dies or is killed fails
+only its task, with the exit status of its process, and the next task
+gets a new worker.
+
+REPORT_FD gets a line `"<task> warm <pid>"`, `"<task> exec <pid>"` or
+`"<task> worker <pid>"` as a run starts, so that the manager knows how it
+started and can kill its group should the launcher be killed, and
+`"<task> <code>"` as it ends, the code negative for a signal, as
+`subprocess` gives it. A signal for a task not running is answered with
+that signal's report: it ends a task whose run request an interrupt kept
+from being written, and the manager ignores it for a task already ended.
+At EOF on REQUEST_FD the launcher SIGKILLs every run's group, a busy
+worker's included, and closes the request pipes of its idle workers,
+which then exit; on an error of its own it SIGKILLs every worker's group
+too. It reaps them all and exits, so no run outlives the manager. Should
+the launcher itself be killed, an idle worker exits at EOF on its request
+pipe, which no other process holds.
 """
 
 import atexit
@@ -152,6 +180,7 @@ _EXTENSION_SUFFIXES = tuple(importlib.machinery.EXTENSION_SUFFIXES)
 # handlers only the C library's exit() sees to
 _C_CALLERS = frozenset({"_ctypes", "_cffi_backend"})
 _STDLIB = tuple({os.path.join(sysconfig.get_paths()[key], "") for key in ("stdlib", "platstdlib")})
+WORKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "worker.py")
 # in a warm child: (the names in `sys.modules` as its run started, the
 # exception that ended the run or None)
 _ended = None
@@ -203,7 +232,7 @@ def _starts_warm(command, env, path: str, python: str | None, cwd: str) -> bool:
 
 def _spawn(path: str, stdout: str, stderr: str, command, env) -> int:
     """Start `command`, found at `path`, executed; the pid, or an OSError or ValueError."""
-    return os.posix_spawn(path, command, os.environ if env is None else env,
+    return os.posix_spawn(path, command, os.environ._data if env is None else env,
                           setpgroup=0, setsigdef=_DEFAULT_SIGNALS,
                           file_actions=[(os.POSIX_SPAWN_OPEN, 1, stdout, _TRUNCATE, 0o666),
                                         (os.POSIX_SPAWN_OPEN, 2, stderr, _TRUNCATE, 0o666)])
@@ -288,6 +317,109 @@ def _shadowed(cwd: str) -> bool:
     return False
 
 
+class _Workers:
+    """The launcher's workers (see the module docstring), by pid: each one's
+    key and the launcher's ends of its request and result pipes."""
+
+    def __init__(self):
+        self.home = os.open(".", getattr(os, "O_PATH", os.O_RDONLY))   # where workers start
+        self.pipes: dict[int, tuple[tuple, int, int]] = {}   # pid -> (key, requests, results)
+        self.idle: dict[tuple, list[int]] = {}   # key -> pids
+        self.busy: dict[int, int] = {}           # result fd -> pid
+
+    def call(self, target: str, env, stdout: str, stderr: str, frame: bytes) -> int:
+        """Send the task `frame` to an idle worker of (`target`, `env`), or to
+        a new one; its pid, or an OSError or ValueError if none could start."""
+        key = target, None if env is None else frozenset(env.items())
+        idle = self.idle.get(key)
+        while idle:
+            pid = idle.pop()
+            if self._send(pid, frame):
+                return pid
+            self.retire(pid)   # it died idle, not yet reaped
+        for pids in self.idle.values():
+            if pids:   # keep one worker per task running
+                self.retire(pids[-1])
+                break
+        pid = self._start(key, target, env, stdout, stderr)
+        self._send(pid, frame)   # else it died starting: its exit status ends the task
+        return pid
+
+    def _start(self, key, target, env, stdout, stderr) -> int:
+        requests, ours = os.pipe()
+        results, theirs = os.pipe()
+        try:
+            os.set_inheritable(requests, True)
+            os.set_inheritable(theirs, True)
+            os.set_blocking(results, False)
+            os.fchdir(self.home)
+            pid = _spawn(sys.executable, stdout, stderr,
+                         [sys.executable, WORKER, str(requests), str(theirs), target], env)
+        except BaseException:
+            os.close(ours)
+            os.close(results)
+            raise
+        finally:
+            os.close(requests)
+            os.close(theirs)
+        self.pipes[pid] = key, ours, results
+        return pid
+
+    def _send(self, pid: int, frame: bytes) -> bool:
+        key, requests, results = self.pipes[pid]
+        try:
+            while frame:
+                frame = frame[os.write(requests, frame):]
+        except OSError:
+            return False
+        self.busy[results] = pid
+        return True
+
+    def result(self, fd: int) -> tuple[int, int | None]:
+        """The busy worker whose result pipe `fd` is ready, and its task's exit
+        code, the worker then idle; None if it closed the pipe without one."""
+        pid = self.busy.pop(fd)
+        try:
+            code = int(os.read(fd, 64))
+        except (BlockingIOError, ValueError):   # ValueError: EOF
+            return pid, None
+        self.idle.setdefault(self.pipes[pid][0], []).append(pid)
+        return pid, code
+
+    def reaped(self, pid: int) -> int | None:
+        """Forget worker `pid`, reaped; the exit code of a task it ended
+        before it exited, if not read yet."""
+        results = self.pipes[pid][2]
+        code = self.result(results)[1] if results in self.busy else None
+        self.retire(pid)
+        os.close(results)
+        del self.pipes[pid]
+        return code
+
+    def retire(self, pid: int):
+        """Close the worker's requests: it exits once it has read them all."""
+        key, requests, results = self.pipes[pid]
+        if requests >= 0:
+            os.close(requests)
+            self.pipes[pid] = key, -1, results
+        if pid in self.idle.get(key, ()):
+            self.idle[key].remove(pid)
+
+    def retire_idle(self):
+        for pids in self.idle.values():
+            for pid in list(pids):
+                self.retire(pid)
+
+    def forget(self):
+        """In a warm child: close the launcher's ends of every worker's pipes."""
+        for key, requests, results in self.pipes.values():
+            for fd in (requests, results):
+                if fd >= 0:
+                    os.close(fd)
+        os.close(self.home)
+        self.pipes.clear()
+
+
 def _report(reports: int, line: bytes):
     try:
         os.write(reports, line)
@@ -302,11 +434,12 @@ def serve(requests: int, reports: int):
     the call that reports the child's standard-library imports. Whatever
     ends the launcher, no child outlives it.
     """
-    tasks: dict[int, int] = {}        # pid -> task
+    tasks: dict[int, int] = {}        # pid -> task, of each run and busy worker
+    workers = _Workers()
     try:
-        return _serve(requests, reports, tasks)
+        return _serve(requests, reports, tasks, workers)
     finally:
-        for pid in tasks:             # none in a child, which clears its copy
+        for pid in {*tasks, *workers.pipes}:   # none in a child, which clears its copies
             _signal_group(pid, signal.SIGKILL)
             try:
                 os.waitpid(pid, 0)
@@ -314,7 +447,7 @@ def serve(requests: int, reports: int):
                 pass
 
 
-def _serve(requests: int, reports: int, tasks: dict[int, int]):
+def _serve(requests: int, reports: int, tasks: dict[int, int], workers: _Workers):
     atexit.register(_end_warm_run)   # first, so a warm child makes it last
     gc.disable()    # children enable it; the launcher allocates next to nothing
     for fd in (requests, reports):
@@ -330,16 +463,28 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
     learned = b""                   # names read, the last one maybe partial
     tried: set[str] = set()         # names learned: imported, or refused for good
     open_ = True
-    while open_ or tasks:
-        ready = select.select([requests, wake_r, learned_r] if open_ else [wake_r],
-                              [], [])[0]
+    while open_ or tasks or workers.pipes:
+        ready = select.select([requests, wake_r, learned_r, *workers.busy] if open_
+                              else [wake_r, *workers.busy], [], [])[0]
         if wake_r in ready:
             os.read(wake_r, 4096)
-        while tasks:
+        while tasks or workers.pipes:
             pid, status = os.waitpid(-1, os.WNOHANG)
             if pid == 0:
                 break
-            _report(reports, b"%d %d\n" % (tasks.pop(pid), os.waitstatus_to_exitcode(status)))
+            code = workers.reaped(pid) if pid in workers.pipes else None
+            if pid in tasks:
+                code = os.waitstatus_to_exitcode(status) if code is None else code
+                _report(reports, b"%d %d\n" % (tasks.pop(pid), code))
+        for fd in ready:
+            if fd in workers.busy:
+                pid, code = workers.result(fd)
+                if code is None:   # it has exited, or must: its reaping ends the task
+                    _signal_group(pid, signal.SIGKILL)
+                else:
+                    _report(reports, b"%d %d\n" % (tasks.pop(pid), code))
+        if not open_:
+            workers.retire_idle()
         if learned_r in ready:   # before the requests: a run writes before it exits
             *lines, learned = (learned + os.read(learned_r, 65536)).split(b"\n")
             for name in map(os.fsdecode, lines):
@@ -353,6 +498,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
             open_ = False
             for pid in tasks:
                 _signal_group(pid, signal.SIGKILL)
+            workers.retire_idle()
             continue
         pending += data
         while len(pending) >= 4:
@@ -368,6 +514,20 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
                     _signal_group(pid, signum)
                 else:
                     _report(reports, b"%d %d\n" % (task, -signum))
+                continue
+            if request[0] == "call":
+                _, task, cwd, stdout, stderr, target, argv, env = request
+                frame = marshal.dumps((cwd, stdout, stderr, argv))
+                try:
+                    for path in (stdout, stderr):
+                        os.makedirs(os.path.dirname(path), exist_ok=True)
+                    pid = workers.call(target, env, stdout, stderr,
+                                       len(frame).to_bytes(4, "little") + frame)
+                except (OSError, ValueError):
+                    _report(reports, b"%d 127\n" % task)
+                    continue
+                tasks[pid] = task
+                _report(reports, b"%d worker %d\n" % (task, pid))
                 continue
             _, task, cwd, stdout, stderr, command, env = request
             try:
@@ -394,6 +554,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int]):
                 _report(reports, b"%d %s %d\n" % (task, b"warm" if warm else b"exec", pid))
                 continue
             tasks.clear()
+            workers.forget()
             gc.enable()
             signal.set_wakeup_fd(-1)
             signal.signal(signal.SIGCHLD, signal.SIG_DFL)

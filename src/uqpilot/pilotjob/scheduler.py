@@ -24,16 +24,17 @@ next deadline, the SIGKILL after a cancel's SIGTERM and grace period;
 `submit` and the snapshots first take in reports already there. A task's
 request carries `os.environ` with the job's `env` over it, or None when the
 job has no `env` and `os.environ` is as it was when the launcher started
-(its encoded items compared with a snapshot); the launcher alone decides
-whether the run starts warm or executed (see `launcher.py`), and reports
-which in `Task.start_mode`. A task that cannot start ends with exit 127,
-as does the rest of a dispatch pass in which no launcher could start. At
-a launcher's exit the loop SIGKILLs the group of each run it left and
-fails its tasks; the next task starts a new launcher. `drain` runs the
-loop until no task is pending and the launcher has exited, so the runs'
-CPU time reaches the caller's `RUSAGE_CHILDREN`. Used as a context
-manager, the manager cancels every job and drains on any exception, so
-no run outlives it.
+(its encoded items compared with a snapshot). A job with a `callable` is
+a `call` request, which runs on one of the launcher's workers; for any
+other, the launcher alone decides whether the run starts warm or executed
+(see `launcher.py`). It reports which in `Task.start_mode`. A task that
+cannot start ends with exit 127, as does the rest of a dispatch pass in
+which no launcher could start. At a launcher's exit the loop SIGKILLs the
+group of each run it left and fails its tasks; the next task starts a new
+launcher. `drain` runs the loop until no task is pending and the launcher
+has exited, so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN`.
+Used as a context manager, the manager cancels every job and drains on
+any exception, so no run outlives it.
 """
 
 from __future__ import annotations
@@ -324,10 +325,13 @@ class PilotManager:
         # a signal to a task it lacks; if the launcher has exited, the write
         # fails and the loop, at the launcher's EOF, fails the task with the rest
         launcher.tasks[task.seq] = task
-        launcher.send(("run", task.seq, os.path.abspath(spec.workdir or self.workdir),
-                       os.path.abspath(self._io_path(spec, task, "stdout")),
-                       os.path.abspath(self._io_path(spec, task, "stderr")),
-                       spec.command, env))
+        where = (task.seq, os.path.abspath(spec.workdir or self.workdir),
+                 os.path.abspath(self._io_path(spec, task, "stdout")),
+                 os.path.abspath(self._io_path(spec, task, "stderr")))
+        if spec.callable:
+            launcher.send(("call", *where, spec.callable, spec.command, env))
+        else:
+            launcher.send(("run", *where, spec.command, env))
         return True
 
     def _poll(self, timeout: float | None, fds=()) -> list:

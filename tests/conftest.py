@@ -92,6 +92,19 @@ def console_scripts(tmp_path_factory) -> Path:
 
 
 @pytest.fixture
+def module_dir(tmp_path, monkeypatch) -> Path:
+    """A directory put first on ``PYTHONPATH``, before the absolute directory
+    of the imported package, for modules that a callable app names."""
+    import uqpilot
+
+    mods = tmp_path / "mods"
+    mods.mkdir()
+    root = str(Path(uqpilot.__file__).resolve().parent.parent)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join((str(mods), root)))
+    return mods
+
+
+@pytest.fixture
 def warm_pythonpath(monkeypatch) -> str:
     """Set ``PYTHONPATH`` to the absolute directory of the imported package
     alone, so that a ``python -m`` task can start warm and import it."""
@@ -111,6 +124,7 @@ def write_config(
     name: str = "test-campaign",
     delimiter: str = "$",
     target: str = "input.json",
+    callable: str | None = None,
 ) -> Path:
     """Write a minimal campaign config + template into tmp_path."""
     (tmp_path / "input.template").write_text(template)
@@ -132,6 +146,8 @@ def write_config(
         },
         "parameters": parameters,
     }
+    if callable is not None:
+        doc["app"]["callable"] = callable
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path

@@ -2,7 +2,8 @@
 
 The block runs as written, in a temp directory that links the checkout's
 `demo/` and holds the two reference files of its step 5, with `/tmp/covid`
-rewritten to a temp workdir. `uq`, `pj` and `uq-toy` come from the
+rewritten to a temp workdir, and with `PJ_VIRTUAL_CORES=1`, so that it
+passes on a one-core host. `uq`, `pj` and `uq-toy` come from the
 `console_scripts` fixture. The level-2 report of step 4 is then checked
 against two oracles that do not use the spectral path: the toy's deaths do
 not depend on the hospital recovery period at all, and the final-day
@@ -60,6 +61,7 @@ def walkthrough(tmp_path_factory, console_scripts):
     wd = tmp / "covid"
     env = package_env()
     env["PATH"] = os.pathsep.join((str(console_scripts), env["PATH"]))
+    env["PJ_VIRTUAL_CORES"] = "1"
     proc = subprocess.run(["bash", "-e", "-c", walkthrough_commands().replace(WORKDIR, str(wd))],
                           cwd=tmp, env=env, capture_output=True, text=True, timeout=600)
     return proc, wd

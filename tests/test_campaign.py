@@ -57,6 +57,25 @@ class TestCreate:
         with pytest.raises(ConfigError, match="also the rendered input"):
             Campaign.create(cfg, tmp_path / "camp")
 
+    @pytest.mark.parametrize("command, callable, error", [
+        ([], "pkg.mod:main", None),
+        (["true"], "pkg.mod:Runner.main", None),
+        ([], None, "non-empty command or a callable"),
+        (["true"], "pkg.mod", "module:function"),
+        (["true"], "pkg.mod:main:x", "module:function"),
+        (["true"], "pkg/mod:main", "module:function"),
+    ], ids=["callable-alone", "both", "neither", "no-function", "two-colons", "a-path"])
+    def test_an_app_is_a_command_or_a_callable(self, tmp_path, command, callable, error):
+        cfg = write_config(tmp_path, [uniform_param("a", 0, 1)], "a=$a\n", command,
+                           callable=callable)
+        if error is not None:
+            with pytest.raises(ConfigError, match=error):
+                load_config(cfg)
+            return
+        # the module is named, not imported: it need not exist here
+        with Campaign.create(cfg, tmp_path / "camp") as campaign:
+            assert (campaign.app.callable, campaign.app.command) == (callable, tuple(command))
+
     def test_bad_distribution_params(self, tmp_path):
         bad = {
             "name": "a", "kind": "real", "default": 0.5,

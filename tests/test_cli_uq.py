@@ -66,6 +66,10 @@ def make_campaign(tmp_path, n_runs=4, script=None, parameters=None) -> str:
     return wd
 
 
+def parent_of(pid: int) -> int:
+    return int(Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[1])
+
+
 def statuses(wd) -> dict[int, str]:
     with Campaign.open(wd) as campaign:
         return {row["run_id"]: row["status"] for row in campaign.store.runs()}
@@ -97,10 +101,13 @@ class TestInit:
         ("a file in it", [], uq.EXIT_REFUSED, "workdir {wd} is not empty (use --force)"),
         ("a store", ["--force"], uq.EXIT_REFUSED, "workdir {wd} already holds a campaign store"),
         ("a regular file", [], uq.EXIT_USAGE, "cannot use workdir {wd}: Not a directory"),
-    ], ids=["not-empty", "force-over-a-store", "regular-file"])
+        ("a regular file above it", [], uq.EXIT_USAGE,
+         "cannot use workdir {wd}/sub: Not a directory"),
+    ], ids=["not-empty", "force-over-a-store", "regular-file", "under-a-regular-file"])
     def test_a_used_or_unusable_workdir_is_left_alone(self, tmp_path, capsys, used, argv,
                                                        code, message):
         wd = tmp_path / "camp"
+        target = wd / "sub" if used == "a regular file above it" else wd
         if used == "a store":
             make_campaign(tmp_path, n_runs=0)
         elif used == "a file in it":
@@ -111,7 +118,7 @@ class TestInit:
         before = {p: p.read_bytes() for p in [wd, *wd.rglob("*")] if p.is_file()}
         config = write_config(tmp_path, [uniform_param("a", 0.0, 1.0)], "y\n$a\n", ["true"])
         capsys.readouterr()
-        assert uq.main(["init", "--config", str(config), "--workdir", str(wd), *argv]) == code
+        assert uq.main(["init", "--config", str(config), "--workdir", str(target), *argv]) == code
         assert capsys.readouterr().err == f"uq: {message.format(wd=wd)}\n"
         assert {p: p.read_bytes() for p in [wd, *wd.rglob("*")] if p.is_file()} == before
 
@@ -312,17 +319,25 @@ class TestRun:
         assert out.err.startswith("uq: ") and "'b'" in out.err
         assert set(statuses(wd).values()) == {"NEW"}
 
-    @pytest.mark.parametrize("target, signum", [
-        pytest.param("process", signal.SIGTERM, id="process"),
-        pytest.param("group", signal.SIGTERM, id="group"),
-        pytest.param("process", signal.SIGHUP, id="process-sighup"),
+    @pytest.mark.parametrize("target, signum, callable", [
+        pytest.param("process", signal.SIGTERM, None, id="process"),
+        pytest.param("group", signal.SIGTERM, None, id="group"),
+        pytest.param("process", signal.SIGHUP, None, id="process-sighup"),
+        pytest.param("process", signal.SIGTERM, "sleeper:main", id="process-callable"),
     ])
-    def test_sigterm_stops_the_runs_in_flight(self, tmp_path, child_env, target, signum):
+    def test_sigterm_stops_the_runs_in_flight(self, tmp_path, child_env, target, signum,
+                                              callable):
         # a SIGTERM to `uq run` alone, or to its process group as `timeout`
         # sends it, or a SIGHUP: the runs' own groups are canceled before it
-        # exits 128 + the signal
+        # exits 128 + the signal. Each run's `sh` is the launcher's child, or
+        # that of the worker that calls sleeper.main: neither is left alive
         cfg = write_config(tmp_path, [uniform_param("a", 0.0, 1.0)], "y\n$a\n",
-                           ["sh", "-c", SH_SLEEP])
+                           ["sh", "-c", SH_SLEEP], callable=callable)
+        (tmp_path / "mods").mkdir()
+        (tmp_path / "mods" / "sleeper.py").write_text(
+            f"import os\ndef main(argv):\n    os.system({SH_SLEEP!r})\n")
+        child_env["PYTHONPATH"] = os.pathsep.join((str(tmp_path / "mods"),
+                                                   child_env["PYTHONPATH"]))
         wd = str(tmp_path / "camp")
         assert uq.main(["init", "--config", str(cfg), "--workdir", wd]) == uq.EXIT_OK
         assert uq.main(["sample", "--workdir", wd, "--sampler", "mc", "--n", "2"]) == 0
@@ -332,7 +347,9 @@ class TestRun:
             env=child_env, start_new_session=True, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         try:
-            sleeps = [sleep_of(Path(wd) / "runs" / f"run_00000{k}") for k in (1, 2)]
+            runs = [Path(wd) / "runs" / f"run_00000{k}" for k in (1, 2)]
+            sleeps = [sleep_of(run) for run in runs]
+            parents = [parent_of(int((run / "sh.pid").read_text())) for run in runs]
             if target == "process":
                 proc.send_signal(signum)
             else:
@@ -341,7 +358,8 @@ class TestRun:
         finally:
             proc.kill()
             proc.wait()
-        wait_for(lambda: not any(running(pid) for pid in sleeps), timeout=5)
+        assert len(set(parents)) == (2 if callable else 1)
+        wait_for(lambda: not any(running(pid) for pid in [*sleeps, *parents]), timeout=5)
         assert statuses(wd) == {1: "SUBMITTED", 2: "SUBMITTED"}
 
     def test_a_second_writer_is_refused(self, tmp_path, child_env):
@@ -632,6 +650,20 @@ class TestStoreErrors:
         assert proc.returncode == code
         assert proc.stderr.startswith(start.format(wd=wd)) and proc.stderr.endswith(end)
         assert proc.stderr.count("\n") == 1
+        if content is not None:   # read, not written
+            assert [p.read_bytes() for p in wd.iterdir()] == [content]
+
+    @pytest.mark.parametrize("content", [b"", b"mine\n"], ids=["empty", "text"])
+    def test_a_file_that_is_no_store_is_a_usage_error_left_untouched(self, tmp_path, capsys,
+                                                                      content):
+        path = tmp_path / "afile"
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert uq.main(["status", "--workdir", str(path)]) == uq.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"uq: no campaign store at {path}: not an SQLite database\n"
+        assert path.read_bytes() == content
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
     def test_a_database_error_in_a_transaction_is_corruption(self, tmp_path, monkeypatch,
                                                               capsys):

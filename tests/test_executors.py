@@ -20,7 +20,7 @@ from uqpilot.pilotjob import scheduler
 from uqpilot.sampling.samplers import SamplerSpec
 
 
-def echo_campaign(tmp_path, n_runs=10, workdir_name="camp") -> Campaign:
+def echo_campaign(tmp_path, n_runs=10, workdir_name="camp", callable=None) -> Campaign:
     """App copies its rendered input straight to the output CSV."""
     cfg = write_config(
         tmp_path,
@@ -28,6 +28,7 @@ def echo_campaign(tmp_path, n_runs=10, workdir_name="camp") -> Campaign:
         "y\n$a\n",
         ["cp", "input.json", "out.csv"],
         decoder={"output_relpath": "out.csv", "format": "csv", "qoi_columns": ["y"]},
+        callable=callable,
     )
     campaign = Campaign.create(cfg, tmp_path / workdir_name)
     campaign.add_stage(SamplerSpec("mc", n=n_runs, seed=31))
@@ -419,17 +420,37 @@ def qoi_frame(campaign: Campaign) -> str:
     return json.dumps([tuple(r) for r in rows])
 
 
+# a callable app that does what the echo campaign's `cp` does
+ECHO_MODULE = """
+import shutil
+def main(argv):
+    shutil.copy(argv[0], "out.csv")
+"""
+
+
 class TestExecutorEquivalence:
-    def test_qoi_frames_bitwise_identical(self, tmp_path):
+    def test_qoi_frames_bitwise_identical(self, tmp_path, module_dir):
+        (module_dir / "echoapp.py").write_text(ECHO_MODULE)
         frames = {}
         for cores in (1, 3, 4):
-            base = tmp_path / f"cores{cores}"
-            base.mkdir()
-            campaign = echo_campaign(base, workdir_name="camp")
-            summary = execute_campaign(campaign, RunPlan(cores=cores))
-            assert summary.ok
-            frames[cores] = qoi_frame(campaign)
-        assert frames[1] == frames[3] == frames[4]
+            for app in ("cp", "echoapp:main"):
+                base = tmp_path / f"cores{cores}-{app.partition(':')[0]}"
+                base.mkdir()
+                campaign = echo_campaign(base, workdir_name="camp",
+                                         callable=None if app == "cp" else app)
+                summary = execute_campaign(campaign, RunPlan(cores=cores))
+                assert summary.ok
+                frames[cores, app] = qoi_frame(campaign)
+        assert len(set(frames.values())) == 1, frames
+
+    def test_uq_never_imports_the_callables_module(self, tmp_path, module_dir, monkeypatch):
+        # importable here too, and still only the workers import it
+        (module_dir / "echoapp.py").write_text(ECHO_MODULE)
+        monkeypatch.syspath_prepend(str(module_dir))
+        campaign = echo_campaign(tmp_path, callable="echoapp:main")
+        assert execute_campaign(campaign, RunPlan(cores=2)).ok
+        assert campaign.store.status_counts()["COLLATED"] == 10
+        assert "echoapp" not in sys.modules
 
     @pytest.mark.parametrize("run_options",
                              [[], ["--executor", "pilotjob", "--allocation-cores", "2"]],
@@ -437,13 +458,14 @@ class TestExecutorEquivalence:
     def test_the_toy_started_warm_equals_the_toy_executed(
             self, tmp_path, demo_config_path, warm_pythonpath, console_scripts, monkeypatch,
             run_options):
-        # The demo at level 1 twice: the toy executed through `uq-toy`,
-        # wrapped to log each start, and started warm by `python -m`. `uq run`
-        # starts the launcher alone, which reports how it started each run.
-        # The warm runs share one launcher, so later runs start with the
-        # modules earlier ones taught it, and each run's stdout, stderr and
-        # deaths.csv, the files a warm run's fast exit must flush, equal the
-        # executed run's.
+        # The demo at level 1 three times: the toy executed through
+        # `uq-toy`, wrapped to log each start; started warm by `python -m`;
+        # and called as `uqpilot.toy:main` on workers, as the demo's config
+        # says. `uq run` starts the launcher alone, which reports how it
+        # started each run. The warm runs share one launcher, so later runs
+        # start with the modules earlier ones taught it; the called ones share
+        # workers. Each run's stdout, stderr and deaths.csv, the files a warm
+        # run's fast exit and a worker must flush, equal the executed run's.
         log = tmp_path / "uq-toy.log"
         logged = tmp_path / "logged"
         logged.mkdir()
@@ -454,13 +476,17 @@ class TestExecutorEquivalence:
         started = record_popen(monkeypatch)
         modes = record_start_modes(monkeypatch)
         doc = json.loads(demo_config_path.read_text())
-        commands = {"exec": doc["app"]["command"],
-                    "warm": [sys.executable, "-m", "uqpilot.toy", "input.json"]}
-        assert commands["exec"][0] == "uq-toy"
+        command_app = {k: v for k, v in doc["app"].items() if k != "callable"}
+        apps = {"exec": command_app,
+                "warm": {**command_app,
+                         "command": [sys.executable, "-m", "uqpilot.toy", "input.json"]},
+                "worker": doc["app"]}
+        assert doc["app"]["command"][0] == "uq-toy"
+        assert doc["app"]["callable"] == "uqpilot.toy:main"
         frames = {}
-        for mode, command in commands.items():
+        for mode, app in apps.items():
             config = demo_config_path.with_name(f"{mode}.json")
-            config.write_text(json.dumps({**doc, "app": {**doc["app"], "command": command}}))
+            config.write_text(json.dumps({**doc, "app": app}))
             with Campaign.create(config, tmp_path / mode) as campaign:
                 campaign.add_stage(SamplerSpec("sc", level=1, growth="exp2", sparse=True))
             started.clear()
@@ -468,18 +494,19 @@ class TestExecutorEquivalence:
             assert uq.main(["run", "--workdir", str(tmp_path / mode), *run_options]) == uq.EXIT_OK
             assert [p.args[:2] for p in started] == [[sys.executable, str(scheduler.LAUNCHER)]]
             assert modes == [mode] * 13
-            # the toys the exec mode started; the warm mode starts none
+            # the toys the exec mode started; the others start none
             assert len(log.read_text().split()) == 13
             with Campaign.open(tmp_path / mode) as campaign:
                 frames[mode] = qoi_frame(campaign)
         assert len(json.loads(frames["exec"])) == 13
-        assert frames["warm"] == frames["exec"]
+        assert frames["warm"] == frames["exec"] == frames["worker"]
         for pattern, count in (("runs/*/run.std*", 26), ("runs/*/deaths.csv", 13)):
             names = sorted(p.relative_to(tmp_path / "exec")
                            for p in (tmp_path / "exec").glob(pattern))
             assert len(names) == count, names
-            assert names == sorted(p.relative_to(tmp_path / "warm")
-                                   for p in (tmp_path / "warm").glob(pattern))
-            for name in names:
-                assert (tmp_path / "exec" / name).read_bytes() == \
-                    (tmp_path / "warm" / name).read_bytes(), name
+            for mode in ("warm", "worker"):
+                assert names == sorted(p.relative_to(tmp_path / mode)
+                                       for p in (tmp_path / mode).glob(pattern))
+                for name in names:
+                    assert (tmp_path / "exec" / name).read_bytes() == \
+                        (tmp_path / mode / name).read_bytes(), (mode, name)

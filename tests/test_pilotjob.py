@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -1333,6 +1334,16 @@ class TestExecutedRuns:
         assert m.job_snapshot("p")["iterations"][0]["exit_code"] == 0
         assert (tmp_path / "out").read_text() == "found\n"
 
+    def test_a_run_gets_the_launchers_environment(self, tmp_path):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="env", command=("env", "-0"), workdir=str(tmp_path), stdout="out"))
+        # as the launcher started, which may differ from `os.environ` here:
+        # readline, say, sets LINES and COLUMNS in the C environment alone
+        environ = Path(f"/proc/{m._launcher.proc.pid}/environ").read_bytes()
+        drained(m)
+        assert sorted((tmp_path / "out").read_bytes().split(b"\0")) == \
+            sorted(environ.split(b"\0"))
+
     @pytest.mark.parametrize("missing", ["executable", "cwd"])
     def test_a_run_that_cannot_start_exits_127(self, tmp_path, missing):
         command = ("no-such-command-here",) if missing == "executable" else ("true",)
@@ -1497,6 +1508,165 @@ class TestLauncherFaults:
         drained(m)
         assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [0, 0]
         assert started_warm(tmp_path / "b")
+
+
+# a callable app: each call records what it saw in `seen`, once that is whole
+CALL_MODULE = """
+import os, subprocess, sys
+calls = []
+def main(argv):
+    mode = argv[0]
+    calls.append(mode)
+    with open("seen.part", "w") as fh:
+        fh.write(repr((os.getpid(), len(calls), sys.path, os.getcwd())))
+    os.replace("seen.part", "seen")
+    print("out", mode)
+    print("err", mode, file=sys.stderr)
+    if mode == "return3":
+        return 3
+    if mode == "text":
+        return "not an int"
+    if mode == "exit3":
+        sys.exit(3)
+    if mode == "message":
+        sys.exit("stopped with a message")
+    if mode == "raise":
+        raise ValueError("raised")
+    if mode == "sleep":
+        with open("sh.pid", "w") as fh:   # for `sleep_of`
+            fh.write(str(os.getpid()))
+        subprocess.run(["sleep", "30"])
+"""
+
+
+def call_job(directory: Path, name: str, *argv, **kw) -> JobSpec:
+    """A job calling CALL_MODULE's `main(argv)` in `directory`, its logs there."""
+    directory.mkdir(exist_ok=True)
+    return JobSpec(name=name, command=argv, callable="callmod:main", workdir=str(directory),
+                   stdout="out", stderr="err", **kw)
+
+
+def seen(directory: Path) -> tuple:
+    """(worker pid, calls so far, sys.path, cwd) as the call in `directory` saw them."""
+    wait_for((directory / "seen").exists)
+    return ast.literal_eval((directory / "seen").read_text())
+
+
+@pytest.fixture
+def callmod(module_dir, monkeypatch):
+    (module_dir / "callmod.py").write_text(CALL_MODULE)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)   # a worker must flush stdout
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("mode, code", [
+        ("return", 0), ("return3", 3), ("text", 0), ("exit3", 3), ("message", 1), ("raise", 1)])
+    def test_exit_code_and_output(self, tmp_path, callmod, mode, code):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "r", "r", mode))
+        drained(m)
+        task = m._jobs["r"].tasks[0]
+        assert (task.status, task.exit_code, task.start_mode) == \
+            ("SUCCEEDED" if code == 0 else "FAILED", code, "worker")
+        assert (tmp_path / "r" / "out").read_text() == f"out {mode}\n"
+        err = (tmp_path / "r" / "err").read_text()
+        assert err.startswith(f"err {mode}\n")
+        tail = {"message": "\nstopped with a message\n", "raise": "\nValueError: raised\n"}
+        assert err.endswith(tail.get(mode, "\n"))
+        assert ("Traceback (most recent call last)" in err) == (mode == "raise")
+
+    def test_one_worker_imports_the_module_once_for_its_tasks(self, tmp_path, callmod):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        for k in range(3):
+            m.submit(call_job(tmp_path / f"r{k}", f"r{k}", "return"))
+        drained(m)
+        calls = [seen(tmp_path / f"r{k}") for k in range(3)]
+        assert len({pid for pid, *_ in calls}) == 1
+        for k in range(3):   # flushed as each task ended, not as the worker exits
+            assert (tmp_path / f"r{k}" / "out").read_text() == "out return\n"
+        assert [count for _, count, *_ in calls] == [1, 2, 3]   # module state is kept
+        for k, (_, _, path, cwd) in enumerate(calls):
+            assert cwd == str(tmp_path / f"r{k}")
+            # neither a run's directory nor the worker script's is importable
+            assert not {str(tmp_path / f"r{j}") for j in range(3)} & set(path)
+            assert "" not in path and str(scheduler.LAUNCHER.parent) not in path
+
+    def test_one_worker_per_task_running_at_once(self, tmp_path, callmod):
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        for k in range(6):
+            m.submit(call_job(tmp_path / f"r{k}", f"r{k}", "return"))
+        drained(m)
+        assert len({seen(tmp_path / f"r{k}")[0] for k in range(6)}) == 2
+
+    def test_a_task_of_another_env_retires_an_idle_worker(self, tmp_path, callmod):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "a", "a", "return"))
+        m.submit(call_job(tmp_path / "b", "b", "return", env=(("CALL_TEST", "1"),)))
+        wait_for(lambda: m.job_snapshot("b")["status"] in TERMINAL)
+        first, second = seen(tmp_path / "a")[0], seen(tmp_path / "b")[0]
+        assert first != second
+        wait_for(lambda: not running(first), timeout=5)   # before the manager ends
+        assert running(second)
+        drained(m)
+        assert not running(second)
+
+    def test_a_killed_worker_fails_only_its_task(self, tmp_path, callmod):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "a", "a", "sleep"))
+        m.submit(call_job(tmp_path / "b", "b", "return"))
+        worker = seen(tmp_path / "a")[0]
+        os.kill(worker, signal.SIGKILL)
+        drained(m)
+        its = [m.job_snapshot(n)["iterations"][0] for n in ("a", "b")]
+        assert [(it["status"], it["exit_code"]) for it in its] == \
+            [("FAILED", -signal.SIGKILL), ("SUCCEEDED", 0)]
+        assert seen(tmp_path / "b")[0] != worker
+        assert m._launcher.proc.returncode == 0
+
+    def test_cancel_kills_the_group_of_a_worker(self, tmp_path, callmod):
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "a", "a", "sleep"))
+        sleep = sleep_of(tmp_path / "a")
+        m.cancel("a")
+        drained(m)
+        its = m.job_snapshot("a")["iterations"]
+        assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGTERM)
+        wait_for(lambda: not running(sleep) and not running(seen(tmp_path / "a")[0]),
+                 timeout=5)
+
+    def test_the_workers_of_a_killed_launcher_die_with_it(self, tmp_path, callmod):
+        # one worker idle, one busy: its group is killed by the manager, and
+        # the idle one exits at EOF on its requests
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "a", "a", "return"))
+        m.submit(call_job(tmp_path / "b", "b", "sleep"))
+        sleep = sleep_of(tmp_path / "b")
+        wait_for(lambda: m.job_snapshot("a")["status"] in TERMINAL)
+        workers = [seen(tmp_path / n)[0] for n in ("a", "b")]
+        m._launcher.proc.kill()
+        drained(m)
+        assert m.job_snapshot("b")["iterations"][0]["exit_code"] is None
+        wait_for(lambda: not any(running(pid) for pid in [sleep, *workers]), timeout=5)
+
+    def test_the_toys_results_do_not_depend_on_run_order(self, tmp_path):
+        # one worker runs the same inputs forwards, then backwards; the toy's
+        # noise comes from each input's seed, not from its module's state
+        inputs = [{"infection_rate": 0.01 * (k + 1), "seed": k % 2 or None} for k in range(4)]
+        outputs = {}
+        for order in ("forwards", "backwards"):
+            m = PilotManager(1, workdir=tmp_path, clock="wall")
+            ks = range(4) if order == "forwards" else reversed(range(4))
+            for k in ks:
+                run = tmp_path / order / str(k)
+                run.mkdir(parents=True)
+                (run / "input.json").write_text(json.dumps(inputs[k]))
+                m.submit(JobSpec(name=str(k), command=("input.json",),
+                                 callable="uqpilot.toy:main", workdir=str(run)))
+            drained(m)
+            outputs[order] = [(tmp_path / order / str(k) / "deaths.csv").read_bytes()
+                              for k in range(4)]
+        assert outputs["forwards"] == outputs["backwards"]
+        assert len(set(outputs["forwards"])) == 4
 
 
 def test_the_manager_and_executor_start_no_thread():

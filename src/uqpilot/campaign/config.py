@@ -33,10 +33,9 @@ stderr in `run.stdout` and `run.stderr` there. The app is one of two:
   function's int return value (else 0), a `SystemExit`'s code, or 1 for
   any other exception as the run's exit code. Module state outlives a run
   (see `uqpilot.pilotjob.launcher`). `uq` itself never imports `module`.
-- `command`, run with stdin from /dev/null. A command `[python, "-m",
-  module, *args]` naming the interpreter running `uq` may start warm,
-  forked from one started interpreter, under the rule that
-  `uqpilot.pilotjob.launcher` states; any other is executed.
+- `command`, executed with stdin from /dev/null. A Python model run as
+  `[python, "-m", module, *args]` pays a fresh interpreter per run; give
+  it as a `callable` instead to run it on a worker.
 
 A config may give both; runs then use `callable`, and `command` is the same
 app by hand (`uq-toy input.json` in a run's directory reruns that run).

@@ -7,11 +7,10 @@ execute at once. The manager's one launcher process starts every run, in a
 process group of its own (see `uqpilot.pilotjob.launcher`). An app with a
 `callable` runs as a call of `callable([target])` on one of the launcher's
 persistent workers, each of which imports the callable's module once and
-then takes one run at a time; for any other app, the launcher decides
-whether a run of `command` starts warm or executed. The manager is drained
-before `execute_campaign` returns, so every run, worker and the launcher
-has been reaped and its CPU time counted in this process's
-`RUSAGE_CHILDREN`.
+then takes one run at a time; any other app's `command` is executed once
+per run. The manager is drained before `execute_campaign` returns, so
+every run, worker and the launcher has been reaped and its CPU time
+counted in this process's `RUSAGE_CHILDREN`.
 
 `execute_campaign` makes one pass over the runs of its stage and no
 other. Each run first goes through `Campaign.recover`: a run that an

@@ -141,7 +141,7 @@ class Task:
     end: float | None = None
     exit_code: int | None = None
     cancel_requested: bool = False
-    start_mode: str | None = None           # "warm", "exec" or "worker", as the launcher started it
+    start_mode: str | None = None           # "exec" or "worker", as the launcher started it
 
     @property
     def terminal(self) -> bool:

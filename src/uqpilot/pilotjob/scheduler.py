@@ -15,26 +15,27 @@ while it does not fit. Dependency counters and a reverse map keep each
 state change at O(log n) instead of a scan of the queue.
 
 A simulated clock ends tasks through an event heap of their declared
-durations. On the wall clock, one launcher process (`launcher.py`),
-started with the first task, starts, signals and reaps every task, each
-in a process group of its own with /dev/null as stdin (a group, not a
-session: `setsid` makes a scheduler autogroup per run, 0.36 ms more per
-`cp` run on a 2-vCPU Linux VM). `wait` selects on its reports up to the
-next deadline, the SIGKILL after a cancel's SIGTERM and grace period;
-`submit` and the snapshots first take in reports already there. A task's
-request carries `os.environ` with the job's `env` over it, or None when the
-job has no `env` and `os.environ` is as it was when the launcher started
-(its encoded items compared with a snapshot). A job with a `callable` is
-a `call` request, which runs on one of the launcher's workers; for any
-other, the launcher alone decides whether the run starts warm or executed
-(see `launcher.py`). It reports which in `Task.start_mode`. A task that
-cannot start ends with exit 127, as does the rest of a dispatch pass in
-which no launcher could start. At a launcher's exit the loop SIGKILLs the
-group of each run it left and fails its tasks; the next task starts a new
-launcher. `drain` runs the loop until no task is pending and the launcher
-has exited, so the runs' CPU time reaches the caller's `RUSAGE_CHILDREN`.
-Used as a context manager, the manager cancels every job and drains on
-any exception, so no run outlives it.
+durations. On the wall clock, one launcher process (`launcher.py`, a bare
+`python -I -S`), started with the first task, starts, signals and reaps
+every task, each in a process group of its own with /dev/null as stdin (a
+group, not a session: `setsid` makes a scheduler autogroup per run, 0.36
+ms more per `cp` run on a 2-vCPU Linux VM). `wait` selects on its reports
+up to the next deadline, the SIGKILL after a cancel's SIGTERM and grace
+period; `submit` and the snapshots first take in reports already there. A
+task's request carries `os.environ` with the job's `env` over it, or None
+when the job has no `env` and `os.environ` is as it was when the launcher
+started (its encoded items compared with a snapshot): the launcher starts
+with `os.environ`, not the C environment, so a run sees the same variables
+either way. A job with a `callable` is a `call` request, which runs on one
+of the launcher's workers (`Task.start_mode` "worker"); any other is
+executed ("exec"; see `launcher.py`). A task that cannot start ends with
+exit 127, as does the rest of a dispatch pass in which no launcher could
+start. At a launcher's exit the loop SIGKILLs the group of each run it
+left and fails its tasks; the next task starts a new launcher. `drain`
+runs the loop until no task is pending and the launcher has exited, so the
+runs' CPU time reaches the caller's `RUSAGE_CHILDREN`. Used as a context
+manager, the manager cancels every job and drains on any exception, so no
+run outlives it.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class _Launcher:
         self.reports, rep_w = os.pipe()
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, str(LAUNCHER), str(req_r), str(rep_w)],
-                pass_fds=(req_r, rep_w), stdin=subprocess.DEVNULL,
+                [sys.executable, "-I", "-S", str(LAUNCHER), str(req_r), str(rep_w)],
+                env=os.environ, pass_fds=(req_r, rep_w), stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL, start_new_session=True)
         except OSError:
             os.close(self._requests)
@@ -115,7 +116,7 @@ class _Launcher:
         ended = []
         for line in lines:
             fields = line.split()
-            if len(fields) == 3:   # a start: "<seq> warm|exec <pid>"
+            if len(fields) == 3:   # a start: "<seq> exec|worker <pid>"
                 seq = int(fields[0])
                 self._groups[seq] = int(fields[2])
                 self.tasks[seq].start_mode = fields[1].decode()

@@ -62,12 +62,6 @@ def combination_coefficient(d: int, level: int, norm: int) -> int:
     return (-1) ** q * math.comb(d - 1, q)
 
 
-def _merge_key(point: np.ndarray) -> tuple[int, ...]:
-    # bucket coordinates on a MERGE_TOL lattice; nested rules produce
-    # bitwise-equal duplicates so bucket boundaries are not a concern.
-    return tuple(int(round(x / MERGE_TOL)) for x in point)
-
-
 def multi_indices(d: int, level: int):
     """Every k in N^d with |k|_1 <= level, in lexicographic order.
 
@@ -112,10 +106,7 @@ def smolyak_grid(
             rule_cache[key] = rule_at_level(*key)
         return rule_cache[key]
 
-    index_to_row: dict[tuple[int, ...], int] = {}
-    merged_points: list[np.ndarray] = []
-    merged_weights: list[float] = []
-    components: list[Component] = []
+    grids = []   # (index, coefficient, points, weights, orders) of each component
     budget = 0
 
     for k in multi_indices(d, level):
@@ -127,33 +118,37 @@ def smolyak_grid(
         if budget > TENSOR_SIZE_CAP:
             raise SizeError(f"sparse grid enumeration exceeds cap {TENSOR_SIZE_CAP}")
         pts, wts = tensor_grid(comp_rules)
-        rows = np.empty(len(pts), dtype=np.int64)
-        for i, p in enumerate(pts):
-            row = index_to_row.get(_merge_key(p)) if merge else None
-            if row is None:
-                row = len(merged_points)
-                if merge:
-                    index_to_row[_merge_key(p)] = row
-                merged_points.append(p)
-                merged_weights.append(0.0)
-            rows[i] = row
-            merged_weights[row] += coeff * wts[i]
-        components.append(
-            Component(
-                index=k,
-                coefficient=coeff,
-                rows=rows,
-                weights=wts,
-                orders=tuple(r.order for r in comp_rules),
-            )
-        )
+        grids.append((k, coeff, pts, wts, tuple(r.order for r in comp_rules)))
+
+    points = np.concatenate([pts for _, _, pts, _, _ in grids])
+    if merge:
+        # bucket coordinates on a MERGE_TOL lattice; nested rules produce
+        # bitwise-equal duplicates so bucket boundaries are not a concern.
+        # A merged point is its first occurrence, and rows are numbered in
+        # order of first occurrence.
+        keys = np.round(points / MERGE_TOL).astype(np.int64)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rows = rank[inverse.reshape(-1)]
+        points = points[first[order]]
+    else:
+        rows = np.arange(len(points))
+    # bincount adds each point's weight in turn, in input order, so each sum
+    # equals a point-by-point loop's bitwise
+    weights = np.bincount(rows, np.concatenate([coeff * wts for _, coeff, _, wts, _ in grids]),
+                          len(points))
+    starts = np.cumsum([0, *(len(pts) for _, _, pts, _, _ in grids)])
+    components = [Component(index=k, coefficient=coeff, rows=rows[a:b], weights=wts, orders=o)
+                  for (k, coeff, _, wts, o), a, b in zip(grids, starts, starts[1:])]
 
     return SparseGrid(
         dimension=d,
         level=level,
         rules=tuple(rules),
-        points=np.array(merged_points),
-        weights=np.array(merged_weights),
+        points=points,
+        weights=weights,
         components=components,
         merged=merge,
         total_degree=level,

@@ -104,17 +104,6 @@ def module_dir(tmp_path, monkeypatch) -> Path:
     return mods
 
 
-@pytest.fixture
-def warm_pythonpath(monkeypatch) -> str:
-    """Set ``PYTHONPATH`` to the absolute directory of the imported package
-    alone, so that a ``python -m`` task can start warm and import it."""
-    import uqpilot
-
-    root = str(Path(uqpilot.__file__).resolve().parent.parent)
-    monkeypatch.setenv("PYTHONPATH", root)
-    return root
-
-
 def write_config(
     tmp_path: Path,
     parameters: list[dict],

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import uniform_param, write_config
+from tests.conftest import package_env, uniform_param, write_config
 from tests.test_pilotjob import running, wait_for
 from uqpilot.campaign.ops import Campaign
 from uqpilot.campaign.store import CampaignStore
@@ -455,17 +455,14 @@ class TestExecutorEquivalence:
     @pytest.mark.parametrize("run_options",
                              [[], ["--executor", "pilotjob", "--allocation-cores", "2"]],
                              ids=["serial", "pilotjob"])
-    def test_the_toy_started_warm_equals_the_toy_executed(
-            self, tmp_path, demo_config_path, warm_pythonpath, console_scripts, monkeypatch,
-            run_options):
-        # The demo at level 1 three times: the toy executed through
-        # `uq-toy`, wrapped to log each start; started warm by `python -m`;
-        # and called as `uqpilot.toy:main` on workers, as the demo's config
-        # says. `uq run` starts the launcher alone, which reports how it
-        # started each run. The warm runs share one launcher, so later runs
-        # start with the modules earlier ones taught it; the called ones share
-        # workers. Each run's stdout, stderr and deaths.csv, the files a warm
-        # run's fast exit and a worker must flush, equal the executed run's.
+    def test_the_toy_on_workers_equals_the_toy_executed(
+            self, tmp_path, demo_config_path, console_scripts, monkeypatch, run_options):
+        # The demo at level 1 twice: the toy executed through `uq-toy`,
+        # wrapped to log each start, and called as `uqpilot.toy:main` on
+        # workers, as the demo's config says. `uq run` starts the launcher
+        # alone, which reports how it started each run. The called runs
+        # share workers. Each run's stdout, stderr and deaths.csv, the files
+        # a worker must flush as each call ends, equal the executed run's.
         log = tmp_path / "uq-toy.log"
         logged = tmp_path / "logged"
         logged.mkdir()
@@ -473,14 +470,13 @@ class TestExecutorEquivalence:
             f'#!/bin/sh\necho "$$" >> "{log}"\nexec "{console_scripts / "uq-toy"}" "$@"\n')
         (logged / "uq-toy").chmod(0o755)
         monkeypatch.setenv("PATH", os.pathsep.join((str(logged), os.environ["PATH"])))
+        # absolute: `uq-toy` imports this uqpilot from each run's directory
+        monkeypatch.setenv("PYTHONPATH", package_env()["PYTHONPATH"])
         started = record_popen(monkeypatch)
         modes = record_start_modes(monkeypatch)
         doc = json.loads(demo_config_path.read_text())
         command_app = {k: v for k, v in doc["app"].items() if k != "callable"}
-        apps = {"exec": command_app,
-                "warm": {**command_app,
-                         "command": [sys.executable, "-m", "uqpilot.toy", "input.json"]},
-                "worker": doc["app"]}
+        apps = {"exec": command_app, "worker": doc["app"]}
         assert doc["app"]["command"][0] == "uq-toy"
         assert doc["app"]["callable"] == "uqpilot.toy:main"
         frames = {}
@@ -492,21 +488,21 @@ class TestExecutorEquivalence:
             started.clear()
             modes.clear()
             assert uq.main(["run", "--workdir", str(tmp_path / mode), *run_options]) == uq.EXIT_OK
-            assert [p.args[:2] for p in started] == [[sys.executable, str(scheduler.LAUNCHER)]]
+            assert [p.args[:4] for p in started] == \
+                [[sys.executable, "-I", "-S", str(scheduler.LAUNCHER)]]
             assert modes == [mode] * 13
-            # the toys the exec mode started; the others start none
+            # the toys the exec mode started; the workers start none
             assert len(log.read_text().split()) == 13
             with Campaign.open(tmp_path / mode) as campaign:
                 frames[mode] = qoi_frame(campaign)
         assert len(json.loads(frames["exec"])) == 13
-        assert frames["warm"] == frames["exec"] == frames["worker"]
+        assert frames["exec"] == frames["worker"]
         for pattern, count in (("runs/*/run.std*", 26), ("runs/*/deaths.csv", 13)):
             names = sorted(p.relative_to(tmp_path / "exec")
                            for p in (tmp_path / "exec").glob(pattern))
             assert len(names) == count, names
-            for mode in ("warm", "worker"):
-                assert names == sorted(p.relative_to(tmp_path / mode)
-                                       for p in (tmp_path / mode).glob(pattern))
-                for name in names:
-                    assert (tmp_path / "exec" / name).read_bytes() == \
-                        (tmp_path / mode / name).read_bytes(), (mode, name)
+            assert names == sorted(p.relative_to(tmp_path / "worker")
+                                   for p in (tmp_path / "worker").glob(pattern))
+            for name in names:
+                assert (tmp_path / "exec" / name).read_bytes() == \
+                    (tmp_path / "worker" / name).read_bytes(), name

@@ -1,5 +1,4 @@
 import ast
-import importlib.util
 import json
 import os
 import resource
@@ -24,7 +23,7 @@ from uqpilot.errors import (
     UqError,
     ValidationError,
 )
-from uqpilot.pilotjob import launcher, scheduler
+from uqpilot.pilotjob import scheduler
 from uqpilot.pilotjob.jobs import TERMINAL, JobSpec, detected_cores
 from uqpilot.pilotjob.manager import load_batch, run_batch, write_report
 from uqpilot.pilotjob.protocol import ManagerServer, PjClient
@@ -743,7 +742,7 @@ class TestWallClockMidRun:
         assert m.status_snapshot()["free_cores"] == 4
 
 
-# --- process groups and warm starts ------------------------------------------------
+# --- process groups, executed runs and workers ------------------------------------
 
 
 def wait_for(predicate, timeout=10.0):
@@ -780,167 +779,28 @@ def sleep_of(directory: Path) -> int:
 
 SH_SLEEP = "echo $$ > sh.pid; sleep 30; echo done"
 
-WARM_MODULE = """
-import os, subprocess, sys, time
-mode = sys.argv[1]
-with open("/proc/self/cmdline", "rb") as src, open("cmdline", "wb") as dst:
-    dst.write(src.read())
-with open("seen", "w") as fh:
-    fh.write(repr(os.environ.get("WARM_TEST")))
-print(sys.argv, sys.orig_argv, sys.path, __name__, repr(sys.stdin.read()))
-print(sorted(globals()))
-print("to stderr", file=sys.stderr)
-if mode == "exit3":
-    sys.exit(3)
-if mode == "message":
-    sys.exit("stopped with a message")
-if mode == "raise":
-    raise ValueError("raised")
-if mode == "os-exit":
-    sys.stdout.flush()
-    os._exit(5)
-if mode == "sleep":
-    open("ready", "w").close()
-    time.sleep(30)
-if mode == "sh-sleep":
-    subprocess.run(["sh", "-c", %r])
-if mode == "import":
-    import onpath
-    with open("imported", "w") as fh:
-        fh.write(onpath.__file__)
-if mode == "burn":
-    start = time.process_time()
-    while time.process_time() - start < 0.25:
-        pass
-if mode == "preloaded":   # which of the named modules the run starts with; then import them
-    print([name in sys.modules for name in sys.argv[2:]])
-    for name in sys.argv[2:]:
-        __import__(name)
-if mode == "state":
-    import random, tempfile
-    print(random.random(), os.path.basename(tempfile.mktemp(dir=".")))
-if mode == "closerange":   # the files reuse the lowest fds, the launcher pipe's number among them
-    os.closerange(3, 1024)
-    for i in range(32):
-        os.write(os.open(f"f{i}", os.O_WRONLY | os.O_CREAT | os.O_TRUNC), b"intact")
-# the modes below leave their mark, if any, in the file "left"
-if mode == "global-file":   # written, never closed
-    left = open("left", "w")
-    left.write("a global's file\\n")
-if mode == "cycle-file":   # held only by a cycle, which a global holds
-    cycle = [open("left", "w")]
-    cycle.append(cycle)
-    cycle[0].write("a cycle's file\\n")
-if mode == "garbage-file":   # held only by a garbage cycle: its text is lost
-    garbage = [open("left", "w")]
-    garbage.append(garbage)
-    garbage[0].write("a garbage cycle's file\\n")
-    del garbage
-if mode in ("del", "del-raise"):
-    import atexit
-
-    class Noisy:
-        def __del__(self):
-            sys.stdout.write("finalized\\n")   # a global: still there as the module is freed
-
-    def goodbye():
-        print("atexit")
-
-    noisy = Noisy()
-    atexit.register(goodbye)   # holds the module's globals until every atexit call is made
-    if mode == "del-raise":
-        raise ValueError("raised")   # its traceback holds them too
-if mode == "atexit":
-    import atexit
-
-    def first():
-        print("registered first, called last")
-
-    def second():
-        print("registered second, called first")
-
-    atexit.register(first)
-    atexit.register(second)
-if mode == "thread":   # a non-daemon thread outlives the module
-    import threading
-
-    def late():
-        time.sleep(0.2)
-        with open("left", "w") as fh:
-            fh.write("the thread's\\n")
-
-    threading.Thread(target=late).start()
-if mode == "daemon":   # halted before any module is freed: it never writes "left"
-    import threading
-
-    # `main` keeps the module alive, so that freeing it clears its globals
-    def late(main, freeing, written, open=open):
-        freeing.acquire()
-        with open("left", "w") as fh:
-            fh.write("the daemon's\\n")
-        written.release()
-
-    class Freed:   # locks, not events: the teardown may have cleared `threading` by now
-        def __init__(self):
-            self.locks = threading.Lock(), threading.Lock()
-            for lock in self.locks:
-                lock.acquire()
-
-        def __del__(self):
-            freeing, written = self.locks
-            freeing.release()
-            written.acquire(timeout=0.3)
-
-    freed = Freed()
-    threading.Thread(target=late, args=(sys.modules[__name__], *freed.locks), daemon=True).start()
-if mode == "c-printf":   # text in C's stdio buffer, which only the C library's exit flushes
-    import ctypes
-    ctypes.CDLL(None).printf(b"from C")
-if mode == "kbi":
-    raise KeyboardInterrupt
-if mode == "atexit-clear":   # every atexit call removed: the interpreter's full exit
-    import atexit
-    atexit._clear()
-    left = open("left", "w")
-    left.write("a global's file\\n")
-if mode == "preloaded-exit":   # the atexit call of a module the launcher may have preloaded
-    print(["logging" in sys.modules])
-    import logging.handlers
-    target = logging.FileHandler("left")
-    handler = logging.handlers.MemoryHandler(100, flushLevel=logging.CRITICAL, target=target)
-    logging.getLogger().addHandler(handler)
-    logging.getLogger().warning("buffered until logging.shutdown")
-if mode == "hang-on-os":   # an object the run hangs on a module the launcher has
-    class Hung:
-        def __del__(self, open=open):   # the module's globals may be gone by then
-            with open("left", "w") as fh:
-                fh.write("finalized\\n")
-
-    os.hung = Hung()
-""" % SH_SLEEP
-
-
-def warm_command(*args) -> tuple[str, ...]:
-    return (sys.executable, "-m", "warmmod", *args)
-
-
-def warm_job(directory: Path, name="w", *args, **kw) -> JobSpec:
-    """A job running WARM_MODULE from `directory`, with its logs there."""
-    directory.mkdir(exist_ok=True)
-    (directory / "warmmod.py").write_text(WARM_MODULE)
-    return JobSpec(name=name, command=warm_command(*args), workdir=str(directory),
-                   stdout="out", stderr="err", **kw)
-
-
-def started_warm(directory: Path) -> bool:
-    """Whether the run in `directory` was forked from the launcher, whose
-    command line it keeps, rather than executed."""
-    return str(scheduler.LAUNCHER).encode() in (directory / "cmdline").read_bytes()
-
-
 def start_mode(m: PilotManager, name: str) -> str | None:
     """How the launcher reported starting job `name`'s first task."""
     return m._jobs[name].tasks[0].start_mode
+
+
+def env_job(directory: Path, name: str, app: str, variable: str, **kw) -> JobSpec:
+    """A job whose run in `directory / name` prints `variable`, or "unset",
+    last on its stdout there: `sh` (app "exec") or a worker (app "worker")."""
+    if app == "worker":
+        return call_job(directory / name, name, "env", variable, **kw)
+    (directory / name).mkdir()
+    return JobSpec(name=name, command=("sh", "-c", f'echo "${{{variable}-unset}}"'),
+                   workdir=str(directory / name), stdout="out", **kw)
+
+
+def sleeper_job(directory: Path, app: str, name: str = "r") -> JobSpec:
+    """A job whose run in `directory` waits in `sleep 30`, the child of the
+    `sh` (app "exec") or of the worker (app "worker") whose pid is in sh.pid."""
+    if app == "worker":
+        return call_job(directory, name, "sleep")
+    directory.mkdir(exist_ok=True)
+    return JobSpec(name=name, command=("sh", "-c", SH_SLEEP), workdir=str(directory))
 
 
 class TestProcessGroups:
@@ -966,19 +826,10 @@ class TestProcessGroups:
         assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGKILL)
         wait_for(lambda: not running(sleep), timeout=5)
 
-    def test_cancel_kills_the_group_of_a_warm_run(self, tmp_path, warm_pythonpath):
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "sh-sleep"))
-        sleep = sleep_of(tmp_path)
-        assert started_warm(tmp_path)
-        m.cancel("w")
-        m.drain()
-        assert m.job_snapshot("w")["iterations"][0]["exit_code"] == -signal.SIGTERM
-        wait_for(lambda: not running(sleep), timeout=5)
-
-    def test_a_warm_run_canceled_at_once_leaves_no_group(self, tmp_path, warm_pythonpath):
-        # the launcher puts a forked child in its group before it reports the
-        # start, so the SIGTERM that follows finds the group
+    @pytest.mark.parametrize("app", ["exec", "worker"])
+    def test_a_run_canceled_at_once_leaves_no_group(self, tmp_path, callmod, app):
+        # the group exists before the launcher reports the start, so the
+        # SIGTERM that follows the run request finds it
         pids = []
 
         class Groups(dict):
@@ -987,19 +838,21 @@ class TestProcessGroups:
                 super().__setitem__(seq, pid)
 
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "sleep"))
+        m.submit(sleeper_job(tmp_path / "r", app))
         m._launcher._groups = Groups()   # no report is read before the cancel
-        m.cancel("w")
+        m.cancel("r")
         drained(m)
-        its = m.job_snapshot("w")["iterations"]
+        its = m.job_snapshot("r")["iterations"]
         assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGTERM)
-        assert start_mode(m, "w") == "warm" and len(pids) == 1
+        assert start_mode(m, "r") == app and len(pids) == 1
         with pytest.raises(ProcessLookupError):
             os.killpg(pids[0], 0)
 
-    def test_no_warm_run_outlives_its_manager(self, tmp_path, warm_pythonpath):
+    @pytest.mark.parametrize("app", ["exec", "worker"])
+    def test_no_run_outlives_its_manager(self, tmp_path, callmod, app):
         # the manager's process dies without draining: the launcher sees
         # its requests end and SIGKILLs the run's group
+        spec = sleeper_job(tmp_path / "r", app)
         script = (
             "import sys, time\n"
             "from pathlib import Path\n"
@@ -1007,297 +860,19 @@ class TestProcessGroups:
             "from uqpilot.pilotjob.scheduler import PilotManager\n"
             "d = Path(sys.argv[1])\n"
             "m = PilotManager(1, workdir=d, clock='wall')\n"
-            f"m.submit(JobSpec(name='w', command={warm_command('sh-sleep')!r}, workdir=str(d)))\n"
+            f"m.submit(JobSpec(name='r', command={spec.command!r}, "
+            f"callable={spec.callable!r}, workdir=str(d)))\n"
             "while not (d / 'sh.pid').exists(): time.sleep(0.01)\n"
             "time.sleep(30)\n"
         )
-        (tmp_path / "warmmod.py").write_text(WARM_MODULE)
-        manager = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
+        manager = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "r")])
         try:
-            sleep = sleep_of(tmp_path)
+            sleep = sleep_of(tmp_path / "r")
             assert running(sleep)
         finally:
             manager.kill()
             manager.wait(timeout=10)
         wait_for(lambda: not running(sleep), timeout=5)
-
-
-class TestWarmLaunch:
-    def run_one(self, tmp_path, *args):
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", *args))
-        m.drain()
-        assert started_warm(tmp_path)
-        code = m.job_snapshot("w")["iterations"][0]["exit_code"]
-        return code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes()
-
-    @staticmethod
-    def run_warm(tmp_path, times, *args) -> list[tuple[int, bytes, bytes, bytes | None]]:
-        """(exit code, stdout, stderr, the file "left" or None) of `times` warm
-        runs of `args` in `tmp_path`, each started once the one before has
-        ended, on one manager: each starts with the standard-library modules
-        that those before it taught the launcher."""
-        (tmp_path / "warmmod.py").write_text(WARM_MODULE)
-        left = tmp_path / "left"
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        runs = []
-        for run in map(str, range(1, times + 1)):
-            left.unlink(missing_ok=True)
-            m.submit(JobSpec(name=run, command=warm_command(*args), workdir=str(tmp_path),
-                             stdout=f"out{run}", stderr=f"err{run}"))
-            wait_for(lambda: m.job_snapshot(run)["status"] in TERMINAL)
-            assert started_warm(tmp_path)
-            runs.append((m.job_snapshot(run)["iterations"][0]["exit_code"],
-                         (tmp_path / f"out{run}").read_bytes(),
-                         (tmp_path / f"err{run}").read_bytes(),
-                         left.read_bytes() if left.exists() else None))
-        m.drain()
-        return runs
-
-    @staticmethod
-    def executed(tmp_path, *args) -> tuple[int, bytes, bytes, bytes | None]:
-        """`run_warm`'s tuple for one executed run of `args` in `tmp_path`."""
-        left = tmp_path / "left"
-        left.unlink(missing_ok=True)
-        ref = subprocess.run(warm_command(*args), cwd=tmp_path, stdin=subprocess.DEVNULL,
-                             capture_output=True)
-        return ref.returncode, ref.stdout, ref.stderr, left.read_bytes() if left.exists() else None
-
-    @pytest.mark.parametrize("mode", [
-        "return", "exit3", "message", "raise", "os-exit", "global-file", "cycle-file",
-        "garbage-file", "del", "del-raise", "atexit", "thread", "daemon", "c-printf", "kbi",
-        "atexit-clear"])
-    def test_exit_and_output_equal_an_executed_run(
-            self, tmp_path, warm_pythonpath, monkeypatch, mode):
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)   # it also unbuffers C's stdout
-        warm = self.run_warm(tmp_path, 2, mode)
-        assert warm == [self.executed(tmp_path, mode)] * 2
-        assert (warm[0][0], warm[0][3]) == {
-            "return": (0, None), "exit3": (3, None), "message": (1, None), "raise": (1, None),
-            "os-exit": (5, None), "global-file": (0, b"a global's file\n"),
-            "cycle-file": (0, b"a cycle's file\n"), "garbage-file": (0, b""), "del": (0, None),
-            "del-raise": (1, None), "atexit": (0, None), "thread": (0, b"the thread's\n"),
-            "daemon": (0, None), "c-printf": (0, None), "kbi": (-signal.SIGINT, None),
-            "atexit-clear": (0, b"a global's file\n")}[mode]
-        assert warm[0][1].endswith({
-            "del": b"atexit\nfinalized\n", "del-raise": b"atexit\nfinalized\n",
-            "atexit": b"registered second, called first\nregistered first, called last\n",
-            "c-printf": b"from C",
-        }.get(mode, b""))
-
-    def test_a_stdout_that_cannot_be_flushed_at_exit_equals_an_executed_run(
-            self, tmp_path, warm_pythonpath, monkeypatch):
-        # the run's file size limit stops the flush of its buffered stdout at
-        # exit: the interpreter reports it on stderr and exits 120
-        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        (tmp_path / "warmmod.py").write_text(
-            "import os, resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
-            "os.write(1, b'x' * 4096)\n"
-            "sys.stdout.write('buffered')\n")
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(JobSpec(name="w", command=warm_command(), workdir=str(tmp_path),
-                         stdout="out", stderr="err"))
-        m.drain()
-        assert start_mode(m, "w") == "warm"
-        warm = (m.job_snapshot("w")["iterations"][0]["exit_code"],
-                (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
-        with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
-            code = subprocess.run(warm_command(), cwd=tmp_path, stdin=subprocess.DEVNULL,
-                                  stdout=out, stderr=err).returncode
-        assert warm == (code, (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
-        assert warm[0] == 120 and b"File too large" in warm[2]
-
-    def test_atexit_calls_of_preloaded_modules_still_run(self, tmp_path, warm_pythonpath):
-        # `logging.shutdown` flushes the MemoryHandler; from the second run on,
-        # the launcher has preloaded `logging` and registered it before the fork
-        runs = self.run_warm(tmp_path, 3, "preloaded-exit")
-        assert [run[0] for run in runs] == [0] * 3
-        assert [run[1].splitlines()[-1] for run in runs] == [b"[False]", b"[True]", b"[True]"]
-        assert [run[3] for run in runs] == [b"buffered until logging.shutdown\n"] * 3
-
-    def test_an_object_hung_on_a_launcher_module_is_not_finalized(
-            self, tmp_path, warm_pythonpath):
-        # the documented limit: freeing the launcher's modules is the teardown
-        # a warm run skips; an executed run frees `os` and finalizes the object
-        warm = self.run_warm(tmp_path, 1, "hang-on-os")
-        assert warm[0][0] == 0 and warm[0][3] is None
-        assert self.executed(tmp_path, "hang-on-os")[3] == b"finalized\n"
-
-    def test_a_learned_standard_library_module_is_preloaded(self, tmp_path, warm_pythonpath):
-        first, second = self.run_warm(tmp_path, 2, "preloaded", "argparse", "decimal")
-        assert b"\n[False, False]\n" in first[1]
-        assert b"\n[True, True]\n" in second[1]
-
-    def test_random_and_tempfile_names_differ_between_runs(self, tmp_path, warm_pythonpath):
-        # a fork reseeds `random` and renews tempfile's name sequence
-        first, second = self.run_warm(tmp_path, 2, "state")
-        assert first[0] == second[0] == 0
-        random_values, temp_names = zip(first[1].split()[-2:], second[1].split()[-2:])
-        assert random_values[0] != random_values[1] and temp_names[0] != temp_names[1]
-
-    def test_a_module_that_prints_on_import_prints_in_every_run(self, tmp_path, warm_pythonpath):
-        warm = self.run_warm(tmp_path, 2, "preloaded", "this")
-        assert warm == [self.executed(tmp_path, "preloaded", "this")] * 2
-        assert b"The Zen of Python" in warm[1][1]
-
-    def test_a_module_that_warns_on_import_warns_in_every_run(self, tmp_path, warm_pythonpath):
-        if importlib.util.find_spec("imp") is None:
-            pytest.skip("no `imp` module in this Python")
-        warm = self.run_warm(tmp_path, 2, "preloaded", "imp")
-        assert warm == [self.executed(tmp_path, "preloaded", "imp")] * 2
-        assert b"DeprecationWarning" in warm[1][2]
-
-    def test_numpy_is_never_preloaded(self, tmp_path, warm_pythonpath):
-        pytest.importorskip("numpy")
-        first, second = self.run_warm(tmp_path, 2, "preloaded", "numpy")
-        assert first[0] == second[0] == 0
-        assert b"\n[False]\n" in second[1]
-
-    def test_ctypes_is_never_preloaded(self, tmp_path, warm_pythonpath):
-        # a run with ctypes ends through the full exit, which no other run should pay
-        first, second = self.run_warm(tmp_path, 2, "preloaded", "ctypes")
-        assert first[0] == second[0] == 0
-        assert b"\n[False]\n" in second[1]
-
-    def test_a_run_that_closes_and_reuses_the_launchers_fds_keeps_its_files(
-            self, tmp_path, warm_pythonpath):
-        assert self.run_one(tmp_path, "closerange")[0] == 0
-        assert [(tmp_path / f"f{i}").read_bytes() for i in range(32)] == [b"intact"] * 32
-
-    @pytest.mark.parametrize("module", ["select", "json"])
-    def test_a_module_in_the_cwd_shadows_the_launchers(self, tmp_path, warm_pythonpath, module):
-        # the launcher has `select` from its start, and `json` once the first run taught it;
-        # `python -m` puts the cwd first on `sys.path`, so the run imports its own
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path / "teach", "teach", "preloaded", module))
-        own = tmp_path / "own"
-        own.mkdir()
-        (own / f"{module}.py").write_text(
-            "print(\"the run's\", __name__)\n"
-            "def select(*args):   # all that `selectors` needs as it is imported\n"
-            "    raise OSError\n")
-        m.submit(warm_job(own, "own", "preloaded", module))
-        m.drain()
-        assert [start_mode(m, name) for name in ("teach", "own")] == ["warm", "exec"]
-        warm = (m.job_snapshot("own")["iterations"][0]["exit_code"],
-                (own / "out").read_bytes(), (own / "err").read_bytes())
-        assert warm == self.executed(own, "preloaded", module)[:3]
-        assert f"the run's {module}\n".encode() in warm[1]
-
-    def test_argv_path_name_and_stdin_are_those_of_python_m(self, tmp_path, warm_pythonpath):
-        _, out, _ = self.run_one(tmp_path, "return")
-        cwd = os.getcwd()
-        try:
-            os.chdir(tmp_path)
-            directory = os.getcwd()
-        finally:
-            os.chdir(cwd)
-        argv, orig_argv, path = [str(Path(directory) / "warmmod.py"), "return"], \
-            list(warm_command("return")), directory
-        assert out.decode().startswith(f"{argv} {orig_argv} [{path!r}, ")
-        assert out.decode().splitlines()[0].endswith("] __main__ ''")
-
-    def test_sigterm_on_cancel_equals_an_executed_run(self, tmp_path, warm_pythonpath):
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "sleep"))
-        wait_for((tmp_path / "ready").exists)
-        m.cancel("w")
-        m.drain()
-        assert started_warm(tmp_path)
-        warm = (m.job_snapshot("w")["iterations"][0]["exit_code"],
-                (tmp_path / "out").read_bytes(), (tmp_path / "err").read_bytes())
-        (tmp_path / "ready").unlink()
-        proc = subprocess.Popen(warm_command("sleep"), cwd=tmp_path, stdin=subprocess.DEVNULL,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        wait_for((tmp_path / "ready").exists)
-        proc.terminate()
-        out, err = proc.communicate(timeout=10)
-        assert warm == (proc.returncode, out, err)
-        assert warm[0] == -signal.SIGTERM
-
-    def test_a_job_env_reaches_the_run(self, tmp_path, warm_pythonpath):
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "return", env=(("WARM_TEST", "1"),)))
-        m.drain()
-        assert m.job_snapshot("w")["status"] == "SUCCEEDED"
-        assert (tmp_path / "seen").read_text() == "'1'"
-
-    def test_a_changed_environment_reaches_the_next_run(self, tmp_path, warm_pythonpath,
-                                                        monkeypatch):
-        monkeypatch.delenv("WARM_TEST", raising=False)
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path / "a", "a", "return"))
-        wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
-        monkeypatch.setenv("WARM_TEST", "1")
-        m.submit(warm_job(tmp_path / "b", "b", "return"))
-        monkeypatch.delenv("WARM_TEST")   # as it was when the launcher started
-        m.submit(warm_job(tmp_path / "c", "c", "return"))
-        m.drain()
-        assert m.job_snapshot("b")["status"] == m.job_snapshot("c")["status"] == "SUCCEEDED"
-        assert [(tmp_path / name / "seen").read_text() for name in "abc"] \
-            == ["None", "'1'", "None"]
-        assert [started_warm(tmp_path / name) for name in "abc"] == [True, False, True]
-
-    def test_a_relative_pythonpath_entry_resolves_against_the_runs_cwd(self, tmp_path,
-                                                                        monkeypatch):
-        (tmp_path / "lib").mkdir()
-        (tmp_path / "lib" / "onpath.py").write_text("")
-        monkeypatch.setenv("PYTHONPATH", "lib")
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "import"))
-        m.drain()
-        assert m.job_snapshot("w")["status"] == "SUCCEEDED"
-        imported = Path((tmp_path / "imported").read_text())
-        assert imported.resolve() == (tmp_path / "lib" / "onpath.py").resolve()
-
-    def test_runs_cpu_reaches_rusage_children_after_drain(self, tmp_path, warm_pythonpath):
-        def children_cpu():
-            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-            return usage.ru_utime + usage.ru_stime
-
-        before = children_cpu()
-        m = PilotManager(2, workdir=tmp_path, clock="wall")
-        for name in ("a", "b"):
-            m.submit(warm_job(tmp_path / name, name, "burn"))
-        m.drain()
-        assert all(started_warm(tmp_path / name) for name in ("a", "b"))
-        assert children_cpu() - before >= 0.5
-
-    def test_which_modules_the_launcher_may_preload(self):
-        assert launcher._preloadable("json") and launcher._preloadable("json.decoder")
-        for name in ("antigravity", "idlelib.idle", "json.__main__", "numpy", "warmmod"):
-            assert not launcher._preloadable(name), name
-
-    def test_which_commands_start_warm(self, tmp_path, monkeypatch):
-        # the launcher's decision, taken in this interpreter, as the launcher
-        # started by this `sys.executable` takes it
-        cwd = tmp_path / "cwd"
-        cwd.mkdir()
-        monkeypatch.delenv("PYTHONPATH", raising=False)
-
-        def warm(*command, env=None):
-            path = launcher._executable(command[0], env)
-            return launcher._starts_warm(command, env, path, launcher._warm_python(), str(cwd))
-
-        exe = Path(sys.executable)
-        assert warm(str(exe), "-m", "mod", "arg")
-        assert not warm(str(exe), "-u", "-m", "mod")
-        assert not warm(str(exe), "-m")
-        assert not warm(str(exe), "script.py", "-m", "mod")
-        assert not warm(str(exe), "-m", "mod", env=dict(os.environ))
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(tmp_path), "lib"]))
-        assert not warm(str(exe), "-m", "mod")
-        monkeypatch.setenv("PYTHONPATH", str(tmp_path))
-        assert warm(str(exe), "-m", "mod")
-        monkeypatch.setenv("PATH", str(exe.parent))
-        assert warm(exe.name, "-m", "mod")
-        (tmp_path / exe.name).symlink_to(exe)   # the same file, not the same path
-        assert not warm(str(tmp_path / exe.name), "-m", "mod")
-        monkeypatch.setenv("PATH", str(tmp_path))
-        assert not warm(exe.name, "-m", "mod")
-        (cwd / "json.py").write_text("")   # a module this interpreter has
-        assert not warm(str(exe), "-m", "mod")
 
 
 class TestExecutedRuns:
@@ -1337,12 +912,77 @@ class TestExecutedRuns:
     def test_a_run_gets_the_launchers_environment(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(JobSpec(name="env", command=("env", "-0"), workdir=str(tmp_path), stdout="out"))
-        # as the launcher started, which may differ from `os.environ` here:
-        # readline, say, sets LINES and COLUMNS in the C environment alone
+        # as the launcher started, with `os.environ`
         environ = Path(f"/proc/{m._launcher.proc.pid}/environ").read_bytes()
         drained(m)
         assert sorted((tmp_path / "out").read_bytes().split(b"\0")) == \
             sorted(environ.split(b"\0"))
+
+    @pytest.mark.parametrize("app", ["exec", "worker"])
+    def test_the_c_environment_alone_reaches_no_run(self, tmp_path, callmod, app):
+        # a variable set behind `os.environ`, in the C environment alone, as
+        # C code calling setenv leaves it: the launcher starts with
+        # `os.environ`, so a job without `env` sees what one with `env` sees
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        os.putenv("UQ_C_ONLY", "1")
+        try:
+            m.submit(env_job(tmp_path, "r", app, "UQ_C_ONLY"))
+        finally:
+            os.unsetenv("UQ_C_ONLY")
+        drained(m)
+        assert (start_mode(m, "r"), m.job_snapshot("r")["status"]) == (app, "SUCCEEDED")
+        assert (tmp_path / "r" / "out").read_text().splitlines()[-1] == "unset"
+
+    @pytest.mark.parametrize("app", ["exec", "worker"])
+    def test_a_changed_environment_reaches_the_next_run(self, tmp_path, callmod, monkeypatch,
+                                                        app):
+        # the manager sends its `os.environ` once it differs from the
+        # launcher's, and a job's `env` over it
+        monkeypatch.delenv("UQ_TEST", raising=False)
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(env_job(tmp_path, "a", app, "UQ_TEST"))
+        wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
+        monkeypatch.setenv("UQ_TEST", "1")
+        m.submit(env_job(tmp_path, "b", app, "UQ_TEST"))
+        monkeypatch.delenv("UQ_TEST")   # as it was when the launcher started
+        m.submit(env_job(tmp_path, "c", app, "UQ_TEST"))
+        m.submit(env_job(tmp_path, "d", app, "UQ_TEST", env=(("UQ_TEST", "2"),)))
+        drained(m)
+        assert [m.job_snapshot(name)["status"] for name in "abcd"] == ["SUCCEEDED"] * 4
+        assert [(tmp_path / name / "out").read_text().splitlines()[-1] for name in "abcd"] \
+            == ["unset", "1", "unset", "2"]
+
+    @pytest.mark.parametrize("entry", ["relative", "absolute"])
+    def test_a_python_m_command_is_executed(self, tmp_path, monkeypatch, entry):
+        # a fresh interpreter, which resolves a relative PYTHONPATH entry
+        # against the run's cwd
+        (tmp_path / "lib").mkdir()
+        (tmp_path / "lib" / "onpath.py").write_text(
+            "with open('imported', 'w') as fh:\n    fh.write(__file__)\n")
+        monkeypatch.setenv("PYTHONPATH", "lib" if entry == "relative" else str(tmp_path / "lib"))
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="r", command=(sys.executable, "-m", "onpath"),
+                         workdir=str(tmp_path)))
+        drained(m)
+        assert (start_mode(m, "r"), m.job_snapshot("r")["status"]) == ("exec", "SUCCEEDED")
+        imported = Path((tmp_path / "imported").read_text())
+        assert imported.resolve() == (tmp_path / "lib" / "onpath.py").resolve()
+
+    def test_runs_cpu_reaches_rusage_children_after_drain(self, tmp_path):
+        def children_cpu():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        burn = ("import time\n"
+                "start = time.process_time()\n"
+                "while time.process_time() - start < 0.25:\n"
+                "    pass\n")
+        before = children_cpu()
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        for name in ("a", "b"):
+            m.submit(JobSpec(name=name, command=(sys.executable, "-c", burn)))
+        m.drain()
+        assert children_cpu() - before >= 0.5
 
     @pytest.mark.parametrize("missing", ["executable", "cwd"])
     def test_a_run_that_cannot_start_exits_127(self, tmp_path, missing):
@@ -1365,32 +1005,18 @@ def drained(m: PilotManager, timeout=10.0):
 
 
 class TestLauncherFaults:
-    def test_a_run_that_cannot_fork_exits_127(self, tmp_path, warm_pythonpath, monkeypatch):
-        site = tmp_path / "site"
-        site.mkdir()
-        (site / "sitecustomize.py").write_text(
-            "import errno, os\n"
-            "def fork():\n"
-            "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
-            "os.fork = fork\n")
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), warm_pythonpath]))
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path / "w", "w", "return"))
-        drained(m)
-        assert m.job_snapshot("w")["iterations"][0]["exit_code"] == 127
-        assert not (tmp_path / "w" / "cmdline").exists()
-        assert m._launcher.proc.returncode == 0
-
-    def test_an_error_in_the_launcher_kills_its_runs(self, tmp_path, warm_pythonpath):
-        m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path, "w", "sh-sleep"))
-        sleep = sleep_of(tmp_path)
-        assert started_warm(tmp_path)
+    def test_an_error_in_the_launcher_kills_its_runs(self, tmp_path, callmod):
+        m = PilotManager(2, workdir=tmp_path, clock="wall")
+        for app in ("exec", "worker"):
+            m.submit(sleeper_job(tmp_path / app, app, name=app))
+        sleeps = [sleep_of(tmp_path / app) for app in ("exec", "worker")]
+        worker = seen(tmp_path / "worker")[0]
         os.write(m._launcher._requests, (1).to_bytes(4, "little") + b"\xff")  # not marshal
         drained(m)
         assert m._launcher.proc.returncode == 1
-        assert m.job_snapshot("w")["iterations"][0]["exit_code"] is None
-        wait_for(lambda: not running(sleep), timeout=5)
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in ("exec", "worker")] \
+            == [None, None]
+        wait_for(lambda: not any(running(pid) for pid in [*sleeps, worker]), timeout=5)
 
     @pytest.mark.parametrize("bad", [{"env": (("A=B", "1"),)}, {"env": (("", "1"),)},
                                      {"env": (("A", "1\0"),)}, {"command": ("tr\0ue",)},
@@ -1411,19 +1037,18 @@ class TestLauncherFaults:
             == [0, 127]
         assert m._launcher is launcher and launcher.proc.returncode == 0
 
-    def test_a_killed_launcher_leaves_no_run_behind(self, tmp_path, warm_pythonpath):
+    def test_a_killed_launcher_leaves_no_run_behind(self, tmp_path, callmod):
         # a SIGKILLed launcher cannot kill its runs; its reader kills their groups
-        (tmp_path / "sh").mkdir()
         m = PilotManager(2, workdir=tmp_path, clock="wall")
-        m.submit(JobSpec(name="sh", command=("sh", "-c", SH_SLEEP), workdir=str(tmp_path / "sh")))
-        m.submit(warm_job(tmp_path / "w", "w", "sh-sleep"))
-        sleeps = [sleep_of(tmp_path / "sh"), sleep_of(tmp_path / "w")]
-        assert started_warm(tmp_path / "w")
+        for app in ("exec", "worker"):
+            m.submit(sleeper_job(tmp_path / app, app, name=app))
+        sleeps = [sleep_of(tmp_path / app) for app in ("exec", "worker")]
+        worker = seen(tmp_path / "worker")[0]
         m._launcher.proc.kill()
         drained(m)
-        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in ("sh", "w")] \
+        assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in ("exec", "worker")] \
             == [None, None]
-        wait_for(lambda: not any(running(sleep) for sleep in sleeps), timeout=5)
+        wait_for(lambda: not any(running(pid) for pid in [*sleeps, worker]), timeout=5)
 
     def test_the_next_task_starts_a_new_launcher(self, tmp_path):
         # b waits behind a; the launcher's error fails a alone, and b starts
@@ -1463,7 +1088,7 @@ class TestLauncherFaults:
         assert len(popens) == 1
 
     def test_an_interrupt_before_the_run_request_leaves_a_task_cancel_ends(
-            self, tmp_path, warm_pythonpath, monkeypatch):
+            self, tmp_path, monkeypatch):
         send = scheduler._Launcher.send
 
         def interrupted(launcher, request):
@@ -1474,11 +1099,11 @@ class TestLauncherFaults:
         monkeypatch.setattr(scheduler._Launcher, "send", interrupted)
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         with pytest.raises(KeyboardInterrupt):
-            m.submit(warm_job(tmp_path, "w", "return"))
+            m.submit(JobSpec(name="r", command=("touch", "started"), workdir=str(tmp_path)))
         m.cancel_all()
         drained(m)
-        assert m.job_snapshot("w")["status"] == "CANCELED"
-        assert not (tmp_path / "cmdline").exists()
+        assert m.job_snapshot("r")["status"] == "CANCELED"
+        assert not (tmp_path / "started").exists()
 
     def test_an_interrupt_as_a_report_is_taken_in_leaves_a_task_cancel_ends(
             self, tmp_path, monkeypatch):
@@ -1499,15 +1124,16 @@ class TestLauncherFaults:
         drained(m)
         assert m.job_snapshot("a")["status"] == "CANCELED"
 
-    def test_a_signal_to_an_ended_run_is_ignored(self, tmp_path, warm_pythonpath):
+    def test_a_signal_to_an_ended_run_is_ignored(self, tmp_path):
         m = PilotManager(1, workdir=tmp_path, clock="wall")
-        m.submit(warm_job(tmp_path / "a", "a", "return"))
+        m.submit(JobSpec(name="a", command=("true",)))
         wait_for(lambda: m.job_snapshot("a")["status"] == "SUCCEEDED")
-        assert m._launcher.send(("signal", 0, int(signal.SIGKILL)))   # a's task
-        m.submit(warm_job(tmp_path / "b", "b", "return"))
+        launcher = m._launcher
+        assert launcher.send(("signal", 0, int(signal.SIGKILL)))   # a's task
+        m.submit(JobSpec(name="b", command=("true",)))
         drained(m)
         assert [m.job_snapshot(n)["iterations"][0]["exit_code"] for n in "ab"] == [0, 0]
-        assert started_warm(tmp_path / "b")
+        assert m._launcher is launcher and launcher.proc.returncode == 0
 
 
 # a callable app: each call records what it saw in `seen`, once that is whole
@@ -1536,6 +1162,13 @@ def main(argv):
         with open("sh.pid", "w") as fh:   # for `sleep_of`
             fh.write(str(os.getpid()))
         subprocess.run(["sleep", "30"])
+    if mode == "env":
+        print(os.environ.get(argv[1], "unset"))
+    if mode == "os-exit":
+        sys.stdout.flush()
+        os._exit(5)
+    if mode == "kbi":
+        raise KeyboardInterrupt
 """
 
 
@@ -1574,6 +1207,47 @@ class TestWorkers:
         tail = {"message": "\nstopped with a message\n", "raise": "\nValueError: raised\n"}
         assert err.endswith(tail.get(mode, "\n"))
         assert ("Traceback (most recent call last)" in err) == (mode == "raise")
+
+    @pytest.mark.parametrize("mode", ["return", "return3", "exit3", "message", "raise",
+                                      "os-exit", "kbi"])
+    def test_a_call_equals_an_executed_run(self, tmp_path, callmod, mode):
+        # the executed run calls main as a console script does; a traceback
+        # differs in the frames that call main, so only its last line counts
+        script = "import callmod, sys\nsys.exit(callmod.main(sys.argv[1:]))\n"
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(call_job(tmp_path / "worker", "worker", mode))
+        m.submit(JobSpec(name="exec", command=(sys.executable, "-c", script, mode),
+                         workdir=str(tmp_path / "worker"), stdout="../exec.out",
+                         stderr="../exec.err"))
+        drained(m)
+        runs = {}
+        for app, out, err in (("worker", "worker/out", "worker/err"),
+                              ("exec", "exec.out", "exec.err")):
+            err = (tmp_path / err).read_text()
+            runs[app] = (start_mode(m, app), m._jobs[app].tasks[0].exit_code,
+                         (tmp_path / out).read_text(), err.splitlines()[-1],
+                         "Traceback (most recent call last)" in err)
+        assert runs["worker"][1:] == runs["exec"][1:]
+        assert (runs["worker"][0], runs["exec"][0]) == ("worker", "exec")
+        assert runs["worker"][1] == {"return": 0, "return3": 3, "exit3": 3, "message": 1,
+                                     "raise": 1, "os-exit": 5, "kbi": -signal.SIGINT}[mode]
+
+    def test_the_launcher_starts_bare(self, tmp_path, callmod, module_dir):
+        # isolated and without `site`: of the Python processes that a `cp`
+        # run and a callable run start, only the worker imports sitecustomize
+        (module_dir / "sitecustomize.py").write_text(
+            f"import os\nwith open({str(tmp_path / 'pids')!r}, 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n")
+        (tmp_path / "src").write_text("copied\n")
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(JobSpec(name="cp", command=("cp", "src", "dst"), workdir=str(tmp_path)))
+        m.submit(call_job(tmp_path / "r", "r", "return"))
+        launcher = m._launcher
+        drained(m)
+        assert [start_mode(m, n) for n in ("cp", "r")] == ["exec", "worker"]
+        assert (tmp_path / "dst").read_text() == "copied\n"
+        assert (tmp_path / "pids").read_text().split() == [str(seen(tmp_path / "r")[0])]
+        assert launcher.proc.returncode == 0
 
     def test_one_worker_imports_the_module_once_for_its_tasks(self, tmp_path, callmod):
         m = PilotManager(1, workdir=tmp_path, clock="wall")

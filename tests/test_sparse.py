@@ -145,3 +145,51 @@ def test_high_dimension_low_level_grid_returns():
     grid = smolyak_grid(16, 3, "clenshaw-curtis")
     assert len(grid.components) == math.comb(16 + 3, 3)   # every |k|_1 <= 3 contributes
     assert abs(grid.weights.sum() - 1.0) < 1e-10
+
+
+def loop_merged(d: int, level: int, rules):
+    """(points, weights, per-component rows) merged one point at a time, the
+    way `smolyak_grid` once merged them: a dict from each point's
+    MERGE_TOL-lattice key to its row, rows numbered as first met."""
+    from uqpilot.sampling import sparse
+    from uqpilot.sampling.quadrature import rule_at_level, tensor_grid
+
+    rules = [rules] * d if isinstance(rules, str) else rules
+    merge = "gauss-hermite" not in rules
+    index_to_row, points, weights, rows = {}, [], [], []
+    for k in sparse.multi_indices(d, level):
+        coeff = sparse.combination_coefficient(d, level, sum(k))
+        if coeff == 0:
+            continue
+        pts, wts = tensor_grid([rule_at_level(rules[i], k[i]) for i in range(d)])
+        component = np.empty(len(pts), dtype=np.int64)
+        for i, p in enumerate(pts):
+            key = tuple(int(round(x / sparse.MERGE_TOL)) for x in p)
+            row = index_to_row.get(key) if merge else None
+            if row is None:
+                row = len(points)
+                if merge:
+                    index_to_row[key] = row
+                points.append(p)
+                weights.append(0.0)
+            component[i] = row
+            weights[row] += coeff * wts[i]
+        rows.append(component)
+    return np.array(points), np.array(weights), rows
+
+
+@pytest.mark.parametrize("d, level, rules", [
+    *((6, level, "clenshaw-curtis") for level in (1, 2, 3, 4)),
+    (4, 3, "gauss-legendre"),
+    (3, 3, "gauss-hermite"),
+    (3, 3, ["clenshaw-curtis", "gauss-legendre", "clenshaw-curtis"]),
+    (3, 2, ["gauss-legendre", "gauss-hermite", "clenshaw-curtis"]),
+])
+def test_the_vectorised_merge_equals_a_point_by_point_loop_bitwise(d, level, rules):
+    grid = smolyak_grid(d, level, rules)
+    points, weights, rows = loop_merged(d, level, rules)
+    assert grid.points.tobytes() == points.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert len(grid.components) == len(rows)
+    for component, expected in zip(grid.components, rows):
+        assert component.rows.tobytes() == expected.tobytes()

@@ -1,23 +1,1 @@
-from uqpilot.campaign.config import (
-    AppSpec,
-    CampaignConfig,
-    DecoderSpec,
-    ParameterDef,
-    load_config,
-    parse_config,
-)
-from uqpilot.campaign.ops import Campaign
-from uqpilot.campaign.store import ALLOWED_TRANSITIONS, STATUSES, CampaignStore
-
-__all__ = [
-    "ALLOWED_TRANSITIONS",
-    "AppSpec",
-    "Campaign",
-    "CampaignConfig",
-    "CampaignStore",
-    "DecoderSpec",
-    "ParameterDef",
-    "STATUSES",
-    "load_config",
-    "parse_config",
-]
+"""Campaigns: the config document, the store, and the operations on both."""

@@ -26,8 +26,6 @@ import sys
 import time
 from pathlib import Path
 
-from uqpilot.campaign.ops import Campaign
-from uqpilot.campaign.store import DB_FILENAME
 from uqpilot.cli import stop_on_termination
 from uqpilot.errors import StoreLocked
 
@@ -121,6 +119,8 @@ def _writing(workdir: str):
     exclusive flock on `campaign.lock`, which the kernel drops as this
     process exits, however it exits. A second writer is refused, not
     queued. The lock's descriptor is not inherited, so no run holds it."""
+    from uqpilot.campaign.ops import Campaign
+
     with Campaign.open(workdir) as campaign:
         path = campaign.workdir / LOCK_FILENAME
         with open(path, "a") as lock:
@@ -160,6 +160,9 @@ def _write_report(workdir: str, stem: str, writers: dict) -> list[Path]:
 
 
 def cmd_init(args) -> int:
+    from uqpilot.campaign.ops import Campaign
+    from uqpilot.campaign.store import DB_FILENAME
+
     workdir = Path(args.workdir)
     try:
         entries = {p.name for p in workdir.iterdir()} if workdir.exists() else set()
@@ -259,6 +262,7 @@ def cmd_analyze(args) -> int:
         write_csv,
         write_json,
     )
+    from uqpilot.campaign.ops import Campaign
 
     with Campaign.open(args.workdir) as campaign:
         store = campaign.store
@@ -303,6 +307,7 @@ def cmd_validate(args) -> int:
     import numpy as np
 
     from uqpilot.analysis.report import write_json
+    from uqpilot.campaign.ops import Campaign
     from uqpilot.vvp.patterns import ensemble_validate, validate_similarity
 
     if args.pattern == "similarity" and not (args.qoi and args.reference):
@@ -351,6 +356,8 @@ def _read_reference(path: str, qoi: str) -> list[float]:
 
 
 def cmd_status(args) -> int:
+    from uqpilot.campaign.ops import Campaign
+
     with Campaign.open(args.workdir) as campaign:
         doc = campaign.describe()
     print(f"campaign {doc['name']!r} ({len(doc['parameters'])} parameters)")

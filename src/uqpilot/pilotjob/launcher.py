@@ -52,13 +52,21 @@ group should the launcher be killed, and `"<task> <code>"` as it ends, the
 code negative for a signal, as `subprocess` gives it. A signal for a task
 not running is answered with that signal's report: it ends a task whose
 run request an interrupt kept from being written, and the manager ignores
-it for a task already ended. At EOF on REQUEST_FD the launcher SIGKILLs
-every run's group, a busy worker's included, and closes the request pipes
-of its idle workers, which then exit; on an error of its own it SIGKILLs
-every worker's group too. It reaps them all and exits, 0 once its requests
-ended and 1 with a traceback on an error, so no run outlives the manager.
-Should the launcher itself be killed, an idle worker exits at EOF on its
-request pipe, which no other process holds.
+it for a task already ended.
+
+As it reaps a run or a worker, and before it starts anything else, the
+launcher SIGKILLs what is left of that process's group, so that nothing a
+run left in the background (`sleep 30 &`) outlives the run and holds a
+core that the manager gives to the next run. A worker's children share
+its group, so what a task leaves in the background lives until that
+worker exits, not only until the task ends. At EOF on REQUEST_FD the
+launcher SIGKILLs every run's group, a busy worker's included, and closes
+the request pipes of its idle workers, which then exit; on an error of
+its own it SIGKILLs every worker's group too. It reaps them all and
+exits, 0 once its requests ended and 1 with a traceback on an error, so
+no run outlives the manager. Should the launcher itself be killed, an
+idle worker exits at EOF on its request pipe, which no other process
+holds.
 """
 
 import marshal
@@ -234,6 +242,7 @@ def _serve(requests: int, reports: int, tasks: dict[int, int], workers: _Workers
             pid, status = os.waitpid(-1, os.WNOHANG)
             if pid == 0:
                 break
+            _signal_group(pid, signal.SIGKILL)   # what it left in its group
             code = workers.reaped(pid) if pid in workers.pipes else None
             if pid in tasks:
                 code = os.waitstatus_to_exitcode(status) if code is None else code

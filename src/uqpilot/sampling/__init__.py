@@ -1,28 +1,1 @@
-from uqpilot.sampling.distributions import Distribution1D, constant, normal, uniform
-from uqpilot.sampling.quadrature import (
-    QuadRule,
-    clenshaw_curtis,
-    gauss_hermite,
-    gauss_legendre,
-    tensor_grid,
-)
-from uqpilot.sampling.samplers import RNG_ALGORITHM, SamplerSpec, draw, halton_sequence
-from uqpilot.sampling.sparse import SparseGrid, smolyak_grid
-
-__all__ = [
-    "Distribution1D",
-    "QuadRule",
-    "RNG_ALGORITHM",
-    "SamplerSpec",
-    "SparseGrid",
-    "clenshaw_curtis",
-    "constant",
-    "draw",
-    "gauss_hermite",
-    "gauss_legendre",
-    "halton_sequence",
-    "normal",
-    "smolyak_grid",
-    "tensor_grid",
-    "uniform",
-]
+"""Sampling: distributions, quadrature rules, sparse grids and the samplers."""

@@ -1,5 +1,6 @@
 """The `uq` subcommands driven through ``uqpilot.cli.uq.main``."""
 
+import csv
 import json
 import os
 import signal
@@ -294,6 +295,32 @@ class TestSample:
             (stage,) = campaign.store.stages()
             assert json.loads(stage["sampler_json"])["growth"] == "exp2"
             assert len(campaign.store.runs()) == 25
+
+    def test_dump_grid_writes_each_runs_point_and_weight(self, tmp_path):
+        wd = make_campaign(tmp_path, n_runs=0, parameters=[
+            uniform_param("a", 0.0, 1.0), uniform_param("b", 2.0, 3.0)])
+        sc, mc = tmp_path / "sc.csv", tmp_path / "mc.csv"
+        for argv, path in ((["sc", "--level", "2", "--sparse"], sc), (["mc", "--n", "5"], mc)):
+            assert uq.main(["sample", "--workdir", wd, "--sampler", *argv,
+                            "--dump-grid", str(path)]) == uq.EXIT_OK
+        with Campaign.open(wd) as campaign:
+            store = campaign.store
+            for stage_id, path in ((1, sc), (2, mc)):
+                rows = store.runs(stage_id=stage_id)
+                with open(path, newline="") as fh:
+                    header, *lines = csv.reader(fh)
+                assert header == ["index", "a", "b", "weight"]
+                assert [line[0] for line in lines] == [str(i) for i in range(len(rows))]
+                for line, row in zip(lines, rows, strict=True):
+                    params = store.run_params(row)
+                    assert [float(v).hex() for v in line[1:3]] == \
+                        [params["a"].hex(), params["b"].hex()]
+                    weight = row["weight"]
+                    if stage_id == 1:
+                        assert float(line[3]).hex() == weight.hex()
+                    else:
+                        assert (line[3], weight) == ("", None)
+            assert len(store.runs(stage_id=1)) > 5   # a sparse level-2 grid in 2-D
 
     def test_sc_over_an_integer_parameter_is_a_usage_error(self, tmp_path, capsys):
         wd = make_campaign(tmp_path, n_runs=0, parameters=[{
@@ -719,3 +746,20 @@ def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error):
                 errors.MissingRunError: (uq.EXIT_RUN_FAILURES, ""),
                 errors.StoreLocked: (uq.EXIT_REFUSED, "")}.get(error, (uq.EXIT_USAGE, ""))
     assert (code, capsys.readouterr().err) == (expected[0], f"uq: boom{expected[1]}\n")
+
+
+def test_help_imports_no_numpy_sqlite3_or_campaign(child_env):
+    # each command imports the layers it uses, so `uq --help` starts fast
+    script = ("import sys\n"
+              "from uqpilot.cli import uq\n"
+              "try:\n"
+              "    uq.main(['--help'])\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'sqlite3')\n"
+              "             or m.startswith('uqpilot.campaign')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: uq" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -768,6 +768,20 @@ def running(pid: int) -> bool:
     return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def group_running(pgid: int) -> bool:
+    """Whether a process of group `pgid` is alive and not a zombie. A zombie
+    stays in its group until its parent reaps it, which for an orphan is
+    PID 1, on its own time."""
+    for path in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, group = path.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:   # it has gone
+            continue
+        if int(group) == pgid and state != "Z":
+            return True
+    return False
+
+
 def sleep_of(directory: Path) -> int:
     """The `sleep` that a `sh -c 'echo $$ > sh.pid; sleep 30; ...'` in `directory` runs."""
     pid_file = directory / "sh.pid"
@@ -828,8 +842,9 @@ class TestProcessGroups:
 
     @pytest.mark.parametrize("app", ["exec", "worker"])
     def test_a_run_canceled_at_once_leaves_no_group(self, tmp_path, callmod, app):
-        # the group exists before the launcher reports the start, so the
-        # SIGTERM that follows the run request finds it
+        # the manager cancels before it has read the run's start, so the
+        # launcher alone knows the group; the SIGTERM reaches all of it, the
+        # run's `sleep` too, which the run started before the cancel
         pids = []
 
         class Groups(dict):
@@ -840,13 +855,31 @@ class TestProcessGroups:
         m = PilotManager(1, workdir=tmp_path, clock="wall")
         m.submit(sleeper_job(tmp_path / "r", app))
         m._launcher._groups = Groups()   # no report is read before the cancel
+        sleep_of(tmp_path / "r")
         m.cancel("r")
         drained(m)
         its = m.job_snapshot("r")["iterations"]
         assert (its[0]["status"], its[0]["exit_code"]) == ("CANCELED", -signal.SIGTERM)
         assert start_mode(m, "r") == app and len(pids) == 1
-        with pytest.raises(ProcessLookupError):
-            os.killpg(pids[0], 0)
+        wait_for(lambda: not group_running(pids[0]), timeout=5)
+
+    @pytest.mark.parametrize("app", ["exec", "worker"])
+    def test_what_a_run_leaves_in_the_background_ends_with_it(self, tmp_path, callmod, app):
+        # an executed run's group is killed as the run is reaped; a worker's
+        # as the worker is, once the drain has ended the launcher's requests
+        directory = tmp_path / "r"
+        if app == "worker":
+            spec = call_job(directory, "r", "background")
+        else:
+            directory.mkdir()
+            spec = JobSpec(name="r", command=("sh", "-c", "sleep 30 & echo $! > bg.pid"),
+                           workdir=str(directory))
+        m = PilotManager(1, workdir=tmp_path, clock="wall")
+        m.submit(spec)
+        drained(m)
+        assert m.job_snapshot("r")["status"] == "SUCCEEDED" and start_mode(m, "r") == app
+        background = int((directory / "bg.pid").read_text())
+        wait_for(lambda: not running(background), timeout=5)
 
     @pytest.mark.parametrize("app", ["exec", "worker"])
     def test_no_run_outlives_its_manager(self, tmp_path, callmod, app):
@@ -1162,6 +1195,9 @@ def main(argv):
         with open("sh.pid", "w") as fh:   # for `sleep_of`
             fh.write(str(os.getpid()))
         subprocess.run(["sleep", "30"])
+    if mode == "background":
+        with open("bg.pid", "w") as fh:
+            fh.write(str(subprocess.Popen(["sleep", "30"]).pid))
     if mode == "env":
         print(os.environ.get(argv[1], "unset"))
     if mode == "os-exit":

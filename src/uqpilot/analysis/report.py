@@ -46,7 +46,7 @@ def sobol_document(report: SobolReport, qoi: str) -> dict:
 
 
 def mc_document(result: dict, qoi: str, stage_id: int) -> dict:
-    """Moments and bootstrap intervals of an MC stage (`analyze_mc_stage`)."""
+    """Moments and intervals of the mean of an MC stage (`analyze_mc_stage`)."""
     return {
         "qoi": qoi,
         "stage": stage_id,
@@ -54,10 +54,7 @@ def mc_document(result: dict, qoi: str, stage_id: int) -> dict:
         "index": None if result["index"] is None else list(result["index"]),
         "mean": [float(v) for v in result["mean"]],
         "variance": [float(v) for v in result["variance"]],
-        "mean_ci": [
-            {"lower": ci.lower, "upper": ci.upper, "point": ci.point}
-            for ci in result["mean_ci"]
-        ],
+        "mean_ci": result["mean_ci"],
     }
 
 
@@ -87,11 +84,16 @@ def write_csv(report: SobolReport, path: str | Path):
 
 
 def format_final_table(report: SobolReport, qoi: str) -> str:
-    """Fixed-width console table of S_i / ST_i at the final time point."""
+    """Fixed-width console table of S_i / ST_i at the final time point.
+
+    Without an index a time point is a position, as in `write_csv`; a
+    scalar QoI (no index, one value) has none, and its header names none.
+    """
     t = len(report.variance) - 1
-    when = report.index[t] if report.index is not None else t
+    when = t if report.index is None else report.index[t]
+    scalar = report.index is None and t == 0
     width = max([len("parameter")] + [len(n) for n in report.param_names]) + 2
-    lines = [f"QoI {qoi!r}, final time point {when}:"]
+    lines = [f"QoI {qoi!r}:" if scalar else f"QoI {qoi!r}, final time point {when}:"]
     lines.append(f"{'parameter':<{width}}{'S_first':>12}{'S_total':>12}")
     for name in report.param_names:
         s1 = report.first[name][t]

@@ -6,7 +6,7 @@ one campaign stage. All draws are pure functions of (space, spec): the
 MC path uses the counter-based Philox generator keyed by the stage seed,
 so stores are reproducible across machines. Quadrature plans take their
 reference-domain grid from ``stage_grid``, which analysis calls too, and
-map it into physical space with ``to_physical``.
+map it into physical space with ``to_physical``. ``sparse`` builds them.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import numpy as np
 
 from uqpilot.errors import SamplerError
 from uqpilot.sampling.distributions import Distribution1D
-from uqpilot.sampling.quadrature import rule_at_level, tensor_grid
-from uqpilot.sampling.sparse import Component, SparseGrid, smolyak_grid
+from uqpilot.sampling.sparse import SparseGrid, combine, smolyak_grid
 
 RNG_ALGORITHM = "philox4x64-numpy"
 
@@ -127,31 +126,16 @@ def stage_grid(spec: SamplerSpec, dists: list[Distribution1D]) -> SparseGrid:
     """The quadrature grid of an sc/pce stage over its active `dists`.
 
     Points are in the reference domain. A sparse sc stage is a Smolyak
-    grid; a tensor sc or pce stage is the one-component case, truncated
-    to total degree <= order for pce and not at all for sc.
+    grid; a tensor sc or pce stage is the one-component combination
+    ``((level,) * d, 1)``, truncated to total degree <= order for pce and
+    not at all for sc.
     """
     rules = [rule_name_for(dist, spec.growth) for dist in dists]
     if spec.variant == "sc" and spec.sparse:
         return smolyak_grid(len(dists), spec.level, rules)
     level = spec.level if spec.variant == "sc" else spec.order
-    one_d = [rule_at_level(name, level) for name in rules]
-    points, weights = tensor_grid(one_d)
-    component = Component(
-        index=(level,) * len(dists),
-        coefficient=1,
-        rows=np.arange(len(points)),
-        weights=weights,
-        orders=tuple(r.order for r in one_d),
-    )
-    return SparseGrid(
-        dimension=len(dists),
-        level=level,
-        rules=tuple(rules),
-        points=points,
-        weights=weights,
-        components=[component],
-        total_degree=spec.order if spec.variant == "pce" else None,
-    )
+    return combine(rules, [((level,) * len(dists), 1)],
+                   total_degree=spec.order if spec.variant == "pce" else None)
 
 
 def to_physical(points: np.ndarray, dists: list[Distribution1D]) -> np.ndarray:

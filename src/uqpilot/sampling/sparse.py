@@ -6,9 +6,11 @@ where the combination coefficient
 
     c_k = (-1)^(L - |k|) * C(d - 1, L - |k|)   for L-d+1 <= |k| <= L
 
-and zero otherwise. Component provenance is kept so spectral projection
-can later process each tensor grid separately and sum with c_k. A full
-tensor grid is the same structure with one component of coefficient 1.
+and zero otherwise. ``combine`` is the one grid constructor: it builds,
+merges and weights any signed sum of tensor grids, and keeps each
+component's provenance so spectral projection can process each tensor grid
+separately and sum with c_k. ``smolyak_grid`` enumerates the Smolyak
+components; a full tensor grid is the one component ((L, ..., L), 1).
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ class Component:
 
 @dataclass(frozen=True)
 class SparseGrid:
-    dimension: int
-    level: int
     rules: tuple[str, ...]             # per-dimension 1-D rule names
     points: np.ndarray                 # (N, d) merged nodes, reference domain
     weights: np.ndarray                # (N,) combined weights, sum 1
@@ -83,10 +83,9 @@ def smolyak_grid(
 ) -> SparseGrid:
     """Build the level-`level` Smolyak grid over `d` dimensions.
 
-    `rules` is a single 1-D rule name or one per dimension. Duplicate
-    points are merged (weights summed) unless a dimension uses the
-    non-nested Gauss-Hermite rule. Projection truncates to total degree
-    <= `level`.
+    `rules` is a single 1-D rule name or one per dimension. The grid is
+    the `combine` of every multi-index with a nonzero coefficient, and
+    projection truncates to total degree <= `level`.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -96,6 +95,23 @@ def smolyak_grid(
         rules = [rules] * d
     if len(rules) != d:
         raise DomainError(f"need one rule per dimension ({d}), got {len(rules)}")
+    indices = [(k, c) for k in multi_indices(d, level)
+               if (c := combination_coefficient(d, level, sum(k)))]
+    return combine(rules, indices, total_degree=level)
+
+
+def combine(
+    rules: list[str],
+    indices: list[tuple[tuple[int, ...], int]],
+    total_degree: int | None,
+) -> SparseGrid:
+    """The signed sum of the tensor grids `indices` over the 1-D `rules`.
+
+    Each `(k, c)` in `indices` is the tensor grid whose dimension i takes
+    `rules[i]` at level `k[i]`, with coefficient `c`. Duplicate points are
+    merged (weights summed) unless a dimension uses the non-nested
+    Gauss-Hermite rule. Projection keeps total degree <= `total_degree`.
+    """
     merge = all(r != "gauss-hermite" for r in rules)
 
     rule_cache: dict[tuple[str, int], QuadRule] = {}
@@ -109,14 +125,11 @@ def smolyak_grid(
     grids = []   # (index, coefficient, points, weights, orders) of each component
     budget = 0
 
-    for k in multi_indices(d, level):
-        coeff = combination_coefficient(d, level, sum(k))
-        if coeff == 0:
-            continue
-        comp_rules = [rule_at(i, k[i]) for i in range(d)]
+    for k, coeff in indices:
+        comp_rules = [rule_at(i, lvl) for i, lvl in enumerate(k)]
         budget += math.prod(r.order for r in comp_rules)
         if budget > TENSOR_SIZE_CAP:
-            raise SizeError(f"sparse grid enumeration exceeds cap {TENSOR_SIZE_CAP}")
+            raise SizeError(f"grid exceeds {TENSOR_SIZE_CAP} points before merging")
         pts, wts = tensor_grid(comp_rules)
         grids.append((k, coeff, pts, wts, tuple(r.order for r in comp_rules)))
 
@@ -144,12 +157,10 @@ def smolyak_grid(
                   for (k, coeff, _, wts, o), a, b in zip(grids, starts, starts[1:])]
 
     return SparseGrid(
-        dimension=d,
-        level=level,
         rules=tuple(rules),
         points=points,
         weights=weights,
         components=components,
         merged=merge,
-        total_degree=level,
+        total_degree=total_degree,
     )

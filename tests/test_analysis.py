@@ -6,9 +6,10 @@ import pytest
 
 from tests.conftest import write_config
 from uqpilot.analysis.models import ADDITIVE, ALL_MODELS, BILINEAR, SINGLE_FACTOR
-from uqpilot.analysis.pipeline import analyze_quadrature_stage
+from uqpilot.analysis.pipeline import _mean_interval, analyze_mc_stage, analyze_quadrature_stage
 from uqpilot.analysis.spectral import moments, project_sparse, sobol
 from uqpilot.campaign.ops import Campaign
+from uqpilot.errors import MissingRunError
 from uqpilot.sampling.distributions import normal, uniform
 from uqpilot.sampling.samplers import SamplerSpec, stage_grid, to_physical
 from uqpilot.sampling.sparse import smolyak_grid
@@ -249,3 +250,40 @@ class TestStageAnalysis:
         for name in ("a", "b"):
             assert report.first[name] == pytest.approx(self.FIRST[name], abs=1e-10)
             assert report.total[name] == pytest.approx(self.TOTAL[name], abs=1e-10)
+
+
+class TestMeanInterval:
+    """The percentile bootstrap interval of the mean that `analyze_mc_stage`
+    reports for each time point."""
+
+    def test_zero_spread(self):
+        assert _mean_interval(np.full(25, 7.0), 0) == {"lower": 7.0, "upper": 7.0, "point": 7.0}
+
+    def test_interval_width_matches_clt(self):
+        # CLT oracle: for n=1e4 draws of N(0,1) the 95% CI for the mean
+        # has width about 2 * 1.96 / sqrt(n)
+        rng = np.random.Generator(np.random.Philox(key=123))
+        ci = _mean_interval(rng.standard_normal(10_000), 1)
+        expected = 2 * 1.96 / 100
+        assert abs((ci["upper"] - ci["lower"]) - expected) <= 0.2 * expected
+
+    def test_point_estimate_inside(self):
+        rng = np.random.Generator(np.random.Philox(key=4))
+        samples = rng.standard_normal(500) + 2.0
+        ci = _mean_interval(samples, 2)
+        assert ci["lower"] <= ci["point"] == samples.mean() <= ci["upper"]
+
+    def test_deterministic_from_key(self):
+        samples = np.arange(50, dtype=float)
+        assert _mean_interval(samples, 9) == _mean_interval(samples, 9)
+        assert _mean_interval(samples, 9) != _mean_interval(samples, 10)
+
+    def test_empty_input(self, tmp_path):
+        params = [{"name": "a", "kind": "real", "default": 0.5,
+                   "distribution": {"type": "uniform", "args": [0, 1]}}]
+        config = write_config(tmp_path, params, "a=$a\n", ["true"])
+        campaign = Campaign.create(config, tmp_path / "camp")
+        stage = campaign.add_stage(SamplerSpec("mc", n=3, seed=0))
+        with pytest.raises(MissingRunError, match="no collated values for qoi 'y' in stage 1"):
+            analyze_mc_stage(campaign.store, stage, "y", allow_missing=True)
+        campaign.store.close()

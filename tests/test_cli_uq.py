@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import signal
 import sqlite3
@@ -221,6 +222,31 @@ class TestStageArgument:
             assert campaign.store.run(2)["attempts"] == 0
 
 
+# The Ishigami function (Ishigami & Homma 1990), a = 7 and b = 0.1, called
+# on workers as `ishigami:main`, with its one value in out.csv
+ISHIGAMI_MODULE = """
+import json, math
+
+def main(argv):
+    with open(argv[0]) as fh:
+        x = json.load(fh)
+    y = math.sin(x["x1"]) + 7 * math.sin(x["x2"]) ** 2 + 0.1 * x["x3"] ** 4 * math.sin(x["x1"])
+    with open("out.csv", "w") as fh:
+        fh.write(f"y\\n{y!r}\\n")
+"""
+
+
+def ishigami_closed_form(a=7.0, b=0.1):
+    """Mean, variance, S_1 and S_T of the Ishigami function on U(-pi, pi)^3,
+    from its partial variances V_1, V_2 and V_13 (V_3 = 0)."""
+    v1 = (1 + b * math.pi ** 4 / 5) ** 2 / 2
+    v2 = a ** 2 / 8
+    v13 = 8 * b ** 2 * math.pi ** 8 / 225
+    v = v1 + v2 + v13
+    return (a / 2, v, {"x1": v1 / v, "x2": v2 / v, "x3": 0.0},
+            {"x1": (v1 + v13) / v, "x2": v2 / v, "x3": v13 / v})
+
+
 class TestAnalyze:
     def test_mc_stage_prints_a_plain_final_mean(self, tmp_path, capsys):
         wd = make_campaign(tmp_path)
@@ -273,6 +299,37 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("uq: run 2: parameter a=0.123 does not match grid value ")
         assert err.endswith("; store and sampler disagree\n")
+
+    def test_ishigami_through_the_cli_matches_its_closed_form(self, tmp_path, module_dir,
+                                                               capsys):
+        # PCE order 8 is a tensor Gauss-Legendre grid of 729 points. Its
+        # largest index error is 0.0018 (S_T of x1, S_1 and S_T of x2), its
+        # mean error 5e-7 and its variance error 0.040 of 13.845.
+        (module_dir / "ishigami.py").write_text(ISHIGAMI_MODULE)
+        cfg = write_config(
+            tmp_path, [uniform_param(f"x{i}", -math.pi, math.pi) for i in (1, 2, 3)],
+            '{"x1": $x1, "x2": $x2, "x3": $x3}\n', ["false"], callable="ishigami:main",
+            decoder={"output_relpath": "out.csv", "format": "csv", "qoi_columns": ["y"]})
+        wd = str(tmp_path / "camp")
+        for argv in (["init", "--config", str(cfg)],
+                     ["sample", "--sampler", "pce", "--order", "8"],
+                     ["run", "--executor", "pilotjob", "--allocation-cores", "2"]):
+            assert uq.main([*argv, "--workdir", wd]) == uq.EXIT_OK
+        capsys.readouterr()
+        assert uq.main(["analyze", "--workdir", wd, "--qoi", "y"]) == uq.EXIT_OK
+        header, columns, *rows, reports = capsys.readouterr().out.splitlines()
+        doc = json.loads(Path(reports.split()[1]).read_text())
+        mean, variance, first, total = ishigami_closed_form()
+        assert doc["index"] is None and doc["parameters"] == ["x1", "x2", "x3"]
+        assert doc["mean"] == [pytest.approx(mean, abs=1e-6)]
+        assert doc["variance"] == [pytest.approx(variance, abs=0.05)]
+        for name in doc["parameters"]:
+            assert doc["sobol_first"][name] == [pytest.approx(first[name], abs=0.002)], name
+            assert doc["sobol_total"][name] == [pytest.approx(total[name], abs=0.002)], name
+        assert (header, columns.split()) == ("QoI 'y':", ["parameter", "S_first", "S_total"])
+        assert [row.split() for row in rows] == [
+            [name, f"{doc['sobol_first'][name][0]:.6f}", f"{doc['sobol_total'][name][0]:.6f}"]
+            for name in doc["parameters"]]
 
     def test_a_quadrature_stage_is_read_once(self, tmp_path, monkeypatch, capsys):
         wd = make_campaign(tmp_path, n_runs=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uqpilot.errors import SamplerError
+from uqpilot.errors import SamplerError, SizeError
 from uqpilot.sampling.distributions import constant, normal, uniform
 from uqpilot.sampling.samplers import SamplerSpec, draw, halton_sequence
 
@@ -112,6 +112,13 @@ class TestQuadraturePlans:
         values = sorted(s["z"] for s in sets)
         # two-point probabilists' rule at +-1 mapped through mu + sigma*z
         assert values == pytest.approx([3.0, 7.0])
+
+    @pytest.mark.parametrize("spec", [SamplerSpec("sc", level=7), SamplerSpec("pce", order=7)],
+                             ids=["sc", "pce"])
+    def test_tensor_plan_over_the_size_cap_is_refused(self, spec):
+        # 8^8 = 16,777,216 points, refused before any is built
+        with pytest.raises(SizeError, match="^grid exceeds 10000000 points before merging$"):
+            draw(unit_space(8), spec)
 
     def test_quadrature_over_constant_dim_rejected(self):
         with pytest.raises(SamplerError):

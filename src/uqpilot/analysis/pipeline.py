@@ -4,9 +4,9 @@
 both validation patterns (``uqpilot.vvp.patterns``). Quadrature stages
 (sc/pce) rebuild their grid from the stored sampler spec with
 ``stage_grid``, the one grid builder that sampling uses too, and match
-runs to grid points by run order. The grid's points go to physical space
-through ``to_physical``, as at sampling, and ``project_sparse`` projects
-them; a tensor stage is its one-component case. MC/halton stages get
+runs to grid points by run order. Its points are already the physical
+values the runs hold, and ``project_sparse`` projects them as they are;
+a tensor stage is its one-component case. MC/halton stages get
 sample moments instead, and at each time point a percentile bootstrap
 interval of the mean.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from uqpilot.analysis.spectral import SobolReport, SpectralSurrogate, project_sparse, sobol
 from uqpilot.campaign.store import CampaignStore
 from uqpilot.errors import MissingRunError, SamplerError
-from uqpilot.sampling.samplers import SamplerSpec, stage_grid, to_physical
+from uqpilot.sampling.samplers import SamplerSpec, stage_grid
 # unused here, but bench/workloads.py traces pipeline.smolyak_grid by name
 from uqpilot.sampling.sparse import smolyak_grid  # noqa: F401
 
@@ -85,20 +85,16 @@ def surrogate_for_stage(
     names = [p.name for p in active]
     dists = [p.distribution for p in active]
     grid = stage_grid(stage.spec, dists)
-    physical = to_physical(grid.points, dists)
-    _check_points(stage, physical, names)
-    return project_sparse(
-        stage.values, dataclasses.replace(grid, points=physical), dists, names,
-        qoi=qoi, index=stage.index,
-    )
+    _check_points(stage, grid.points, names)
+    return project_sparse(stage.values, grid, dists, names, qoi=qoi, index=stage.index)
 
 
-def _check_points(stage: StageRuns, physical, names):
+def _check_points(stage: StageRuns, points, names):
     """Stored run parameters must match the rebuilt grid, point for point."""
-    if len(stage.runs) != len(physical):
+    if len(stage.runs) != len(points):
         raise MissingRunError(
-            f"stage {stage.stage_id}: {len(stage.runs)} runs vs {len(physical)} grid points")
-    for row, point in zip(stage.runs, physical.tolist()):
+            f"stage {stage.stage_id}: {len(stage.runs)} runs vs {len(points)} grid points")
+    for row, point in zip(stage.runs, points.tolist()):
         params = json.loads(row["params_json"])
         for name, expect in zip(names, point):
             got = params[name]

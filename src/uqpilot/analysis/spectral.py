@@ -9,8 +9,9 @@ a ``SparseGrid`` is projected onto its own alias-free degree range and
 the results are summed with the combination coefficients (the sparse
 pseudo-spectral method of Constantine, Eldred & Phipps, CMAME 2012); a
 full tensor grid is the one-component case. The grid's points must be in
-the physical domain: ``evaluate_basis`` is the one place that maps them
-back to the reference domain. With an orthonormal basis the mean is c_0,
+the physical domain, as ``samplers.stage_grid`` returns them:
+``evaluate_basis`` is the one place that maps them back to the reference
+domain. With an orthonormal basis the mean is c_0,
 the variance is the sum of the other squared coefficients, and Sobol
 indices are ratios of coefficient-subset sums.
 """

@@ -176,7 +176,6 @@ class PilotManager:
         self._launch_failed = False           # a launcher could not start in this dispatch pass
         self._kills: list[tuple[float, int]] = []   # heap of (monotonic deadline, seq) for SIGKILL
         self._changes: list[tuple[str, str]] = []   # (job, status) of each start and end for `wait`
-        self._trace: list[tuple[float, str, str, int]] = []  # (t, event, job, iteration)
 
     def __enter__(self) -> PilotManager:
         return self
@@ -283,7 +282,6 @@ class PilotManager:
         self._busy_cores += task.cores
         task.status = EXECUTING
         task.start = self.now()
-        self._trace.append((task.start, "start", task.job, task.iteration))
         if self.clock == "simulated":
             duration = self._jobs[task.job].spec.duration
             heapq.heappush(self._events, (task.start + duration, next(self._event_seq), task))
@@ -391,7 +389,6 @@ class PilotManager:
         """A started task ended: free its cores and propagate. The caller
         dispatches, so that a task ending as `_tick` starts it does not
         recurse into `_tick`."""
-        self._trace.append((task.end, "end", task.job, task.iteration))
         task.status = status
         self._pending -= 1
         self._busy_cores -= task.cores
@@ -497,10 +494,6 @@ class PilotManager:
             "free_cores": self.cores - self._busy_cores,
             "time": self.now(),
         }
-
-    def dispatch_trace(self) -> list[tuple[float, str, str, int]]:
-        """Chronological (time, event, job, iteration) start/end records."""
-        return list(self._trace)
 
     def drain(self, block: bool = True) -> bool:
         """Stop accepting work; run the event loop until no task is pending

@@ -1,8 +1,9 @@
 """One-dimensional input distributions and their quantile transforms.
 
 Samplers work on the unit cube and map coordinates into physical
-parameter space through ``Distribution1D.quantile``; quadrature-based
-samplers instead map reference-domain nodes through ``from_reference``.
+parameter space through ``Distribution1D.quantile``. Quadrature grids are
+built on the reference domain, and ``samplers.stage_grid`` maps their
+nodes through ``from_reference``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ list of parameter sets (and, for quadrature plans, weights) that becomes
 one campaign stage. All draws are pure functions of (space, spec): the
 MC path uses the counter-based Philox generator keyed by the stage seed,
 so stores are reproducible across machines. Quadrature plans take their
-reference-domain grid from ``stage_grid``, which analysis calls too, and
-map it into physical space with ``to_physical``. ``sparse`` builds them.
+grid from ``stage_grid``, which analysis calls too: ``sparse.combine``
+builds reference points, and ``stage_grid`` maps them to the runs' values.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ class SamplerSpec:
             raise SamplerError("pce needs order >= 0")
         if self.growth not in ("linear", "exp2"):
             raise SamplerError(f"unknown growth rule {self.growth!r}")
+        if not 0 <= self.seed < 2**63:   # a Philox key and a signed 64-bit store integer
+            raise SamplerError(f"seed must be in [0, 2**63), got {self.seed}")
+        if self.skip < 0:
+            raise SamplerError(f"halton skip must be >= 0, got {self.skip}")
 
     @property
     def is_quadrature(self) -> bool:
@@ -125,22 +129,22 @@ def rule_name_for(dist: Distribution1D, growth: str) -> str:
 def stage_grid(spec: SamplerSpec, dists: list[Distribution1D]) -> SparseGrid:
     """The quadrature grid of an sc/pce stage over its active `dists`.
 
-    Points are in the reference domain. A sparse sc stage is a Smolyak
-    grid; a tensor sc or pce stage is the one-component combination
+    Points are in the physical domain: each column is mapped through its
+    input's ``from_reference``. A sparse sc stage is a Smolyak grid; a
+    tensor sc or pce stage is the one-component combination
     ``((level,) * d, 1)``, truncated to total degree <= order for pce and
     not at all for sc.
     """
     rules = [rule_name_for(dist, spec.growth) for dist in dists]
     if spec.variant == "sc" and spec.sparse:
-        return smolyak_grid(len(dists), spec.level, rules)
-    level = spec.level if spec.variant == "sc" else spec.order
-    return combine(rules, [((level,) * len(dists), 1)],
-                   total_degree=spec.order if spec.variant == "pce" else None)
-
-
-def to_physical(points: np.ndarray, dists: list[Distribution1D]) -> np.ndarray:
-    """Map (N, d) reference-domain points into physical space, column by column."""
-    return np.column_stack([dist.from_reference(points[:, i]) for i, dist in enumerate(dists)])
+        grid = smolyak_grid(len(dists), spec.level, rules)
+    else:
+        level = spec.level if spec.variant == "sc" else spec.order
+        grid = combine(rules, [((level,) * len(dists), 1)],
+                       total_degree=spec.order if spec.variant == "pce" else None)
+    for i, dist in enumerate(dists):   # in place: the points are the new grid's own
+        grid.points[:, i] = dist.from_reference(grid.points[:, i])
+    return grid
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -175,8 +179,7 @@ def draw(space, spec: SamplerSpec):
         weights = None
     else:
         grid = stage_grid(spec, active_dists)
-        physical = to_physical(grid.points, active_dists)
-        weights = grid.weights.tolist()
+        physical, weights = grid.points, grid.weights.tolist()
     sets = []
     for row in physical.tolist():
         params = dict(pinned)

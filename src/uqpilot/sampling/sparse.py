@@ -45,10 +45,9 @@ class Component:
 @dataclass(frozen=True)
 class SparseGrid:
     rules: tuple[str, ...]             # per-dimension 1-D rule names
-    points: np.ndarray                 # (N, d) merged nodes, reference domain
+    points: np.ndarray                 # (N, d) merged nodes; stage_grid maps them from reference
     weights: np.ndarray                # (N,) combined weights, sum 1
     components: list[Component] = field(repr=False)
-    merged: bool = True
     total_degree: int | None = None    # projection keeps |k|_1 <= this; None: no cap
 
     def __len__(self) -> int:
@@ -161,6 +160,5 @@ def combine(
         points=points,
         weights=weights,
         components=components,
-        merged=merge,
         total_degree=total_degree,
     )

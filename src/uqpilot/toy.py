@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -113,24 +112,14 @@ def toy_model(params: dict, seed: int | None = None, horizon: int = 120) -> list
     return series
 
 
-def write_output(out_path: Path, series: list[float], executions: int):
+def write_output(out_path: Path, series: list[float]):
     """Atomic tmp-plus-rename write; partial outputs are never visible."""
     tmp = out_path.with_name(out_path.name + ".tmp")
-    lines = ["t,dead,executions"]
+    lines = ["t,dead"]
     for day, value in enumerate(series, start=1):
-        lines.append(f"{day},{value!r},{executions}")
+        lines.append(f"{day},{value!r}")
     tmp.write_text("\n".join(lines) + "\n")
     os.replace(tmp, out_path)
-
-
-def _prior_executions(out_path: Path) -> int:
-    if not out_path.is_file():
-        return 0
-    try:
-        last = out_path.read_text().strip().splitlines()[-1]
-        return int(last.rsplit(",", 1)[-1])
-    except (ValueError, IndexError):
-        return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -148,12 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     horizon = int(doc.get("horizon", 120))
     seed = doc.get("seed")
-    settle = float(doc.get("compute_seconds", 0.0))
-    if settle > 0:
-        time.sleep(settle)
     series = toy_model(doc, seed=None if seed is None else int(seed), horizon=horizon)
-    out_path = Path(args.out)
-    write_output(out_path, series, _prior_executions(out_path) + 1)
+    write_output(Path(args.out), series)
     return 0
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,21 +10,15 @@ from uqpilot.analysis.spectral import moments, project_sparse, sobol
 from uqpilot.campaign.ops import Campaign
 from uqpilot.errors import MissingRunError
 from uqpilot.sampling.distributions import normal, uniform
-from uqpilot.sampling.samplers import SamplerSpec, stage_grid, to_physical
+from uqpilot.sampling.samplers import SamplerSpec, stage_grid
 from uqpilot.sampling.sparse import smolyak_grid
 
 U2 = [uniform(-1, 1), uniform(-1, 1)]
 
 
-def physical_grid(spec, dists):
-    """The stage grid of `spec` with its points mapped into physical space."""
-    grid = stage_grid(spec, list(dists))
-    return dataclasses.replace(grid, points=to_physical(grid.points, list(dists)))
-
-
 def gauss_grid(n, dists):
     """Tensor grid of n Gauss points per dimension (sc level n - 1)."""
-    return physical_grid(SamplerSpec("sc", level=n - 1), dists)
+    return stage_grid(SamplerSpec("sc", level=n - 1), list(dists))
 
 
 def tensor_surrogate(model_fn, n, dists, names=("x1", "x2")):
@@ -59,8 +52,7 @@ class TestProjection:
         # y = x over uniform(3, 7): mean 5, variance (7-3)^2/12
         dist = uniform(3, 7)
         grid = stage_grid(SamplerSpec("sc", level=2), [dist])
-        phys = np.array([[dist.from_reference(z[0])] for z in grid.points])
-        s = project_sparse(phys[:, 0], dataclasses.replace(grid, points=phys), [dist], ["x"])
+        s = project_sparse(grid.points[:, 0], grid, [dist], ["x"])
         mean, var = moments(s)
         assert mean[0] == pytest.approx(5.0, abs=1e-10)
         assert var[0] == pytest.approx(16 / 12, abs=1e-10)
@@ -188,7 +180,7 @@ class TestTensorClenshawCurtis:
         # x1^2 + x1*x2^3 over U(-1,1)^2: V = 4/45 + (1/3)(1/7) = 43/315.
         # 9 CC points a dimension are exact through degree 9, so caps of
         # degree 4 project exactly; caps of degree 8 would alias.
-        grid = physical_grid(SamplerSpec("sc", level=3, growth="exp2"), U2)
+        grid = stage_grid(SamplerSpec("sc", level=3, growth="exp2"), U2)
         assert [c.orders for c in grid.components] == [(9, 9)]
         x = grid.points
         _, var = moments(project_sparse(x[:, 0] ** 2 + x[:, 0] * x[:, 1] ** 3, grid, U2, ["x1", "x2"]))

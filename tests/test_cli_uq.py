@@ -379,6 +379,23 @@ class TestSample:
                         assert (line[3], weight) == ("", None)
             assert len(store.runs(stage_id=1)) > 5   # a sparse level-2 grid in 2-D
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--seed", "-1"], "seed must be in [0, 2**63), got -1"),
+        (["mc", "--seed", str(2**63)], f"seed must be in [0, 2**63), got {2**63}"),
+        (["halton", "--skip", "-3"], "halton skip must be >= 0, got -3"),
+    ], ids=["negative-seed", "seed-past-int64", "negative-skip"])
+    def test_a_seed_or_skip_it_cannot_use_is_a_usage_error(self, tmp_path, capsys,
+                                                           argv, message):
+        wd = make_campaign(tmp_path, n_runs=0)
+        capsys.readouterr()
+        assert uq.main(["sample", "--workdir", wd, "--sampler", *argv,
+                        "--n", "3"]) == uq.EXIT_USAGE
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"uq: {message}\n")
+        with Campaign.open(wd) as campaign:
+            assert campaign.store.stages() == []
+        assert statuses(wd) == {}
+
     def test_sc_over_an_integer_parameter_is_a_usage_error(self, tmp_path, capsys):
         wd = make_campaign(tmp_path, n_runs=0, parameters=[{
             "name": "a", "kind": "integer", "default": 1,

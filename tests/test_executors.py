@@ -221,7 +221,9 @@ class TestEngine:
 
         def failing_set_status(run_id, status, *args, **kwargs):
             if run_id == 3 and status != "ENCODED":   # once the 3rd run is executing
-                wait_for_pid(campaign, 3)
+                # on 2 cores run 2 may still be starting its interpreter
+                for started_run in (1, 2, 3):
+                    wait_for_pid(campaign, started_run)
                 raise RuntimeError("store went away")
             return set_status(run_id, status, *args, **kwargs)
 

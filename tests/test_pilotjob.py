@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tests.test_scheduler_equivalence import random_mix
+from tests.test_scheduler_equivalence import TracingSim, random_mix
 from uqpilot.errors import (
     AlreadyTerminal,
     BindError,
@@ -201,14 +201,13 @@ class TestSimulatedScheduling:
         assert all(t["start"] == 0.0 for t in its)
 
     def test_capacity_never_exceeded(self, tmp_path):
-        m = sim_manager(3, tmp_path)
+        m = TracingSim(3, workdir=tmp_path, clock="simulated")
         for i in range(20):
             m.submit(sim_job(f"j{i}", duration=float(1 + i % 3), cores=1 + i % 2))
         m.drain()
-        trace = m.dispatch_trace()
         jobs = {j["name"]: j for j in m.report()["jobs"]}
         busy = 0
-        for _, event, name, _ in trace:
+        for _, event, name, _ in m.trace:
             cores = jobs[name]["cores"]
             busy += cores if event == "start" else -cores
             assert busy <= 3
@@ -223,14 +222,14 @@ class TestSimulatedScheduling:
             for it in job["iterations"]:
                 assert it["status"] in ("SUCCEEDED", "FAILED", "CANCELED", "OMITTED")
 
-    def test_deterministic_dispatch_trace(self, tmp_path):
+    def test_deterministic_dispatch_order(self, tmp_path):
         def build():
-            m = sim_manager(5, tmp_path)
+            m = TracingSim(5, workdir=tmp_path, clock="simulated")
             for i in range(30):
                 m.submit(sim_job(f"j{i}", duration=float(1 + (i * 7) % 4),
                                  cores=1 + (i * 3) % 3))
             m.drain()
-            return m.dispatch_trace()
+            return m.trace
 
         assert build() == build()
 

@@ -100,7 +100,7 @@ def test_point_count_matches_published_plan_sizes():
 
 def test_gauss_hermite_dimensions_disable_merging():
     grid = smolyak_grid(2, 2, ["gauss-hermite", "gauss-hermite"])
-    assert not grid.merged
+    assert len(grid) == sum(len(c.rows) for c in grid.components)
     assert abs(grid.weights.sum() - 1.0) < 1e-10
 
 
